@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Generate the seeded benchmark instance sets used by the experiment
-scripts.
+commands (`carptdsc bench`, `ablate-*`, `time-to-target`).
 
 The published time-dependent parameters are not available, so each set is
 derived from seeded random classic base graphs (small / medium / large)

@@ -97,6 +97,7 @@ def main(argv=None):
     p.add_argument("--target", type=float,
                    help="target cost applied to every instance")
     _add_common(p)
+    p.set_defaults(generations=600)  # here --generations caps each run
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--vertices", type=int, default=12)
@@ -177,7 +178,7 @@ def main(argv=None):
             for path in cfg.instances:
                 inst, _ = load_instance(path)
                 cfg.target_costs[inst.name] = args.target
-        rows = runtime_to_target(cfg)
+        rows = runtime_to_target(cfg, max_generations=cfg.generations)
         out = Path(cfg.out_dir or args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "time_to_target.csv", rows)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .evaluation import STATIC, Route, Solution, get_context
+from .evaluation import Route, Solution, get_context
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,8 +48,8 @@ class DepartureResult:
 class RouteCost:
     """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi]."""
 
-    def __init__(self, inst, sp, route: Route, duration_mode: str = STATIC):
-        self.ctx = get_context(inst, sp, duration_mode)
+    def __init__(self, inst, sp, route: Route):
+        self.ctx = get_context(inst, sp)
         self.codes = self.ctx.encode_route(route)
         _, _, _, _, _, end0 = self.ctx.sim(self.codes, 0.0)
         self.lo = 0.0
@@ -63,9 +63,8 @@ class RouteCost:
         return sc + dc
 
 
-def route_cost_of_t(inst, sp, route: Route,
-                    duration_mode: str = STATIC) -> RouteCost:
-    return RouteCost(inst, sp, route, duration_mode)
+def route_cost_of_t(inst, sp, route: Route) -> RouteCost:
+    return RouteCost(inst, sp, route)
 
 
 def gss(f, lo: float, hi: float, tol: float) -> float:

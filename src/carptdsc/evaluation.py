@@ -13,15 +13,10 @@ search hot loops.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .instance import Instance, ShortestPathMatrix
-
-STATIC = "static"
-COST_COUPLED = "cost-coupled"
 
 
 class InvalidRouteError(ValueError):
@@ -83,13 +78,7 @@ class EvalContext:
     ``index * 2 + flipped``.  Built once per (instance, sp) pair.
     """
 
-    def __init__(self, inst: Instance, sp: ShortestPathMatrix,
-                 duration_mode: str = STATIC):
-        if duration_mode not in (STATIC, COST_COUPLED):
-            raise ValueError(f"unknown duration mode {duration_mode!r}")
-        self.inst = inst
-        self.sp = sp
-        self.duration_mode = duration_mode
+    def __init__(self, inst: Instance, sp: ShortestPathMatrix):
         self.depot = inst.depot
         self.capacity = inst.capacity
         self.horizon = inst.planning_horizon
@@ -165,7 +154,6 @@ class EvalContext:
         otail, ohead = self.otail, self.ohead
         minsc, slope, bt, et = self.minsc, self.slope, self.bt, self.et
         dur, demand = self.dur, self.demand
-        coupled = self.duration_mode == COST_COUPLED
         t = t0
         prev = self.depot
         sc_sum = 0.0
@@ -185,7 +173,7 @@ class EvalContext:
             gaps.append(g)
             sc = minsc[ti] + g * slope[ti]
             sc_sum += sc
-            t += sc if coupled else dur[ti]
+            t += dur[ti]
             load += demand[ti]
             prev = ohead[c]
         if codes:
@@ -214,17 +202,16 @@ class EvalContext:
 
 
 @lru_cache(maxsize=32)
-def get_context(inst: Instance, sp: ShortestPathMatrix,
-                duration_mode: str = STATIC) -> EvalContext:
-    return EvalContext(inst, sp, duration_mode)
+def get_context(inst: Instance, sp: ShortestPathMatrix) -> EvalContext:
+    return EvalContext(inst, sp)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
-def evaluate_route(inst, sp, route: Route, duration_mode: str = STATIC) -> RouteEvaluation:
-    ctx = get_context(inst, sp, duration_mode)
+def evaluate_route(inst, sp, route: Route) -> RouteEvaluation:
+    ctx = get_context(inst, sp)
     return ctx.route_evaluation(ctx.encode_route(route), route.departure_time)
 
 
@@ -244,10 +231,9 @@ def check_coverage(inst, sol: Solution) -> None:
         raise CoverageError(f"unknown tasks served: {sorted(extra)}")
 
 
-def evaluate_solution(inst, sp, sol: Solution,
-                      duration_mode: str = STATIC) -> SolutionEvaluation:
+def evaluate_solution(inst, sp, sol: Solution) -> SolutionEvaluation:
     check_coverage(inst, sol)
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     per = []
     tc = 0.0
     violation = 0.0
@@ -259,11 +245,11 @@ def evaluate_solution(inst, sp, sol: Solution,
     return SolutionEvaluation(tc=tc, violation=violation, per_route=tuple(per))
 
 
-def is_feasible(inst, sp, sol: Solution, duration_mode: str = STATIC):
+def is_feasible(inst, sp, sol: Solution):
     """(feasible, diagnostics).  Checks coverage, capacity, and horizon."""
     diagnostics = []
     try:
-        ev = evaluate_solution(inst, sp, sol, duration_mode)
+        ev = evaluate_solution(inst, sp, sol)
     except CoverageError as exc:
         return False, [f"coverage: {exc}"]
     for k, rev in enumerate(ev.per_route):
@@ -275,8 +261,7 @@ def is_feasible(inst, sp, sol: Solution, duration_mode: str = STATIC):
     return not diagnostics, diagnostics
 
 
-def delta_evaluate(inst, sp, sol: Solution, move,
-                   duration_mode: str = STATIC):
+def delta_evaluate(inst, sp, sol: Solution, move):
     """Exact cost change of ``move`` from the involved routes alone.
 
     Returns (delta_sc, delta_dc); their sum equals the total-cost change
@@ -284,7 +269,7 @@ def delta_evaluate(inst, sp, sol: Solution, move,
     """
     from .localsearch import involved_routes, moved_route_codes
 
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     routes = [ctx.encode_route(r) for r in sol.routes]
     departures = [r.departure_time for r in sol.routes]
     new_routes = moved_route_codes(ctx, routes, move)

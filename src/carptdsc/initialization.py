@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .evaluation import STATIC, Solution, get_context
+from .evaluation import Solution, get_context
 from .instance import InstanceError
 
 KGIS = "kgis"
@@ -33,7 +33,7 @@ class InitConfig:
 
 
 def _greedy_build(inst, sp, slope_abs, rng, use_gap):
-    ctx = get_context(inst, sp, STATIC)
+    ctx = get_context(inst, sp)
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
     dem, dur = ctx.demand, ctx.dur
@@ -69,6 +69,13 @@ def _greedy_build(inst, sp, slope_abs, rng, use_gap):
                 elif score == best_score:
                     ties.append(oc)
         if best_score is None:
+            if not cur_codes:
+                # a fresh vehicle fits none of the tasks left: another
+                # one would not either
+                raise InstanceError(
+                    f"task arc {ctx.task_arc[min(unserved)]} cannot be "
+                    f"served within horizon {PT} even by a vehicle leaving "
+                    f"the depot at 0")
             # nothing fits: close the route and start a fresh vehicle
             routes.append(cur_codes)
             cur_codes = []

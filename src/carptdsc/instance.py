@@ -423,14 +423,17 @@ def parse_classic_dat(path) -> ClassicInstance:
             key, _, val = (p.strip() for p in line.partition(":"))
             key = key.upper()
             val = val.split()[0] if val else ""
-            if key == "NAME":
-                name = val
-            elif key == "VERTICES":
-                n_vertices = int(val)
-            elif key == "CAPACITY":
-                capacity = float(val)
-            elif key == "DEPOT":
-                depot = int(val)
+            try:
+                if key == "NAME":
+                    name = val
+                elif key == "VERTICES":
+                    n_vertices = int(val)
+                elif key == "CAPACITY":
+                    capacity = float(val)
+                elif key == "DEPOT":
+                    depot = int(val)
+            except ValueError:
+                raise ParseError(f"bad {key} value {val!r}", line_no)
             continue
         if up.startswith("NODES"):
             in_edges = True
@@ -441,9 +444,12 @@ def parse_classic_dat(path) -> ClassicInstance:
             toks = line.replace(",", " ").split()
             if len(toks) not in (3, 4):
                 raise ParseError("expected: u v cost [demand]", line_no)
-            u, v = int(toks[0]), int(toks[1])
-            cost = float(toks[2])
-            demand = float(toks[3]) if len(toks) == 4 else 0.0
+            try:
+                u, v = int(toks[0]), int(toks[1])
+                cost = float(toks[2])
+                demand = float(toks[3]) if len(toks) == 4 else 0.0
+            except ValueError:
+                raise ParseError(f"non-numeric edge field in {line!r}", line_no)
             edges.append(ClassicEdge(u, v, cost, demand))
     if n_vertices is None or capacity is None or not edges:
         raise ParseError(f"{path}: incomplete classic DAT file")

@@ -1,12 +1,13 @@
 """Neighborhood moves and small-step-size local search.
 
 Three move kinds: single insertion (SI), double insertion (DI) and swap
-(SW).  Each exists in two flavors: a traditional best-improvement sweep
-that fully re-evaluates the involved routes of every move, and a
-knowledge-guided sweep that first prunes moves whose directly-affected
-tasks would drift far from their optimal service intervals (the time-gap
-pruning rule) and then classifies the survivors by an exact incremental
-cost delta restricted to the involved route suffixes.
+(SW).  Each kind has one knowledge-guided best-improvement sweep that
+first prunes moves whose directly-affected tasks would drift far from
+their optimal service intervals (the time-gap pruning rule) and then
+classifies the survivors by an exact incremental cost delta restricted to
+the involved route suffixes.  The traditional operator, used for
+ablations, is a single generic sweep that fully re-evaluates the involved
+routes of every enumerated move.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .evaluation import (
-    STATIC,
     EvalContext,
     InvalidRouteError,
     Solution,
@@ -166,10 +166,9 @@ def involved_routes(routes, move: Move):
     return sorted(out)
 
 
-def apply_move(inst, sp, sol: Solution, move: Move,
-               duration_mode: str = STATIC) -> Solution:
+def apply_move(inst, sp, sol: Solution, move: Move) -> Solution:
     """New solution with ``move`` applied; emptied routes are dropped."""
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     routes = [ctx.encode_route(r) for r in sol.routes]
     for ri in (move.src[0], move.dst[0]):
         if ri is not NEW_ROUTE and not (0 <= ri < len(routes)):
@@ -186,15 +185,17 @@ def apply_move(inst, sp, sol: Solution, move: Move,
 
 def enumerate_moves(inst, sp, kind: str, sol: Solution) -> Iterator[Move]:
     ctx = get_context(inst, sp)
-    routes = [ctx.encode_route(r) for r in sol.routes]
+    yield from _enum(ctx, [ctx.encode_route(r) for r in sol.routes], kind)
+
+
+def _enum(ctx, routes, kind):
     if kind == SINGLE_INSERTION:
-        yield from _enum_si(ctx, routes)
-    elif kind == DOUBLE_INSERTION:
-        yield from _enum_di(ctx, routes)
-    elif kind == SWAP:
-        yield from _enum_sw(ctx, routes)
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
+        return _enum_si(ctx, routes)
+    if kind == DOUBLE_INSERTION:
+        return _enum_di(ctx, routes)
+    if kind == SWAP:
+        return _enum_sw(ctx, routes)
+    raise ValueError(f"unknown move kind {kind!r}")
 
 
 def _flips_for(ctx, code):
@@ -251,8 +252,8 @@ def _enum_sw(ctx, routes):
 # ---------------------------------------------------------------------------
 # Per-move analysis helpers
 #
-# The incremental formulas assume static service durations (the default);
-# with cost-coupled durations every move is fully re-simulated instead.
+# Service durations are static, so a move shifts every later begin time of
+# a route by one constant; the incremental formulas rest on that.
 # ---------------------------------------------------------------------------
 
 def _prefix(ctx, state, r, pos):
@@ -399,11 +400,10 @@ def criterion1_failed(inst, sp, sol, move: Move, lam: float) -> bool:
     return after - lam * before > 0.0
 
 
-def criterion2_successful(inst, sp, sol: Solution, move: Move,
-                          duration_mode: str = STATIC):
+def criterion2_successful(inst, sp, sol: Solution, move: Move):
     """(successful, delta): successful iff the exact involved-route cost
     delta is negative and the involved routes stay feasible."""
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     state = SolState.from_solution(ctx, sol)
     feasible, d_sc, d_dc = _full_move_delta(ctx, state, move)
     delta = d_sc + d_dc
@@ -411,42 +411,32 @@ def criterion2_successful(inst, sp, sol: Solution, move: Move,
 
 
 # ---------------------------------------------------------------------------
-# Best-improvement sweeps
+# Best-improvement sweeps: (ctx, state, kind, lam, counters) -> (delta, move)
 #
-# use_c1=False, full_eval=True  -> traditional operator
-# use_c1=True,  full_eval=False -> knowledge-guided operator
-# First-enumerated move wins ties; enumeration order matches
-# enumerate_moves.
+# _kg_sweep is the knowledge-guided operator: one fast sweep per kind that
+# counts every move it screens out by criterion 1 and every survivor it
+# classifies by an exact incremental delta.  _traditional_sweep is the
+# traditional operator: every enumerated move is re-simulated in full, and
+# lam is ignored.  Both return the first-enumerated best move on ties, in
+# enumerate_moves order.
 # ---------------------------------------------------------------------------
 
-def _sweep(ctx, state, kind, lam, counters, use_c1, full_eval):
-    if ctx.duration_mode != STATIC:
-        return _sweep_generic(ctx, state, kind, lam, counters, use_c1, full_eval)
+def _kg_sweep(ctx, state, kind, lam, counters):
     if kind == SINGLE_INSERTION:
-        return _si_sweep(ctx, state, lam, counters, use_c1, full_eval)
+        return _si_sweep(ctx, state, lam, counters)
     if kind == DOUBLE_INSERTION:
-        return _di_sweep(ctx, state, lam, counters, use_c1, full_eval)
+        return _di_sweep(ctx, state, lam, counters)
     if kind == SWAP:
-        return _sw_sweep(ctx, state, lam, counters, use_c1, full_eval)
+        return _sw_sweep(ctx, state, lam, counters)
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _sweep_generic(ctx, state, kind, lam, counters, use_c1, full_eval):
-    """Fallback sweep via full re-simulation (cost-coupled durations)."""
-    sol = state.to_solution(ctx)
+def _traditional_sweep(ctx, state, kind, lam, counters):
     best = -_EPS
     best_move = None
-    for move in enumerate_moves(ctx.inst, ctx.sp, kind, sol):
+    for move in _enum(ctx, state.routes, kind):
         counters.moves_enumerated += 1
-        if use_c1:
-            before, after = c1_gap_sums(ctx.inst, ctx.sp, state, move)
-            if after - lam * before > 0.0:
-                counters.pruned_by_criterion1 += 1
-                continue
-        if full_eval:
-            counters.full_route_evaluations += 1
-        else:
-            counters.criterion2_evaluations += 1
+        counters.full_route_evaluations += 1
         feasible, d_sc, d_dc = _full_move_delta(ctx, state, move, counters)
         delta = d_sc + d_dc
         if feasible and delta < best:
@@ -454,7 +444,10 @@ def _sweep_generic(ctx, state, kind, lam, counters, use_c1, full_eval):
     return best, best_move
 
 
-def _si_sweep(ctx, state, lam, counters, use_c1, full_eval):
+SWEEPS = {"kg": _kg_sweep, "traditional": _traditional_sweep}
+
+
+def _si_sweep(ctx, state, lam, counters):
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
     dur, dem = ctx.dur, ctx.demand
@@ -500,16 +493,12 @@ def _si_sweep(ctx, state, lam, counters, use_c1, full_eval):
                             if pb == pa and flip == cur_flip:
                                 continue
                             counters.moves_enumerated += 1
-                            if use_c1:
-                                pe, phh = _prefix_after_removal(ctx, state, ra, pa, 1, pb)
-                                g_after = gapf(ti, pe + spt[phh][nt])
-                                if g_after - lam * g_before > 0.0:
-                                    counters.pruned_by_criterion1 += 1
-                                    continue
-                            if full_eval:
-                                counters.full_route_evaluations += 1
-                            else:
-                                counters.criterion2_evaluations += 1
+                            pe, phh = _prefix_after_removal(ctx, state, ra, pa, 1, pb)
+                            g_after = gapf(ti, pe + spt[phh][nt])
+                            if g_after - lam * g_before > 0.0:
+                                counters.pruned_by_criterion1 += 1
+                                continue
+                            counters.criterion2_evaluations += 1
                             cand = kept[:pb] + [nc] + kept[pb:]
                             delta = _route_delta(ctx, state, ra, cand, counters)
                             if delta is not None and delta < best:
@@ -537,19 +526,9 @@ def _si_sweep(ctx, state, lam, counters, use_c1, full_eval):
                             pp_end, pph = _prefix(ctx, state, rb, pb)
                             nxv = otail[b[pb]] if pb < len(b) else depot
                         t_new = pp_end + spt[pph][nt]
-                        if use_c1:
-                            g_after = gapf(ti, t_new)
-                            if g_after - lam * g_before > 0.0:
-                                counters.pruned_by_criterion1 += 1
-                                continue
-                        mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                        if full_eval:
-                            counters.full_route_evaluations += 1
-                            mv = Move(SINGLE_INSERTION, (ra, pa), mvdst, (bool(flip),))
-                            ok, dsc, ddc = _full_move_delta(ctx, state, mv, counters)
-                            delta = dsc + ddc
-                            if ok and delta < best:
-                                best, best_move = delta, mv
+                        g_after = gapf(ti, t_new)
+                        if g_after - lam * g_before > 0.0:
+                            counters.pruned_by_criterion1 += 1
                             continue
                         counters.criterion2_evaluations += 1
                         if not (src_ok and cap_ok):
@@ -569,12 +548,13 @@ def _si_sweep(ctx, state, lam, counters, use_c1, full_eval):
                         delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
                         if delta < best:
                             best = delta
+                            mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
                             best_move = Move(SINGLE_INSERTION, (ra, pa), mvdst,
                                              (bool(flip),))
     return best, best_move
 
 
-def _di_sweep(ctx, state, lam, counters, use_c1, full_eval):
+def _di_sweep(ctx, state, lam, counters):
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
     dur, dem = ctx.dur, ctx.demand
@@ -624,18 +604,14 @@ def _di_sweep(ctx, state, lam, counters, use_c1, full_eval):
                                 if pb == pa and (f1, f2) == cur:
                                     continue
                                 counters.moves_enumerated += 1
-                                if use_c1:
-                                    pe, phh = _prefix_after_removal(ctx, state, ra, pa, 2, pb)
-                                    tn1 = pe + spt[phh][otail[n1]]
-                                    tn2 = tn1 + hop
-                                    g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
-                                    if g_after - lam * g_before > 0.0:
-                                        counters.pruned_by_criterion1 += 1
-                                        continue
-                                if full_eval:
-                                    counters.full_route_evaluations += 1
-                                else:
-                                    counters.criterion2_evaluations += 1
+                                pe, phh = _prefix_after_removal(ctx, state, ra, pa, 2, pb)
+                                tn1 = pe + spt[phh][otail[n1]]
+                                tn2 = tn1 + hop
+                                g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
+                                if g_after - lam * g_before > 0.0:
+                                    counters.pruned_by_criterion1 += 1
+                                    continue
+                                counters.criterion2_evaluations += 1
                                 cand = kept[:pb] + [n1, n2] + kept[pb:]
                                 delta = _route_delta(ctx, state, ra, cand, counters)
                                 if delta is not None and delta < best:
@@ -664,20 +640,9 @@ def _di_sweep(ctx, state, lam, counters, use_c1, full_eval):
                                 nxv = otail[b[pb]] if pb < len(b) else depot
                             tn1 = pp_end + spt[pph][otail[n1]]
                             tn2 = tn1 + hop
-                            if use_c1:
-                                g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
-                                if g_after - lam * g_before > 0.0:
-                                    counters.pruned_by_criterion1 += 1
-                                    continue
-                            mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                            if full_eval:
-                                counters.full_route_evaluations += 1
-                                mv = Move(DOUBLE_INSERTION, (ra, pa, 2), mvdst,
-                                          (bool(f1), bool(f2)))
-                                ok, dsc, ddc = _full_move_delta(ctx, state, mv, counters)
-                                delta = dsc + ddc
-                                if ok and delta < best:
-                                    best, best_move = delta, mv
+                            g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
+                            if g_after - lam * g_before > 0.0:
+                                counters.pruned_by_criterion1 += 1
                                 continue
                             counters.criterion2_evaluations += 1
                             if not (src_ok and cap_ok):
@@ -698,12 +663,13 @@ def _di_sweep(ctx, state, lam, counters, use_c1, full_eval):
                             delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
                             if delta < best:
                                 best = delta
+                                mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
                                 best_move = Move(DOUBLE_INSERTION, (ra, pa, 2), mvdst,
                                                  (bool(f1), bool(f2)))
     return best, best_move
 
 
-def _sw_sweep(ctx, state, lam, counters, use_c1, full_eval):
+def _sw_sweep(ctx, state, lam, counters):
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
     dur, dem = ctx.dur, ctx.demand
@@ -754,20 +720,12 @@ def _sw_sweep(ctx, state, lam, counters, use_c1, full_eval):
                     counters.moves_enumerated += 1
                     t_b_at_a = pa_end + spt[pah][otail[nb]]
                     t_a_at_b = pb_end + spt[pbh][otail[na]]
-                    if use_c1:
-                        g_after = gapf(tai, t_a_at_b) + gapf(tbi, t_b_at_a)
-                        if g_after - lam * g_before > 0.0:
-                            counters.pruned_by_criterion1 += 1
-                            continue
-                    mv = Move(SWAP, (ra, pa), (rb, pb), (bool(fa), bool(fb)))
-                    if full_eval:
-                        counters.full_route_evaluations += 1
-                        ok, dsc, ddc = _full_move_delta(ctx, state, mv, counters)
-                        delta = dsc + ddc
-                        if ok and delta < best:
-                            best, best_move = delta, mv
+                    g_after = gapf(tai, t_a_at_b) + gapf(tbi, t_b_at_a)
+                    if g_after - lam * g_before > 0.0:
+                        counters.pruned_by_criterion1 += 1
                         continue
                     counters.criterion2_evaluations += 1
+                    mv = Move(SWAP, (ra, pa), (rb, pb), (bool(fa), bool(fb)))
                     if same:
                         cand = list(a)
                         cand[pa] = nb
@@ -814,44 +772,37 @@ def _sw_sweep(ctx, state, lam, counters, use_c1, full_eval):
 # Public operators
 # ---------------------------------------------------------------------------
 
+def _operator(inst, sp, sol, kind, lam, counters, sweep):
+    ctx = get_context(inst, sp)
+    state = SolState.from_solution(ctx, sol)
+    if counters is None:
+        counters = SearchCounters()
+    delta, move = sweep(ctx, state, kind, lam, counters)
+    if move is None:
+        return sol
+    return apply_move(inst, sp, sol, move)
+
+
 def kg_operator(inst, sp, sol: Solution, kind: str, lam: float = 1.0,
-                counters: Optional[SearchCounters] = None,
-                duration_mode: str = STATIC) -> Solution:
+                counters: Optional[SearchCounters] = None) -> Solution:
     """Best-improving neighbor under time-gap pruning plus exact deltas.
 
     Returns ``sol`` unchanged when no successful move exists.
     """
-    ctx = get_context(inst, sp, duration_mode)
-    state = SolState.from_solution(ctx, sol)
-    if counters is None:
-        counters = SearchCounters()
-    delta, move = _sweep(ctx, state, kind, lam, counters, True, False)
-    if move is None:
-        return sol
-    return apply_move(inst, sp, sol, move, duration_mode)
+    return _operator(inst, sp, sol, kind, lam, counters, _kg_sweep)
 
 
 def traditional_operator(inst, sp, sol: Solution, kind: str,
-                         counters: Optional[SearchCounters] = None,
-                         duration_mode: str = STATIC) -> Solution:
+                         counters: Optional[SearchCounters] = None) -> Solution:
     """Best-improving neighbor by full involved-route re-evaluation."""
-    ctx = get_context(inst, sp, duration_mode)
-    state = SolState.from_solution(ctx, sol)
-    if counters is None:
-        counters = SearchCounters()
-    delta, move = _sweep(ctx, state, kind, 0.0, counters, False, True)
-    if move is None:
-        return sol
-    return apply_move(inst, sp, sol, move, duration_mode)
+    return _operator(inst, sp, sol, kind, 0.0, counters, _traditional_sweep)
 
 
-def _kgslss_state(ctx, state, lam, counters, use_c1=True, full_eval=False):
+def _kgslss_state(ctx, state, lam, counters, sweep=_kg_sweep):
     """One small-step sweep of all three kinds; returns (state, changed)."""
-    results = []
-    for kind in MOVE_KINDS:
-        results.append(_sweep(ctx, state, kind, lam, counters, use_c1, full_eval))
     best_delta, best_move = None, None
-    for delta, move in results:
+    for kind in MOVE_KINDS:
+        delta, move = sweep(ctx, state, kind, lam, counters)
         if move is not None and (best_delta is None or delta < best_delta):
             best_delta, best_move = delta, move
     if best_move is None:
@@ -864,11 +815,10 @@ def _kgslss_state(ctx, state, lam, counters, use_c1=True, full_eval=False):
 
 
 def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
-           counters: Optional[SearchCounters] = None,
-           duration_mode: str = STATIC) -> Solution:
+           counters: Optional[SearchCounters] = None) -> Solution:
     """Apply all three knowledge-guided operators to ``sol`` and keep the
     best of the three outcomes (SI, then DI, then SW on ties)."""
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     state = SolState.from_solution(ctx, sol)
     if counters is None:
         counters = SearchCounters()
@@ -876,6 +826,3 @@ def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
     if not changed:
         return sol
     return new_state.to_solution(ctx)
-
-
-from .mergesplit import merge_split  # noqa: E402  (same conceptual module)

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .evaluation import (
-    STATIC,
     Solution,
     SolutionEvaluation,
     evaluate_solution,
     get_context,
 )
 from .initialization import InitConfig, KGIS, kgis_population
-from .localsearch import SearchCounters, SolState, _kgslss_state
+from .localsearch import SWEEPS, SearchCounters, SolState, _kgslss_state
 from .mergesplit import merge_split
 
 
@@ -44,6 +43,8 @@ class MemeticParams:
             raise ValueError("pls and pf must lie in [0, 1]")
         if self.psize < 2:
             raise ValueError("psize must be >= 2")
+        if self.operator_mode not in SWEEPS:
+            raise ValueError(f"unknown operator mode {self.operator_mode!r}")
 
 
 @dataclass
@@ -80,7 +81,7 @@ def sbx_crossover(s1: Solution, s2: Solution, inst, sp,
     tasks lost with the replaced suffix are reinserted at their cheapest
     feasible position.
     """
-    ctx = get_context(inst, sp, STATIC)
+    ctx = get_context(inst, sp)
     r1 = rng.randrange(len(s1.routes))
     r2 = rng.randrange(len(s2.routes))
     a = list(s1.routes[r1].task_seq)
@@ -175,16 +176,15 @@ def stochastic_rank(pop, pf: float, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def _pipeline(ctx, inst, sp, sol, params, rng, counters):
-    """KGSLSS, then merge-split, then KGSLSS (one sweep each)."""
-    full = params.operator_mode == "traditional"
+    """KGSLSS, then merge-split, then KGSLSS (one sweep each), with the
+    sweep of ``params.operator_mode``."""
+    sweep = SWEEPS[params.operator_mode]
     state = SolState.from_solution(ctx, sol)
-    state, changed = _kgslss_state(ctx, state, params.lam, counters,
-                                   use_c1=not full, full_eval=full)
+    state, changed = _kgslss_state(ctx, state, params.lam, counters, sweep)
     sol = state.to_solution(ctx) if changed else sol
     sol = merge_split(inst, sp, sol, params.ms_routes, rng)
     state = SolState.from_solution(ctx, sol)
-    state, changed = _kgslss_state(ctx, state, params.lam, counters,
-                                   use_c1=not full, full_eval=full)
+    state, changed = _kgslss_state(ctx, state, params.lam, counters, sweep)
     return state.to_solution(ctx) if changed else sol
 
 
@@ -208,7 +208,7 @@ def kgma_run(inst, sp, params: MemeticParams,
         rng = random.Random(params.seed)
     if stop is None:
         stop = StopRule(generations=params.gnum)
-    ctx = get_context(inst, sp, STATIC)
+    ctx = get_context(inst, sp)
     t_start = time.perf_counter()
 
     init_cfg = InitConfig(psize=params.psize, mode=params.init_mode)

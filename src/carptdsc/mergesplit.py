@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .evaluation import STATIC, Solution, get_context
+from .evaluation import Solution, get_context
 
 # tie-breaking rules for path scanning
 _RULES = (1, 2, 3, 4, 5)
@@ -122,14 +122,13 @@ def split_giant_tour(ctx, order):
 
 
 def merge_split(inst, sp, sol: Solution, p: int = 2,
-                rng: Optional[random.Random] = None,
-                duration_mode: str = STATIC) -> Solution:
+                rng: Optional[random.Random] = None) -> Solution:
     """Re-plan the tasks of ``p`` random routes; keep the better plan."""
     if rng is None:
         rng = random.Random()
     if p > len(sol.routes) or p < 1:
         return sol
-    ctx = get_context(inst, sp, duration_mode)
+    ctx = get_context(inst, sp)
     routes = [ctx.encode_route(r) for r in sol.routes]
     t0s = [r.departure_time for r in sol.routes]
     chosen = sorted(rng.sample(range(len(routes)), p))

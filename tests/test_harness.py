@@ -51,6 +51,14 @@ references = gdb1:316, micro-A:76
         assert cfg.init_mode == "baseline"
         assert cfg.references == {"gdb1": 316.0, "micro-A": 76.0}
 
+    def test_misspelt_operator_mode_fails_the_run(self, tmp_path, micro_a):
+        inst, sp = micro_a
+        p = tmp_path / "cfg.txt"
+        p.write_text("operator_mode = tradtional\ngenerations = 1\n")
+        cfg = parse_config(p)
+        with pytest.raises(ValueError, match="operator mode"):
+            solve_once(inst, sp, cfg, 3)
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("repetitions 3\n")
@@ -198,6 +206,28 @@ osnum = 8
         assert data["tc"] == pytest.approx(146.0)
         assert len(data["plan"]) == len(data["Dt"])
         assert data["grid_error_bound"] > 0
+
+    def test_ablate_operators_runs_both_arms(self, tmp_path, capsys):
+        rc = cli_main(["ablate-operators", MICRO_A, "--generations", "2",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "operator_ablation.csv").read_text()
+        header, row = text.strip().split("\n")
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["instance"] == "micro-A"
+        assert int(values["kg_evaluations"]) > 0
+        assert int(values["traditional_evaluations"]) > 0
+
+    def test_time_to_target_caps_runs_at_generations(self, tmp_path, capsys):
+        rc = cli_main(["time-to-target", MICRO_A, "--target", "0",
+                       "--reps", "1", "--generations", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        header, row = (tmp_path / "time_to_target.csv").read_text() \
+            .strip().split("\n")
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["dnf"] == "True"
+        assert values["generations"] == "1"
 
     def test_time_to_target_flag(self, tmp_path, capsys):
         rc = cli_main(["time-to-target", MICRO_A, "--target", "1e9",

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,22 @@ ARCS
 1 0 3 3 3
 END
 """
+
+# the only task is 20 time units away from the depot, the horizon is 10
+BEYOND_HORIZON = """\
+NAME beyond
+VERTICES 2
+CAPACITY 5
+HORIZON 10
+TYPE 2LP
+SLOPE 1
+ARCS
+0 1 20 20 20 REQ 1 1 1 0 5
+1 0 20 20 20
+END
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -131,6 +152,32 @@ class TestIndividuals:
         sp = all_pairs_shortest_paths(inst)
         with pytest.raises(InstanceError):
             kgis_individual(inst, sp, 1.0, random.Random(0))
+
+
+    def test_task_beyond_horizon_rejected_without_hanging(self, tmp_path):
+        # run in a child process with a time and memory cap, so that a
+        # builder that loops forever fails the test instead of the suite
+        p = tmp_path / "beyond.dat"
+        p.write_text(BEYOND_HORIZON)
+        child = textwrap.dedent("""\
+            import random, resource, sys
+            from carptdsc import (InstanceError, all_pairs_shortest_paths,
+                                  kgis_individual, parse_instance)
+            inst = parse_instance(sys.argv[1])
+            sp = all_pairs_shortest_paths(inst)
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            try:
+                kgis_individual(inst, sp, 1.0, random.Random(0))
+            except InstanceError as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", child, str(p)],
+                             capture_output=True, text=True, timeout=10,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert "task arc 0" in out.stdout
 
 
 class TestPopulation:

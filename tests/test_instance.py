@@ -11,6 +11,7 @@ from carptdsc import (
     all_pairs_shortest_paths,
     eval_service_cost,
     generate_td_parameters,
+    parse_classic_dat,
     parse_instance,
     random_classic_instance,
     time_gap,
@@ -93,6 +94,18 @@ END
 """
 
 
+CLASSIC_MINIMAL = """\
+NAME : tiny
+VERTICES : 3
+DEPOT : 1
+CAPACITY : 5
+NODES (u v cost demand)
+1 2 3 1
+2 3 4 1
+END
+"""
+
+
 class TestParsing:
     def test_minimal_one_task_file(self, tmp_path):
         p = tmp_path / "minimal.dat"
@@ -113,6 +126,27 @@ class TestParsing:
         p.write_text(MINIMAL.replace("0 1 3 3 3 REQ", "0 9 3 3 3 REQ"))
         with pytest.raises(ParseError):
             parse_instance(p)
+
+    def test_classic_minimal_file(self, tmp_path):
+        p = tmp_path / "tiny.dat"
+        p.write_text(CLASSIC_MINIMAL)
+        base = parse_classic_dat(p)
+        assert (base.n_vertices, base.capacity, len(base.edges)) == (3, 5, 2)
+
+    def test_classic_non_numeric_header_is_parse_error(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text(CLASSIC_MINIMAL.replace("VERTICES : 3", "VERTICES : abc"))
+        with pytest.raises(ParseError) as err:
+            parse_classic_dat(p)
+        assert err.value.line_no == 2
+        assert "VERTICES" in str(err.value)
+
+    def test_classic_non_numeric_edge_field_is_parse_error(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text(CLASSIC_MINIMAL.replace("1 2 3 1", "1 2 x 1"))
+        with pytest.raises(ParseError) as err:
+            parse_classic_dat(p)
+        assert err.value.line_no == 6
 
     def test_write_parse_round_trip_is_canonical(self, tmp_path):
         inst = make_random_instance(3)

@@ -147,6 +147,10 @@ class TestKgmaRun:
         with pytest.raises(ValueError):
             MemeticParams(psize=1)
 
+    def test_unknown_operator_mode_rejected(self):
+        with pytest.raises(ValueError, match="tradtional"):
+            MemeticParams(operator_mode="tradtional")
+
     def test_reaches_exact_optimum(self, micro_k05_c):
         inst, sp = micro_k05_c
         exact_tc, _, err = exact_solve(inst, sp, OracleBudget())
