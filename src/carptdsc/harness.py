@@ -14,7 +14,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -120,13 +120,8 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
     sol, trace = kgma_run(inst, sp, params, rng, stop)
     dep = stage2(inst, sp, sol, rng=rng)
     elapsed = time.perf_counter() - t0
-    totals = SearchCounters()
-    for row in trace:
-        totals.moves_enumerated += row["moves_enumerated"]
-        totals.pruned_by_criterion1 += row["pruned_by_criterion1"]
-        totals.criterion2_evaluations += row["criterion2_evaluations"]
-        totals.full_route_evaluations += row["full_route_evaluations"]
-        totals.sc_evaluations += row["sc_evaluations"]
+    totals = {f.name: sum(row[f.name] for row in trace)
+              for f in fields(SearchCounters)}
     return {
         "instance": inst.name,
         "seed": seed,
@@ -137,7 +132,7 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
         "solution": sol,
         "departure_times": dep.times,
         "trace": trace,
-        "counters": totals.as_dict(),
+        "counters": totals,
     }
 
 
@@ -269,7 +264,29 @@ _FLOAT_KEYS = {"lam", "pls", "pf", "wallclock_seconds"}
 _MAP_KEYS = {"target_costs", "references"}
 
 
+def _config_value(key, val):
+    if key in _LIST_KEYS:
+        return [v.strip() for v in val.split(",") if v.strip()]
+    if key in _INT_KEYS:
+        return int(val)
+    if key in _FLOAT_KEYS:
+        return float(val)
+    if key in _MAP_KEYS:
+        entries = {}
+        for item in val.split(","):
+            if item.strip():
+                name, sep, cost = item.partition(":")
+                if not sep:
+                    raise ValueError(f"expected name:cost, got {item.strip()!r}")
+                entries[name.strip()] = float(cost)
+        return entries
+    return val
+
+
 def parse_config(path) -> ExperimentConfig:
+    """Read ``key = value`` lines into an ExperimentConfig; a bad entry
+    raises ValueError naming the file and line."""
+    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -278,19 +295,11 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in _LIST_KEYS:
-            values[key] = [v.strip() for v in val.split(",") if v.strip()]
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _MAP_KEYS:
-            entries = {}
-            for item in val.split(","):
-                if item.strip():
-                    name, cost = item.split(":")
-                    entries[name.strip()] = float(cost)
-            values[key] = entries
-        else:
-            values[key] = val
+        if key not in known:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _config_value(key, val)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{line_no}: bad {key} value {val!r}: {exc}") from None
     return ExperimentConfig(**values)

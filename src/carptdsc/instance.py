@@ -252,7 +252,7 @@ def parse_instance(path) -> Instance:
                     raise ParseError(f"unknown header field {toks[0]!r}", line_no)
                 if len(toks) < 2:
                     raise ParseError(f"header field {key} has no value", line_no)
-                header[key] = toks[1]
+                header[key] = (toks[1], line_no)
                 continue
             if toks[0].upper() == "END":
                 ended = True
@@ -261,16 +261,21 @@ def parse_instance(path) -> Instance:
     if not ended:
         raise ParseError("missing END marker")
 
-    try:
-        n_vertices = int(header["VERTICES"])
-        capacity = float(header["CAPACITY"])
-        horizon = float(header["HORIZON"])
-        slope = float(header["SLOPE"])
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}")
-    itype = header["TYPE"].upper()
+    def number(key, conv):
+        val, line_no = header[key]
+        try:
+            return conv(val)
+        except ValueError:
+            raise ParseError(f"bad {key} value {val!r}", line_no) from None
+
+    n_vertices = number("VERTICES", int)
+    capacity = number("CAPACITY", float)
+    horizon = number("HORIZON", float)
+    slope = number("SLOPE", float)
+    itype_raw, itype_line = header["TYPE"]
+    itype = itype_raw.upper()
     if itype not in ("2LP", "3LP"):
-        raise ParseError(f"TYPE must be 2LP or 3LP, got {header['TYPE']!r}")
+        raise ParseError(f"TYPE must be 2LP or 3LP, got {itype_raw!r}", itype_line)
     kind = TWO_SEGMENT if itype == "2LP" else THREE_SEGMENT
 
     arcs = []
@@ -304,7 +309,7 @@ def parse_instance(path) -> Instance:
 
     arcs = _pair_inverses(arcs)
     inst = Instance(
-        name=header["NAME"],
+        name=header["NAME"][0],
         n_vertices=n_vertices,
         arcs=tuple(arcs),
         tasks=tuple(tasks),

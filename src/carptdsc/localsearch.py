@@ -1,18 +1,20 @@
 """Neighborhood moves and small-step-size local search.
 
 Three move kinds: single insertion (SI), double insertion (DI) and swap
-(SW).  Each kind has one knowledge-guided best-improvement sweep that
-first prunes moves whose directly-affected tasks would drift far from
-their optimal service intervals (the time-gap pruning rule) and then
-classifies the survivors by an exact incremental cost delta restricted to
-the involved route suffixes.  The traditional operator, used for
-ablations, is a single generic sweep that fully re-evaluates the involved
-routes of every enumerated move.
+(SW).  SI and DI move a block of one or two consecutive tasks, so the
+knowledge-guided operator is one insertion sweep for blocks of one or two
+tasks and one swap sweep.  Each first prunes moves whose directly-affected
+tasks would drift far from their optimal service intervals (the time-gap
+pruning rule) and then classifies the survivors by an exact incremental
+cost delta restricted to the involved route suffixes.  The traditional
+operator, used for ablations, is a single generic sweep that fully
+re-evaluates the involved routes of every enumerated move.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import product
 from typing import Iterator, Optional
 
 from .evaluation import (
@@ -26,6 +28,7 @@ SINGLE_INSERTION = "single_insertion"
 DOUBLE_INSERTION = "double_insertion"
 SWAP = "swap"
 MOVE_KINDS = (SINGLE_INSERTION, DOUBLE_INSERTION, SWAP)
+_BLOCK_LEN = {SINGLE_INSERTION: 1, DOUBLE_INSERTION: 2}
 
 NEW_ROUTE = None  # destination marker for insertion into a fresh route
 
@@ -61,20 +64,11 @@ class SearchCounters:
     sc_evaluations: int = 0
 
     def as_dict(self):
-        return {
-            "moves_enumerated": self.moves_enumerated,
-            "pruned_by_criterion1": self.pruned_by_criterion1,
-            "criterion2_evaluations": self.criterion2_evaluations,
-            "full_route_evaluations": self.full_route_evaluations,
-            "sc_evaluations": self.sc_evaluations,
-        }
+        return asdict(self)
 
     def add(self, other: "SearchCounters") -> None:
-        self.moves_enumerated += other.moves_enumerated
-        self.pruned_by_criterion1 += other.pruned_by_criterion1
-        self.criterion2_evaluations += other.criterion2_evaluations
-        self.full_route_evaluations += other.full_route_evaluations
-        self.sc_evaluations += other.sc_evaluations
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class SolState:
@@ -127,6 +121,23 @@ def _oriented(ctx, code, flipped):
     return 2 * ti + (1 if flipped else 0)
 
 
+def _block_len(kind):
+    """Number of consecutive tasks an insertion of ``kind`` moves."""
+    try:
+        return _BLOCK_LEN[kind]
+    except KeyError:
+        raise ValueError(f"unknown move kind {kind!r}") from None
+
+
+def _moved_block(ctx, routes, move: Move):
+    """(route, position, length, oriented codes) of an insertion's block."""
+    k = _block_len(move.kind)
+    ra, pa = move.src[0], move.src[1]
+    codes = [_oriented(ctx, routes[ra][pa + i], move.orientations[i])
+             for i in range(k)]
+    return ra, pa, k, codes
+
+
 def moved_route_codes(ctx: EvalContext, routes, move: Move):
     """Encoded routes after ``move`` (emptied routes retained)."""
     new = [list(r) for r in routes]
@@ -138,17 +149,8 @@ def moved_route_codes(ctx: EvalContext, routes, move: Move):
         new[ra][pa] = _oriented(ctx, cb, fb)
         new[rb][pb] = _oriented(ctx, ca, fa)
         return new
-    if move.kind == SINGLE_INSERTION:
-        ra, pa = move.src[0], move.src[1]
-        codes = [_oriented(ctx, routes[ra][pa], move.orientations[0])]
-        del new[ra][pa]
-    elif move.kind == DOUBLE_INSERTION:
-        ra, pa = move.src[0], move.src[1]
-        codes = [_oriented(ctx, routes[ra][pa], move.orientations[0]),
-                 _oriented(ctx, routes[ra][pa + 1], move.orientations[1])]
-        del new[ra][pa:pa + 2]
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r}")
+    ra, pa, k, codes = _moved_block(ctx, routes, move)
+    del new[ra][pa:pa + k]
     rb, pb = move.dst
     if rb is NEW_ROUTE:
         new.append(codes)
@@ -189,52 +191,44 @@ def enumerate_moves(inst, sp, kind: str, sol: Solution) -> Iterator[Move]:
 
 
 def _enum(ctx, routes, kind):
-    if kind == SINGLE_INSERTION:
-        return _enum_si(ctx, routes)
-    if kind == DOUBLE_INSERTION:
-        return _enum_di(ctx, routes)
     if kind == SWAP:
         return _enum_sw(ctx, routes)
-    raise ValueError(f"unknown move kind {kind!r}")
+    return _enum_ins(ctx, routes, kind)
+
+
+_FLIPS = ((False,), (False, True))  # indexed by flip_ok
 
 
 def _flips_for(ctx, code):
-    return (False, True) if ctx.flip_ok[code >> 1] else (False,)
+    return _FLIPS[ctx.flip_ok[code >> 1]]
 
 
-def _enum_si(ctx, routes):
+def _block_flips(ctx, block):
+    """Orientation tuples of a block: first task's flip outer, then inner."""
+    return product(*[_FLIPS[ctx.flip_ok[c >> 1]] for c in block])
+
+
+def _ins_src(ra, pa, k):
+    return (ra, pa) if k == 1 else (ra, pa, k)
+
+
+def _enum_ins(ctx, routes, kind):
+    k = _block_len(kind)
     for ra, a in enumerate(routes):
-        for pa in range(len(a)):
-            cur = bool(a[pa] & 1)
-            for flip in _flips_for(ctx, a[pa]):
+        for pa in range(len(a) - k + 1):
+            block = a[pa:pa + k]
+            cur = tuple(bool(c & 1) for c in block)
+            src = _ins_src(ra, pa, k)
+            for flips in _block_flips(ctx, block):
                 for rb in range(len(routes)):
-                    limit = len(routes[rb]) + (0 if rb == ra else 1)
+                    limit = len(routes[rb]) + (1 - k if rb == ra else 1)
                     for pb in range(limit):
-                        if rb == ra and pb == pa and flip == cur:
+                        if rb == ra and pb == pa and flips == cur:
                             continue
-                        yield Move(SINGLE_INSERTION, (ra, pa), (rb, pb), (flip,))
-                if len(a) == 1 and flip == cur:
+                        yield Move(kind, src, (rb, pb), flips)
+                if len(a) == k and flips == cur:
                     continue  # whole route into a fresh route is an identity
-                yield Move(SINGLE_INSERTION, (ra, pa), (NEW_ROUTE, 0), (flip,))
-
-
-def _enum_di(ctx, routes):
-    for ra, a in enumerate(routes):
-        for pa in range(len(a) - 1):
-            cur = (bool(a[pa] & 1), bool(a[pa + 1] & 1))
-            for f1 in _flips_for(ctx, a[pa]):
-                for f2 in _flips_for(ctx, a[pa + 1]):
-                    for rb in range(len(routes)):
-                        limit = len(routes[rb]) + (-1 if rb == ra else 1)
-                        for pb in range(limit):
-                            if rb == ra and pb == pa and (f1, f2) == cur:
-                                continue
-                            yield Move(DOUBLE_INSERTION, (ra, pa, 2),
-                                       (rb, pb), (f1, f2))
-                    if len(a) == 2 and (f1, f2) == cur:
-                        continue  # whole route into a fresh route: identity
-                    yield Move(DOUBLE_INSERTION, (ra, pa, 2), (NEW_ROUTE, 0),
-                               (f1, f2))
+                yield Move(kind, src, (NEW_ROUTE, 0), flips)
 
 
 def _enum_sw(ctx, routes):
@@ -337,31 +331,21 @@ def _full_move_delta(ctx, state, move: Move, counters: Optional[SearchCounters] 
 def _c1_new_begins(ctx, state, move: Move):
     """Tentative begin times of the move's directly-affected tasks."""
     spt, otail, ohead, dur = ctx.spt, ctx.otail, ctx.ohead, ctx.dur
-    if move.kind == SINGLE_INSERTION:
-        ra, pa = move.src[0], move.src[1]
-        nc = _oriented(ctx, state.routes[ra][pa], move.orientations[0])
+    if move.kind != SWAP:
+        ra, pa, k, codes = _moved_block(ctx, state.routes, move)
         rb, pb = move.dst
         if rb is NEW_ROUTE:
             p_end, ph = 0.0, ctx.depot
         elif rb == ra:
-            p_end, ph = _prefix_after_removal(ctx, state, ra, pa, 1, pb)
+            p_end, ph = _prefix_after_removal(ctx, state, ra, pa, k, pb)
         else:
             p_end, ph = _prefix(ctx, state, rb, pb)
-        return (p_end + spt[ph][otail[nc]],)
-    if move.kind == DOUBLE_INSERTION:
-        ra, pa = move.src[0], move.src[1]
-        n1 = _oriented(ctx, state.routes[ra][pa], move.orientations[0])
-        n2 = _oriented(ctx, state.routes[ra][pa + 1], move.orientations[1])
-        rb, pb = move.dst
-        if rb is NEW_ROUTE:
-            p_end, ph = 0.0, ctx.depot
-        elif rb == ra:
-            p_end, ph = _prefix_after_removal(ctx, state, ra, pa, 2, pb)
-        else:
-            p_end, ph = _prefix(ctx, state, rb, pb)
-        t1 = p_end + spt[ph][otail[n1]]
-        t2 = t1 + dur[n1 >> 1] + spt[ohead[n1]][otail[n2]]
-        return t1, t2
+        t = p_end + spt[ph][otail[codes[0]]]
+        out = [t]
+        for prev, nc in zip(codes, codes[1:]):
+            t = t + dur[prev >> 1] + spt[ohead[prev]][otail[nc]]
+            out.append(t)
+        return tuple(out)
     ra, pa = move.src
     rb, pb = move.dst
     na = _oriented(ctx, state.routes[ra][pa], move.orientations[0])
@@ -373,12 +357,10 @@ def _c1_new_begins(ctx, state, move: Move):
 
 
 def _relevant_tasks(move: Move):
-    if move.kind == SINGLE_INSERTION:
-        return ((move.src[0], move.src[1]),)
-    if move.kind == DOUBLE_INSERTION:
-        ra, pa = move.src[0], move.src[1]
-        return ((ra, pa), (ra, pa + 1))
-    return (move.src, move.dst)
+    if move.kind == SWAP:
+        return (move.src, move.dst)
+    ra, pa = move.src[0], move.src[1]
+    return tuple((ra, pa + i) for i in range(_block_len(move.kind)))
 
 
 def c1_gap_sums(inst, sp, sol, move: Move):
@@ -413,22 +395,18 @@ def criterion2_successful(inst, sp, sol: Solution, move: Move):
 # ---------------------------------------------------------------------------
 # Best-improvement sweeps: (ctx, state, kind, lam, counters) -> (delta, move)
 #
-# _kg_sweep is the knowledge-guided operator: one fast sweep per kind that
-# counts every move it screens out by criterion 1 and every survivor it
-# classifies by an exact incremental delta.  _traditional_sweep is the
-# traditional operator: every enumerated move is re-simulated in full, and
-# lam is ignored.  Both return the first-enumerated best move on ties, in
-# enumerate_moves order.
+# _kg_sweep is the knowledge-guided operator: one insertion sweep for blocks
+# of one or two tasks (SI, DI) and one swap sweep, each counting every move
+# it screens out by criterion 1 and every survivor it classifies by an exact
+# incremental delta.  _traditional_sweep is the traditional operator: every
+# enumerated move is re-simulated in full, and lam is ignored.  Both return
+# the first-enumerated best move on ties, in enumerate_moves order.
 # ---------------------------------------------------------------------------
 
 def _kg_sweep(ctx, state, kind, lam, counters):
-    if kind == SINGLE_INSERTION:
-        return _si_sweep(ctx, state, lam, counters)
-    if kind == DOUBLE_INSERTION:
-        return _di_sweep(ctx, state, lam, counters)
     if kind == SWAP:
         return _sw_sweep(ctx, state, lam, counters)
-    raise ValueError(f"unknown move kind {kind!r}")
+    return _ins_sweep(ctx, state, kind, lam, counters)
 
 
 def _traditional_sweep(ctx, state, kind, lam, counters):
@@ -447,117 +425,15 @@ def _traditional_sweep(ctx, state, kind, lam, counters):
 SWEEPS = {"kg": _kg_sweep, "traditional": _traditional_sweep}
 
 
-def _si_sweep(ctx, state, lam, counters):
+def _ins_sweep(ctx, state, kind, lam, counters):
+    """Insertion of every block of k consecutive tasks (k = 1 for SI, 2 for
+    DI) at every other position, in enumerate_moves order."""
+    k = _block_len(kind)
+    pair = k == 2
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
     dur, dem = ctx.dur, ctx.demand
-    depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
-    routes, t0s = state.routes, state.t0s
-    begins, gaps, loads, ends = state.begins, state.gaps, state.loads, state.ends
-    gapf = ctx.gap
-    nroutes = len(routes)
-    best = -_EPS
-    best_move = None
-    for ra in range(nroutes):
-        a = routes[ra]
-        la = len(a)
-        bA, gA = begins[ra], gaps[ra]
-        for pa in range(la):
-            c = a[pa]
-            ti = c >> 1
-            ct, ch = otail[c], ohead[c]
-            cur_flip = c & 1
-            p_end, ph = _prefix(ctx, state, ra, pa)
-            nv = otail[a[pa + 1]] if pa < la - 1 else depot
-            ddcA = spc[ph][nv] - spc[ph][ct] - spc[ch][nv]
-            sc_old = ctx.minsc[ti] + gA[pa] * ctx.slope[ti]
-            if pa < la - 1:
-                dA = (p_end + spt[ph][nv]) - bA[pa + 1]
-                endA = ends[ra] + dA
-            else:
-                dA = 0.0
-                endA = p_end + spt[ph][depot]
-            src_ok = endA <= PT + _H_EPS
-            dscA = _shift_sc(ctx, state, ra, pa + 1, dA, counters) if src_ok else 0.0
-            g_before = gA[pa]
-            kept = None
-            for flip in (0, 1) if ctx.flip_ok[ti] else (0,):
-                nc = 2 * ti + flip
-                nt, nh = otail[nc], ohead[nc]
-                for rb in range(nroutes + 1):
-                    if rb == ra:
-                        # intra-route reinsertion: full route re-simulation
-                        if kept is None:
-                            kept = a[:pa] + a[pa + 1:]
-                        for pb in range(la):
-                            if pb == pa and flip == cur_flip:
-                                continue
-                            counters.moves_enumerated += 1
-                            pe, phh = _prefix_after_removal(ctx, state, ra, pa, 1, pb)
-                            g_after = gapf(ti, pe + spt[phh][nt])
-                            if g_after - lam * g_before > 0.0:
-                                counters.pruned_by_criterion1 += 1
-                                continue
-                            counters.criterion2_evaluations += 1
-                            cand = kept[:pb] + [nc] + kept[pb:]
-                            delta = _route_delta(ctx, state, ra, cand, counters)
-                            if delta is not None and delta < best:
-                                best = delta
-                                best_move = Move(SINGLE_INSERTION, (ra, pa),
-                                                 (ra, pb), (bool(flip),))
-                        continue
-                    new_route = rb == nroutes
-                    if new_route and la == 1 and flip == cur_flip:
-                        continue  # whole route into a fresh route: identity
-                    if not new_route:
-                        b = routes[rb]
-                        bB = begins[rb]
-                        cap_ok = loads[rb] + dem[ti] <= Q
-                        npos = len(b) + 1
-                    else:
-                        cap_ok = dem[ti] <= Q
-                        npos = 1
-                    for pb in range(npos):
-                        counters.moves_enumerated += 1
-                        if new_route:
-                            pp_end, pph = 0.0, depot
-                            nxv = depot
-                        else:
-                            pp_end, pph = _prefix(ctx, state, rb, pb)
-                            nxv = otail[b[pb]] if pb < len(b) else depot
-                        t_new = pp_end + spt[pph][nt]
-                        g_after = gapf(ti, t_new)
-                        if g_after - lam * g_before > 0.0:
-                            counters.pruned_by_criterion1 += 1
-                            continue
-                        counters.criterion2_evaluations += 1
-                        if not (src_ok and cap_ok):
-                            continue
-                        ddcB = spc[pph][nt] + spc[nh][nxv] - spc[pph][nxv]
-                        sc_new = _task_sc(ctx, ti, t_new)
-                        counters.sc_evaluations += 1
-                        if new_route or pb == len(b):
-                            dscB = 0.0
-                            endB = t_new + dur[ti] + spt[nh][depot]
-                        else:
-                            dB = (t_new + dur[ti] + spt[nh][nxv]) - bB[pb]
-                            dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
-                            endB = ends[rb] + dB
-                        if endB > PT + _H_EPS:
-                            continue
-                        delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
-                        if delta < best:
-                            best = delta
-                            mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                            best_move = Move(SINGLE_INSERTION, (ra, pa), mvdst,
-                                             (bool(flip),))
-    return best, best_move
-
-
-def _di_sweep(ctx, state, lam, counters):
-    spc, spt = ctx.spc, ctx.spt
-    otail, ohead = ctx.otail, ctx.ohead
-    dur, dem = ctx.dur, ctx.demand
+    minsc, slope = ctx.minsc, ctx.slope
     depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
     routes = state.routes
     begins, gaps, loads, ends = state.begins, state.gaps, state.loads, state.ends
@@ -569,103 +445,119 @@ def _di_sweep(ctx, state, lam, counters):
         a = routes[ra]
         la = len(a)
         bA, gA = begins[ra], gaps[ra]
-        for pa in range(la - 1):
-            c1, c2 = a[pa], a[pa + 1]
-            t1i, t2i = c1 >> 1, c2 >> 1
-            pair_dem = dem[t1i] + dem[t2i]
-            cur = (c1 & 1, c2 & 1)
+        for pa in range(la - k + 1):
+            block = a[pa:pa + k]
+            c1, cl = block[0], block[-1]  # first and last task of the block
+            t1i, tli = c1 >> 1, cl >> 1
+            src = _ins_src(ra, pa, k)
             p_end, ph = _prefix(ctx, state, ra, pa)
-            nv = otail[a[pa + 2]] if pa + 2 < la else depot
-            ddcA = (spc[ph][nv] - spc[ph][otail[c1]]
-                    - spc[ohead[c1]][otail[c2]] - spc[ohead[c2]][nv])
-            sc_old = (ctx.minsc[t1i] + gA[pa] * ctx.slope[t1i]
-                      + ctx.minsc[t2i] + gA[pa + 1] * ctx.slope[t2i])
-            if pa + 2 < la:
-                dA = (p_end + spt[ph][nv]) - bA[pa + 2]
+            nv = otail[a[pa + k]] if pa + k < la else depot
+            ddcA = spc[ph][nv] - spc[ph][otail[c1]]
+            sc_old = minsc[t1i] + gA[pa] * slope[t1i]
+            g_before = gA[pa]
+            block_dem = dem[t1i]
+            if pair:
+                ddcA -= spc[ohead[c1]][otail[cl]]
+                sc_old = sc_old + minsc[tli] + gA[pa + 1] * slope[tli]
+                g_before = g_before + gA[pa + 1]
+                block_dem = block_dem + dem[tli]
+            ddcA -= spc[ohead[cl]][nv]
+            if pa + k < la:
+                dA = (p_end + spt[ph][nv]) - bA[pa + k]
                 endA = ends[ra] + dA
             else:
                 dA = 0.0
                 endA = p_end + spt[ph][depot]
             src_ok = endA <= PT + _H_EPS
-            dscA = _shift_sc(ctx, state, ra, pa + 2, dA, counters) if src_ok else 0.0
-            g_before = gA[pa] + gA[pa + 1]
+            dscA = _shift_sc(ctx, state, ra, pa + k, dA, counters) if src_ok else 0.0
+            cur = tuple([bool(c & 1) for c in block])
             kept = None
-            for f1 in (0, 1) if ctx.flip_ok[t1i] else (0,):
-                n1 = 2 * t1i + f1
-                for f2 in (0, 1) if ctx.flip_ok[t2i] else (0,):
-                    n2 = 2 * t2i + f2
-                    hop = dur[t1i] + spt[ohead[n1]][otail[n2]]
-                    link = spc[ohead[n1]][otail[n2]]
-                    for rb in range(nroutes + 1):
-                        if rb == ra:
-                            if kept is None:
-                                kept = a[:pa] + a[pa + 2:]
-                            for pb in range(la - 1):
-                                if pb == pa and (f1, f2) == cur:
-                                    continue
-                                counters.moves_enumerated += 1
-                                pe, phh = _prefix_after_removal(ctx, state, ra, pa, 2, pb)
-                                tn1 = pe + spt[phh][otail[n1]]
-                                tn2 = tn1 + hop
-                                g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
-                                if g_after - lam * g_before > 0.0:
-                                    counters.pruned_by_criterion1 += 1
-                                    continue
-                                counters.criterion2_evaluations += 1
-                                cand = kept[:pb] + [n1, n2] + kept[pb:]
-                                delta = _route_delta(ctx, state, ra, cand, counters)
-                                if delta is not None and delta < best:
-                                    best = delta
-                                    best_move = Move(DOUBLE_INSERTION, (ra, pa, 2),
-                                                     (ra, pb), (bool(f1), bool(f2)))
-                            continue
-                        new_route = rb == nroutes
-                        if new_route and la == 2 and (f1, f2) == cur:
-                            continue  # whole route into a fresh route: identity
-                        if not new_route:
-                            b = routes[rb]
-                            bB = begins[rb]
-                            cap_ok = loads[rb] + pair_dem <= Q
-                            npos = len(b) + 1
-                        else:
-                            cap_ok = pair_dem <= Q
-                            npos = 1
-                        for pb in range(npos):
+            for flips in _block_flips(ctx, block):
+                identity = flips == cur
+                n1, nl = 2 * t1i + flips[0], 2 * tli + flips[-1]
+                nt, nh, dl = otail[n1], ohead[nl], dur[tli]
+                if pair:
+                    hop = dur[t1i] + spt[ohead[n1]][otail[nl]]
+                    link = spc[ohead[n1]][otail[nl]]
+                    new_codes = [n1, nl]
+                else:
+                    new_codes = [n1]
+                for rb in range(nroutes + 1):
+                    if rb == ra:
+                        # intra-route reinsertion: full route re-simulation
+                        if kept is None:
+                            kept = a[:pa] + a[pa + k:]
+                        for pb in range(la - k + 1):
+                            if pb == pa and identity:
+                                continue
                             counters.moves_enumerated += 1
-                            if new_route:
-                                pp_end, pph = 0.0, depot
-                                nxv = depot
-                            else:
-                                pp_end, pph = _prefix(ctx, state, rb, pb)
-                                nxv = otail[b[pb]] if pb < len(b) else depot
-                            tn1 = pp_end + spt[pph][otail[n1]]
-                            tn2 = tn1 + hop
-                            g_after = gapf(t1i, tn1) + gapf(t2i, tn2)
+                            pe, phh = _prefix_after_removal(ctx, state, ra, pa, k, pb)
+                            tn1 = pe + spt[phh][nt]
+                            g_after = gapf(t1i, tn1)
+                            if pair:
+                                g_after += gapf(tli, tn1 + hop)
                             if g_after - lam * g_before > 0.0:
                                 counters.pruned_by_criterion1 += 1
                                 continue
                             counters.criterion2_evaluations += 1
-                            if not (src_ok and cap_ok):
-                                continue
-                            ddcB = (spc[pph][otail[n1]] + link
-                                    + spc[ohead[n2]][nxv] - spc[pph][nxv])
-                            sc_new = _task_sc(ctx, t1i, tn1) + _task_sc(ctx, t2i, tn2)
-                            counters.sc_evaluations += 2
-                            if new_route or pb == len(b):
-                                dscB = 0.0
-                                endB = tn2 + dur[t2i] + spt[ohead[n2]][depot]
-                            else:
-                                dB = (tn2 + dur[t2i] + spt[ohead[n2]][nxv]) - bB[pb]
-                                dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
-                                endB = ends[rb] + dB
-                            if endB > PT + _H_EPS:
-                                continue
-                            delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
-                            if delta < best:
+                            cand = kept[:pb] + new_codes + kept[pb:]
+                            delta = _route_delta(ctx, state, ra, cand, counters)
+                            if delta is not None and delta < best:
                                 best = delta
-                                mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                                best_move = Move(DOUBLE_INSERTION, (ra, pa, 2), mvdst,
-                                                 (bool(f1), bool(f2)))
+                                best_move = Move(kind, src, (ra, pb), flips)
+                        continue
+                    new_route = rb == nroutes
+                    if new_route and la == k and identity:
+                        continue  # whole route into a fresh route: identity
+                    if not new_route:
+                        b = routes[rb]
+                        bB = begins[rb]
+                        cap_ok = loads[rb] + block_dem <= Q
+                        npos = len(b) + 1
+                    else:
+                        cap_ok = block_dem <= Q
+                        npos = 1
+                    for pb in range(npos):
+                        counters.moves_enumerated += 1
+                        if new_route:
+                            pp_end, pph = 0.0, depot
+                            nxv = depot
+                        else:
+                            pp_end, pph = _prefix(ctx, state, rb, pb)
+                            nxv = otail[b[pb]] if pb < len(b) else depot
+                        tn1 = pp_end + spt[pph][nt]  # begin of the block
+                        g_after = gapf(t1i, tn1)
+                        if pair:
+                            tnl = tn1 + hop  # begin of its last task
+                            g_after += gapf(tli, tnl)
+                        if g_after - lam * g_before > 0.0:
+                            counters.pruned_by_criterion1 += 1
+                            continue
+                        counters.criterion2_evaluations += 1
+                        if not (src_ok and cap_ok):
+                            continue
+                        if pair:
+                            ddcB = spc[pph][nt] + link + spc[nh][nxv] - spc[pph][nxv]
+                            sc_new = _task_sc(ctx, t1i, tn1) + _task_sc(ctx, tli, tnl)
+                        else:
+                            tnl = tn1
+                            ddcB = spc[pph][nt] + spc[nh][nxv] - spc[pph][nxv]
+                            sc_new = _task_sc(ctx, t1i, tn1)
+                        counters.sc_evaluations += k
+                        if new_route or pb == len(b):
+                            dscB = 0.0
+                            endB = tnl + dl + spt[nh][depot]
+                        else:
+                            dB = (tnl + dl + spt[nh][nxv]) - bB[pb]
+                            dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
+                            endB = ends[rb] + dB
+                        if endB > PT + _H_EPS:
+                            continue
+                        delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
+                        if delta < best:
+                            best = delta
+                            mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
+                            best_move = Move(kind, src, mvdst, flips)
     return best, best_move
 
 

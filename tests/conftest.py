@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import pytest
 
@@ -8,32 +7,19 @@ from carptdsc import (
     all_pairs_shortest_paths,
     generate_td_parameters,
     parse_classic_dat,
-    parse_instance,
-    random_classic_instance,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+from util import DATA, MICRO3LP_NAMES, _load
 
 
 @pytest.fixture(scope="session")
 def micro_a():
-    inst = parse_instance(DATA / "micro_a.dat")
-    return inst, all_pairs_shortest_paths(inst)
+    return _load("micro_a")
 
 
 @pytest.fixture(scope="session")
 def micro_b():
-    inst = parse_instance(DATA / "micro_b.dat")
-    return inst, all_pairs_shortest_paths(inst)
-
-
-def _load(name):
-    inst = parse_instance(DATA / f"{name}.dat")
-    return inst, all_pairs_shortest_paths(inst)
-
-
-MICRO3LP_NAMES = ("micro3lp_k05_a", "micro3lp_k05_b", "micro3lp_k05_c",
-                  "micro3lp_k20_a", "micro3lp_k20_b")
+    return _load("micro_b")
 
 
 @pytest.fixture(scope="session")
@@ -56,13 +42,6 @@ def gdb1_flat():
 @pytest.fixture(scope="session")
 def gdb1_base():
     return parse_classic_dat(DATA / "gdb1.dat")
-
-
-def make_random_instance(seed, itype="3LP", slope=1.0, n_vertices=6,
-                         n_edges=9, capacity=12, required_frac=1.0):
-    base = random_classic_instance(n_vertices, n_edges, capacity, seed,
-                                   required_frac=required_frac)
-    return generate_td_parameters(base, itype, slope, seed=seed)
 
 
 @pytest.fixture

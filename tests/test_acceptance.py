@@ -58,8 +58,12 @@ from carptdsc.localsearch import c1_gap_sums
 from carptdsc.oracle import OracleBudget, classic_optimum, grid_scan
 from carptdsc.stats import BETTER, WORSE
 
-from conftest import DATA, make_random_instance
-from util import random_feasible_solution, sample_moves
+from util import (
+    DATA,
+    make_random_instance,
+    random_feasible_solution,
+    sample_moves,
+)
 
 
 # ---------------------------------------------------------------------------

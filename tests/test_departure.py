@@ -188,7 +188,7 @@ class TestStage2:
 
     def test_ncs_branch_taken_for_steep_slopes(self, monkeypatch):
         import carptdsc.departure as dep
-        from conftest import make_random_instance
+        from util import make_random_instance
         from carptdsc import all_pairs_shortest_paths
         inst = make_random_instance(0, itype="3LP", slope=2.0)
         sp = all_pairs_shortest_paths(inst)

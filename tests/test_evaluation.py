@@ -20,8 +20,7 @@ from carptdsc import (
 )
 from carptdsc.oracle import classic_evaluate
 
-from conftest import make_random_instance
-from util import random_feasible_solution, sample_moves
+from util import make_random_instance, random_feasible_solution, sample_moves
 
 
 def forward_sim_oracle(inst, sp, route):

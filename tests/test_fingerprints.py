@@ -20,7 +20,7 @@ from carptdsc import (
 )
 from carptdsc.harness import solve_once
 
-from conftest import _load
+from util import _load
 
 SEED = 1
 

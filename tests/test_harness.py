@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -18,8 +19,7 @@ from carptdsc import (
 from carptdsc.cli import main as cli_main
 from carptdsc.harness import load_instance, solve_once
 
-from conftest import DATA
-from util import random_feasible_solution
+from util import DATA, random_feasible_solution
 
 MICRO_A = str(DATA / "micro_a.dat")
 MICRO_K05C = str(DATA / "micro3lp_k05_c.dat")
@@ -63,6 +63,18 @@ references = gdb1:316, micro-A:76
         p = tmp_path / "bad.txt"
         p.write_text("repetitions 3\n")
         with pytest.raises(ValueError):
+            parse_config(p)
+
+    @pytest.mark.parametrize("entry", [
+        "repetitons = 2",
+        "psize = ten",
+        "references = micro-A",
+        "references = micro-A:abc",
+    ])
+    def test_bad_entry_names_file_and_line(self, tmp_path, entry):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# setup\ngenerations = 2\n{entry}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
             parse_config(p)
 
     def test_invalid_values_rejected(self):

@@ -23,7 +23,7 @@ from carptdsc import (
 )
 from carptdsc.evaluation import get_context
 
-from conftest import make_random_instance
+from util import make_random_instance
 
 ONE_TASK = """\
 NAME one

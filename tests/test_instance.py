@@ -20,7 +20,7 @@ from carptdsc import (
 from carptdsc.instance import THREE_SEGMENT, TWO_SEGMENT
 from carptdsc.oracle import floyd_warshall
 
-from conftest import make_random_instance
+from util import make_random_instance
 
 
 def fn3(bt, et, min_sc=1.0, slope=1.0):
@@ -126,6 +126,22 @@ class TestParsing:
         p.write_text(MINIMAL.replace("0 1 3 3 3 REQ", "0 9 3 3 3 REQ"))
         with pytest.raises(ParseError):
             parse_instance(p)
+
+    def test_non_numeric_header_value_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text(MINIMAL.replace("VERTICES 2", "VERTICES abc"))
+        with pytest.raises(ParseError) as err:
+            parse_instance(p)
+        assert err.value.line_no == 2
+        assert "VERTICES" in str(err.value)
+
+    def test_bad_type_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text(MINIMAL.replace("TYPE 2LP", "TYPE 4LP"))
+        with pytest.raises(ParseError) as err:
+            parse_instance(p)
+        assert err.value.line_no == 5
+        assert "4LP" in str(err.value)
 
     def test_classic_minimal_file(self, tmp_path):
         p = tmp_path / "tiny.dat"

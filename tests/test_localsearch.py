@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,8 +31,13 @@ from carptdsc import (
 from carptdsc.evaluation import get_context
 from carptdsc.oracle import exhaustive_neighborhood
 
-from conftest import make_random_instance
-from util import random_feasible_solution, sample_moves
+from util import (
+    MICRO3LP_NAMES,
+    _load,
+    make_random_instance,
+    random_feasible_solution,
+    sample_moves,
+)
 
 
 def one_route_solution(inst, sp, n=None):
@@ -243,6 +249,60 @@ class TestOperators:
                 assert ck.criterion2_evaluations <= ct.full_route_evaluations
                 if ck.pruned_by_criterion1 > 0:
                     assert ck.criterion2_evaluations < ct.full_route_evaluations
+
+
+def _reference_sweep(inst, sp, sol, kind, lam):
+    """kg_operator's result and counters rebuilt from the public per-move
+    functions: the first-enumerated move of lowest delta among those that
+    criterion 1 keeps and criterion 2 accepts."""
+    moves = list(enumerate_moves(inst, sp, kind, sol))
+    expect = SearchCounters(moves_enumerated=len(moves))
+    best_delta, best_move = 0.0, None
+    for move in moves:
+        if criterion1_failed(inst, sp, sol, move, lam):
+            expect.pruned_by_criterion1 += 1
+            continue
+        expect.criterion2_evaluations += 1
+        ok, delta = criterion2_successful(inst, sp, sol, move)
+        if ok and delta < best_delta:
+            best_delta, best_move = delta, move
+    out = sol if best_move is None else apply_move(inst, sp, sol, best_move)
+    return out, expect
+
+
+def _reference_cases():
+    """(name, inst, sp, plan seeds): the micro fixtures and seeded 2LP/3LP
+    instances."""
+    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES:
+        yield (name, *_load(name), (0, 1))
+    for seed in range(3):
+        for itype, slope in (("3LP", 0.5), ("3LP", 2.0), ("2LP", 1.0)):
+            inst = make_random_instance(seed, itype, slope, n_vertices=7,
+                                        n_edges=11)
+            yield (f"{itype}-k{slope}-s{seed}", inst,
+                   all_pairs_shortest_paths(inst), (seed,))
+
+
+class TestMoveLevelReference:
+    """Pins the returned move and every work counter of each kg sweep."""
+
+    @pytest.mark.parametrize("kind",
+                             [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+    def test_kg_operator_matches_per_move_reference(self, kind):
+        for name, inst, sp, plan_seeds in _reference_cases():
+            for plan_seed in plan_seeds:
+                sol = random_feasible_solution(inst, sp,
+                                               random.Random(plan_seed))
+                for lam in (1.0, 0.5):
+                    counters = SearchCounters()
+                    out = kg_operator(inst, sp, sol, kind, lam, counters)
+                    ref, expect = _reference_sweep(inst, sp, sol, kind, lam)
+                    where = (name, plan_seed, lam)
+                    assert out == ref, where
+                    # every counter but sc_evaluations, which has no
+                    # per-move reference
+                    assert counters == replace(
+                        expect, sc_evaluations=counters.sc_evaluations), where
 
 
 class TestKgslss:

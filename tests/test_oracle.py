@@ -30,8 +30,7 @@ from carptdsc.oracle import (
     grid_scan,
 )
 
-from conftest import make_random_instance
-from util import random_feasible_solution, sample_moves
+from util import make_random_instance, random_feasible_solution, sample_moves
 
 ONE_TASK_3LP = """\
 NAME single

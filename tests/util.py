@@ -1,9 +1,35 @@
-"""Shared helpers for tests: random feasible plans and move sampling."""
+"""Shared helpers for tests: data fixtures, seeded instances, random
+feasible plans and move sampling."""
 
 import random
+from pathlib import Path
 
-from carptdsc import Route, Solution, enumerate_moves
+from carptdsc import (
+    Solution,
+    all_pairs_shortest_paths,
+    enumerate_moves,
+    generate_td_parameters,
+    parse_instance,
+    random_classic_instance,
+)
 from carptdsc.evaluation import get_context
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+MICRO3LP_NAMES = ("micro3lp_k05_a", "micro3lp_k05_b", "micro3lp_k05_c",
+                  "micro3lp_k20_a", "micro3lp_k20_b")
+
+
+def _load(name):
+    inst = parse_instance(DATA / f"{name}.dat")
+    return inst, all_pairs_shortest_paths(inst)
+
+
+def make_random_instance(seed, itype="3LP", slope=1.0, n_vertices=6,
+                         n_edges=9, capacity=12, required_frac=1.0):
+    base = random_classic_instance(n_vertices, n_edges, capacity, seed,
+                                   required_frac=required_frac)
+    return generate_td_parameters(base, itype, slope, seed=seed)
 
 
 def random_feasible_solution(inst, sp, rng: random.Random) -> Solution:
