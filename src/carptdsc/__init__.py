@@ -23,6 +23,7 @@ from .instance import (
 )
 from .evaluation import (
     CoverageError,
+    HorizonError,
     InvalidRouteError,
     Route,
     RouteEvaluation,
@@ -69,6 +70,7 @@ from .memetic import (
 from .departure import (
     DepartureResult,
     NcsParams,
+    breakpoint_sweep,
     gss,
     ncs,
     route_cost_of_t,
@@ -86,6 +88,7 @@ from .oracle import (
 )
 from .stats import pdr, rank_sum_test, u_statistic, wdl
 from .harness import (
+    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     ablation_timing,

@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .departure import METHODS
 from .harness import (
     ExperimentConfig,
     ablation_timing,
@@ -43,6 +44,9 @@ def _add_common(p):
     p.add_argument("--operators", choices=("kg", "traditional"), default="kg")
     p.add_argument("--out", default="out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--departure", choices=METHODS, default="exact",
+                   help="stage-2 method: exact breakpoint sweep, or the "
+                   "paper's GSS/NCS search")
 
 
 def _cfg_from_args(args, instances):
@@ -55,7 +59,8 @@ def _cfg_from_args(args, instances):
         instances=list(instances), init_mode=args.init,
         operator_mode=args.operators, lam=args.lam,
         repetitions=args.reps, generations=args.generations,
-        base_seed=args.seed, out_dir=args.out, fmt=args.format)
+        base_seed=args.seed, out_dir=args.out, fmt=args.format,
+        departure=args.departure)
 
 
 def _policy(name):

@@ -1,11 +1,18 @@
 """Stage 2: per-route vehicle departure time optimization.
 
-Route costs are separable in the departure times, so each route is
-optimized on its own over [0, PT - route duration].  Flat-then-increasing
-(two-segment) instances are optimal at 0 by construction.  Three-segment
-instances with slope magnitude at most 1 use golden section search with
-a guard against mild non-unimodality; steeper slopes use a negatively
-correlated population search since the landscape may be multimodal.
+Route costs are separable in the departure times, so each route is timed
+on its own over [0, PT - route duration].  Service durations are static,
+so every task's service begins at the departure time plus a fixed
+offset, and the route cost is a sum of convex piecewise-linear terms in
+the departure time: convex and piecewise linear itself, with its
+breakpoints where some task's begin time meets an end of its flat
+interval.  ``breakpoint_sweep`` finds its exact leftmost minimum by
+walking those breakpoints in order with a running slope sum.
+
+The paper's search (golden section search for slopes of at most 1,
+negatively correlated search for steeper ones, and 0 on flat-then-
+increasing instances) stays available as ``stage2(..., method="paper")``
+for ablations.
 """
 
 from __future__ import annotations
@@ -15,9 +22,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .evaluation import Route, Solution, get_context
+from .evaluation import HorizonError, Route, Solution, get_context
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+EXACT = "exact"
+PAPER = "paper"
+METHODS = (EXACT, PAPER)
 
 
 @dataclass
@@ -46,17 +57,21 @@ class DepartureResult:
 
 
 class RouteCost:
-    """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi]."""
+    """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi].
 
-    def __init__(self, inst, sp, route: Route):
-        self.ctx = get_context(inst, sp)
+    ``ctx`` is the instance's compiled context when the caller already
+    holds it; ``begins0`` are the service begin times at departure 0.
+    """
+
+    def __init__(self, inst, sp, route: Route, ctx=None):
+        self.ctx = ctx or get_context(inst, sp)
         self.codes = self.ctx.encode_route(route)
-        _, _, _, _, _, end0 = self.ctx.sim(self.codes, 0.0)
+        _, _, _, self.begins0, _, end0 = self.ctx.sim(self.codes, 0.0)
         self.lo = 0.0
         self.hi = max(0.0, inst.planning_horizon - end0)
         if end0 > inst.planning_horizon + 1e-12:
-            raise ValueError("route exceeds the planning horizon at every "
-                             "departure time")
+            raise HorizonError("route exceeds the planning horizon at every "
+                               "departure time")
 
     def __call__(self, t: float) -> float:
         sc, dc, *_ = self.ctx.sim(self.codes, t)
@@ -65,6 +80,46 @@ class RouteCost:
 
 def route_cost_of_t(inst, sp, route: Route) -> RouteCost:
     return RouteCost(inst, sp, route)
+
+
+def breakpoint_sweep(f: RouteCost) -> float:
+    """Leftmost departure time in [f.lo, f.hi] of least route cost.
+
+    A task whose service begins at t + offset contributes slope -s while
+    it begins before bt, 0 inside [bt, et) and +s from et on.  Starting
+    from the right derivative at lo, the sweep adds each task's two
+    breakpoints (bt - offset, et - offset) in time order and stops at the
+    first one where the right derivative is no longer negative.  Ties go
+    to the earliest time, so flat-then-increasing routes depart at lo.
+    """
+    ctx, lo, hi = f.ctx, f.lo, f.hi
+    slope_at, bt, et = ctx.slope, ctx.bt, ctx.et
+    slope = 0.0  # right derivative of the cost at lo
+    events = []  # (time, slope increase)
+    for c, b0 in zip(f.codes, f.begins0):
+        ti = c >> 1
+        s = slope_at[ti]
+        if s == 0.0:
+            continue
+        t_in = bt[ti] - b0
+        if lo < t_in:
+            slope -= s
+            events.append((t_in, s))
+        t_out = et[ti] - b0
+        if lo < t_out:
+            events.append((t_out, s))
+        else:
+            slope += s
+    if slope >= 0.0:
+        return lo
+    events.sort()
+    for t, s in events:
+        if t >= hi:
+            break
+        slope += s
+        if slope >= 0.0:
+            return t
+    return hi
 
 
 def gss(f, lo: float, hi: float, tol: float) -> float:
@@ -156,31 +211,59 @@ def ncs(f, lo: float, hi: float, params: NcsParams,
     return best_x
 
 
-def stage2(inst, sp, s_bf: Solution,
-           ncs_params: Optional[NcsParams] = None,
-           rng: Optional[random.Random] = None,
-           gss_tol: Optional[float] = None) -> DepartureResult:
-    """Optimal or near-optimal departure time for every route of s_bf."""
+def _paper_search(inst, ncs_params, rng, gss_tol):
+    """The paper's per-route search, as a function of one RouteCost."""
     if rng is None:
         rng = random.Random(0)
     pt = inst.planning_horizon
     if gss_tol is None:
         gss_tol = pt * 1e-6
+    if ncs_params is None:
+        ncs_params = NcsParams(sigma0=pt / 10.0)
+
+    def search(f):
+        if inst.instance_type == "2LP":
+            return 0.0
+        if f.hi <= f.lo:
+            return f.lo
+        if inst.global_slope_abs <= 1.0:
+            t = gss(f, f.lo, f.hi, gss_tol)
+            # guard: the paper treats the landscape as only "similar"
+            # unimodal
+            return 0.0 if f(0.0) <= f(t) else t
+        return ncs(f, f.lo, f.hi, ncs_params, rng)
+
+    return search
+
+
+def stage2(inst, sp, s_bf: Solution,
+           ncs_params: Optional[NcsParams] = None,
+           rng: Optional[random.Random] = None,
+           gss_tol: Optional[float] = None,
+           method: str = EXACT) -> DepartureResult:
+    """Departure time and cost of every route of s_bf.
+
+    ``method`` "exact" (the default) times each route with
+    ``breakpoint_sweep``; "paper" runs the paper's GSS/NCS search, the
+    only one that reads ``ncs_params``, ``rng`` and ``gss_tol``.  Raises
+    HorizonError naming the route that overruns the horizon even when it
+    departs at 0.
+    """
+    if method == EXACT:
+        search = breakpoint_sweep
+    elif method == PAPER:
+        search = _paper_search(inst, ncs_params, rng, gss_tol)
+    else:
+        raise ValueError(f"unknown departure method {method!r}")
+    ctx = get_context(inst, sp)
     times = []
     costs = []
-    for route in s_bf.routes:
-        f = route_cost_of_t(inst, sp, route)
-        if inst.instance_type == "2LP":
-            t = 0.0
-        elif f.hi <= f.lo:
-            t = f.lo
-        elif inst.global_slope_abs <= 1.0:
-            t = gss(f, f.lo, f.hi, gss_tol)
-            if f(0.0) <= f(t):
-                t = 0.0  # guard: the landscape is only "similar" unimodal
-        else:
-            p = ncs_params or NcsParams(sigma0=pt / 10.0)
-            t = ncs(f, f.lo, f.hi, p, rng)
+    for k, route in enumerate(s_bf.routes):
+        try:
+            f = RouteCost(inst, sp, route, ctx)
+        except HorizonError as exc:
+            raise HorizonError(f"route {k}: {exc}") from None
+        t = search(f)
         times.append(t)
         costs.append(f(t))
     return DepartureResult(times=times, per_route_cost=costs)

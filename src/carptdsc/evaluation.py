@@ -27,6 +27,10 @@ class CoverageError(ValueError):
     """A task is served more than once or not at all."""
 
 
+class HorizonError(ValueError):
+    """A route ends after the planning horizon even when it departs at 0."""
+
+
 @dataclass(frozen=True)
 class Route:
     """Ordered oriented task sequence plus the vehicle departure time.

@@ -18,12 +18,20 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .departure import stage2
+from .departure import METHODS, stage2
 from .evaluation import evaluate_solution
 from .instance import Instance, all_pairs_shortest_paths, parse_instance
 from .localsearch import SearchCounters
 from .memetic import MemeticParams, StopRule, kgma_run
 from .stats import pdr, rank_sum_test, wdl
+
+
+class ConfigError(ValueError):
+    """An ExperimentConfig field holds a value out of its range."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -44,12 +52,16 @@ class ExperimentConfig:
     base_seed: int = 0
     out_dir: Optional[str] = None
     fmt: str = "csv"
+    departure: str = "exact"  # stage-2 method: "exact" or "paper"
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise ConfigError("repetitions", "repetitions must be >= 1")
         if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+            raise ConfigError("fmt", "format must be csv or json")
+        if self.departure not in METHODS:
+            raise ConfigError("departure", f"departure must be one of "
+                              f"{', '.join(METHODS)}, got {self.departure!r}")
 
 
 @dataclass
@@ -118,7 +130,7 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
     rng = random.Random(seed)
     t0 = time.perf_counter()
     sol, trace = kgma_run(inst, sp, params, rng, stop)
-    dep = stage2(inst, sp, sol, rng=rng)
+    dep = stage2(inst, sp, sol, rng=rng, method=cfg.departure)
     elapsed = time.perf_counter() - t0
     totals = {f.name: sum(row[f.name] for row in trace)
               for f in fields(SearchCounters)}
@@ -288,6 +300,7 @@ def parse_config(path) -> ExperimentConfig:
     raises ValueError naming the file and line."""
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
+    lines = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -302,4 +315,8 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(
                 f"{path}:{line_no}: bad {key} value {val!r}: {exc}") from None
-    return ExperimentConfig(**values)
+        lines[key] = line_no
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise ValueError(f"{path}:{lines[exc.key]}: {exc}") from None

@@ -549,6 +549,10 @@ def random_classic_instance(n_vertices: int, n_edges: int, capacity: float,
     """
     if n_edges < n_vertices - 1:
         raise InstanceError("need at least n_vertices - 1 edges")
+    most = n_vertices * (n_vertices - 1) // 2  # edges of a simple graph
+    if n_edges > most:
+        raise InstanceError(f"{n_edges} edges exceed the {most} of a simple "
+                            f"graph on {n_vertices} vertices")
     rng = random.Random(seed)
     verts = list(range(1, n_vertices + 1))
     rng.shuffle(verts)

@@ -1,8 +1,9 @@
 """Ground-truth reference computations at desk scale.
 
 Everything here is written independently of the solver's incremental
-machinery: brute-force enumeration, exact dynamic programming, full
-re-evaluation, Floyd-Warshall, and dense grid scans.  Test suites cross-check the fast implementations
+machinery: brute-force enumeration, exact dynamic programming, forward
+simulation from the raw arcs, full re-evaluation, Floyd-Warshall, and
+dense grid scans.  Test suites cross-check the fast implementations
 against these.
 """
 
@@ -15,12 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import (
+    Route,
     Solution,
     evaluate_solution,
-    get_context,
     is_feasible,
 )
-from .instance import Instance, InstanceError, ShortestPathMatrix
+from .instance import (
+    Instance,
+    InstanceError,
+    ShortestPathMatrix,
+    eval_service_cost,
+)
 from .localsearch import apply_move, enumerate_moves
 
 
@@ -80,28 +86,56 @@ def floyd_warshall(inst: Instance) -> ShortestPathMatrix:
 # Exact solver
 # ---------------------------------------------------------------------------
 
-def _best_route_cost_over_t(ctx, codes):
-    """(min cost, argmin t) of one encoded route over departure times.
+def simulate_route(inst: Instance, sp, task_seq, t0: float):
+    """(cost, end time, service begin times) of one route departing at t0.
+
+    Forward simulation from the arcs, the shortest-path tables and
+    ``eval_service_cost`` alone; ``task_seq`` holds (arc id, flipped)
+    pairs.
+    """
+    t = t0
+    prev = inst.depot
+    sc = 0.0
+    dc = 0.0
+    begins = []
+    for aid, flipped in task_seq:
+        arc = inst.arcs[aid]
+        tail, head = (arc.head, arc.tail) if flipped else (arc.tail, arc.head)
+        dc += sp.sp_cost[prev][tail]
+        t += sp.sp_time[prev][tail]
+        begins.append(t)
+        sc += eval_service_cost(arc.cost_fn, t)
+        t += arc.service_time
+        prev = head
+    if task_seq:
+        dc += sp.sp_cost[prev][inst.depot]
+        t += sp.sp_time[prev][inst.depot]
+    return sc + dc, t, begins
+
+
+def route_optimum(inst: Instance, sp, task_seq):
+    """(min cost, leftmost argmin t) of one route over departure times.
 
     With static service durations every begin time is t plus a constant
     offset, so the route cost is piecewise linear in t; the minimum lies
     at t=0, at the latest feasible t, or where some task's begin time
-    meets an end point of its flat interval.
+    meets an end point of its flat interval.  Every candidate is
+    simulated.  Returns (inf, 0.0) when the route overruns the horizon
+    even at t=0.
     """
-    _, _, _, begins0, _, end0 = ctx.sim(codes, 0.0)
-    hi = ctx.horizon - end0
+    _, end0, begins0 = simulate_route(inst, sp, task_seq, 0.0)
+    hi = inst.planning_horizon - end0
     if hi < 0:
         return math.inf, 0.0
     cand = {0.0, hi}
-    for c, b0 in zip(codes, begins0):
-        ti = c >> 1
-        for knot in (ctx.bt[ti] - b0, ctx.et[ti] - b0):
+    for (aid, _), b0 in zip(task_seq, begins0):
+        fn = inst.arcs[aid].cost_fn
+        for knot in (fn.bt - b0, fn.et - b0):
             if 0.0 < knot < hi:
                 cand.add(knot)
     best_c, best_t = math.inf, 0.0
     for t in sorted(cand):
-        sc, dc, *_ = ctx.sim(codes, t)
-        c = sc + dc
+        c = simulate_route(inst, sp, task_seq, t)[0]
         if c < best_c:
             best_c, best_t = c, t
     return best_c, best_t
@@ -120,23 +154,24 @@ def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
             f"{n} tasks exceed the enumeration budget of {budget.max_tasks}")
     if sp is None:
         sp = floyd_warshall(inst)
-    ctx = get_context(inst, sp)
+    arcs = [inst.arcs[aid] for aid in inst.tasks]
     full = (1 << n) - 1
 
     # best single-route plan for every task subset
     best_route = {}
     for mask in range(1, full + 1):
         members = [i for i in range(n) if mask >> i & 1]
-        if sum(ctx.demand[i] for i in members) > ctx.capacity:
+        if sum(arcs[i].demand for i in members) > inst.capacity:
             continue
         best = (math.inf, None, 0.0)
         for perm in itertools.permutations(members):
-            pools = [(2 * i, 2 * i + 1) if ctx.flip_ok[i] else (2 * i,)
-                     for i in perm]
-            for codes in itertools.product(*pools):
-                c, t = _best_route_cost_over_t(ctx, list(codes))
+            pools = [((arcs[i].id, False), (arcs[i].id, True))
+                     if arcs[i].inverse_id is not None
+                     else ((arcs[i].id, False),) for i in perm]
+            for seq in itertools.product(*pools):
+                c, t = route_optimum(inst, sp, seq)
                 if c < best[0]:
-                    best = (c, codes, t)
+                    best = (c, seq, t)
         if best[1] is not None:
             best_route[mask] = best
 
@@ -156,20 +191,17 @@ def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
         raise InstanceError("no feasible plan exists")
 
     routes = []
-    t0s = []
     mask = full
     while mask:
         sub = choice[mask]
-        _, codes, t = best_route[sub]
-        routes.append(list(codes))
-        t0s.append(t)
+        _, seq, t = best_route[sub]
+        routes.append(Route(seq, t))
         mask ^= sub
-    sol = ctx.decode_routes(routes, t0s)
     # documented resolution bound of an equivalent dense grid scan; the
     # enumeration above is exact on piecewise-linear landscapes
     err = (inst.planning_horizon * inst.global_slope_abs * max(n, 1)
            / budget.grid_steps)
-    return dp[full], sol, err
+    return dp[full], Solution(tuple(routes)), err
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,28 @@ import random
 import pytest
 
 from carptdsc import (
+    HorizonError,
     NcsParams,
     Route,
     Solution,
+    all_pairs_shortest_paths,
     evaluate_solution,
+    generate_td_parameters,
     gss,
+    kgis_individual,
     ncs,
+    random_classic_instance,
     route_cost_of_t,
     stage2,
 )
-from carptdsc.oracle import grid_scan
+from carptdsc.oracle import grid_scan, route_optimum
 
-from util import random_feasible_solution
+from util import (
+    MICRO3LP_NAMES,
+    _load,
+    make_random_instance,
+    random_feasible_solution,
+)
 
 
 class TestRouteCost:
@@ -168,7 +178,7 @@ class TestStage2:
         inst, sp = micro_k05_c
         assert inst.global_slope_abs <= 1.0
         sol = random_feasible_solution(inst, sp, random.Random(5))
-        res = stage2(inst, sp, sol)
+        res = stage2(inst, sp, sol, method="paper")
         for route, t, c in zip(sol.routes, res.times, res.per_route_cost):
             f = route_cost_of_t(inst, sp, route)
             _, best = grid_scan(f, f.lo, f.hi, 10 ** 4)
@@ -188,8 +198,6 @@ class TestStage2:
 
     def test_ncs_branch_taken_for_steep_slopes(self, monkeypatch):
         import carptdsc.departure as dep
-        from util import make_random_instance
-        from carptdsc import all_pairs_shortest_paths
         inst = make_random_instance(0, itype="3LP", slope=2.0)
         sp = all_pairs_shortest_paths(inst)
         sol = random_feasible_solution(inst, sp, random.Random(1))
@@ -197,5 +205,93 @@ class TestStage2:
         real = dep.ncs
         monkeypatch.setattr(dep, "ncs",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        dep.stage2(inst, sp, sol)
+        dep.stage2(inst, sp, sol, method="paper")
         assert calls
+
+    def test_default_runs_neither_gss_nor_ncs(self, monkeypatch):
+        import carptdsc.departure as dep
+        inst = make_random_instance(0, itype="3LP", slope=2.0)
+        sp = all_pairs_shortest_paths(inst)
+        sol = random_feasible_solution(inst, sp, random.Random(1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact method ran a search")
+
+        monkeypatch.setattr(dep, "gss", refuse)
+        monkeypatch.setattr(dep, "ncs", refuse)
+        assert dep.stage2(inst, sp, sol).total > 0
+
+    def test_unknown_method_rejected(self, micro_a):
+        inst, sp = micro_a
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        with pytest.raises(ValueError, match="departure method"):
+            stage2(inst, sp, sol, method="ncs")
+
+    def test_overlong_route_named_by_index(self, micro_a):
+        inst, sp = micro_a
+        sol = random_feasible_solution(inst, sp, random.Random(2))
+        overlong = Route(tuple((t, False) for t in inst.tasks) * 40)
+        with pytest.raises(HorizonError, match="^route 1: "):
+            stage2(inst, sp, Solution((sol.routes[0], overlong)))
+
+
+def _exact_cases():
+    """(name, instance, sp, plan): three random plans on each micro
+    fixture, and kgis plans on large 3LP instances at slopes 0.5 and 2."""
+    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES:
+        inst, sp = _load(name)
+        for seed in range(3):
+            yield name, inst, sp, random_feasible_solution(
+                inst, sp, random.Random(seed))
+    for seed in range(2):
+        base = random_classic_instance(40, 100, 30, seed=seed)
+        for slope in (0.5, 2.0):
+            inst = generate_td_parameters(base, "3LP", slope, seed=seed)
+            sp = all_pairs_shortest_paths(inst)
+            plan = kgis_individual(inst, sp, slope, random.Random(seed))
+            yield f"large3lp_s{seed}_k{slope}", inst, sp, plan
+
+
+class TestExactDepartures:
+    def test_every_route_matches_independent_oracle(self):
+        routes = 0
+        for name, inst, sp, plan in _exact_cases():
+            res = stage2(inst, sp, plan)
+            for k, route in enumerate(plan.routes):
+                best, t = route_optimum(inst, sp, route.task_seq)
+                assert res.per_route_cost[k] == pytest.approx(
+                    best, rel=1e-12, abs=1e-12), (name, k)
+                # ties go to the leftmost optimal time, as in the oracle
+                assert res.times[k] == pytest.approx(t, abs=1e-9), (name, k)
+                routes += 1
+        assert routes >= 100
+
+
+# (case, plan seed, departure times, total) of the paper arm's GSS, NCS
+# and 2LP branches, recorded before the exact method became the default
+PAPER_ARM = [
+    ("micro3lp_k05_c", 5,
+     [130.00019623551762, 48.00022937790185, 84.00007574810446], 188.0),
+    ("micro3lp_k20_a", 2, [97.09378135986125, 0.0], 131.0),
+    ("0:3LP:2.0", 1, [236.07660213359154, 215.46482798793906,
+                      429.3115476456331, 258.6415036565462], 1405.0),
+    ("1:3LP:0.5", 3, [146.000165712333, 167.00023499712233, 0.0,
+                      325.0001959838124, 8.000108365076976,
+                      274.00018208040717], 465.5),
+    ("2:2LP:1.0", 0, [0.0] * 7, 329.0),
+]
+
+
+@pytest.mark.parametrize("case,plan_seed,times,total", PAPER_ARM)
+def test_paper_arm_reproduces_recorded_search(case, plan_seed, times, total):
+    if case.startswith("micro"):
+        inst, sp = _load(case)
+    else:
+        seed, itype, slope = case.split(":")
+        inst = make_random_instance(int(seed), itype=itype,
+                                    slope=float(slope))
+        sp = all_pairs_shortest_paths(inst)
+    sol = random_feasible_solution(inst, sp, random.Random(plan_seed))
+    res = stage2(inst, sp, sol, method="paper")
+    assert res.times == times
+    assert res.total == total

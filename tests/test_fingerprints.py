@@ -3,9 +3,12 @@
 Each case is one `solve_once` run with a fixed seed and a small budget
 (2 generations, every child goes through the local-search pipeline).  A
 change that claims to keep the search's behaviour must reproduce the
-final plan, both costs and the work counters exactly.  The traditional
-arm pins only what the full re-evaluation sweep defines: its
-`sc_evaluations` count depends on how each move is re-simulated.
+stage-1 half exactly: the final plan's task sequences, its stage-1 cost
+and the work counters.  The traditional arm pins only what the full
+re-evaluation sweep defines: its `sc_evaluations` count depends on how
+each move is re-simulated.  The stage-2 half (departure times and final
+cost) is pinned too, and certified route by route with the independent
+oracle `route_optimum`.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ from carptdsc import (
     random_classic_instance,
 )
 from carptdsc.harness import solve_once
+from carptdsc.oracle import route_optimum
 
 from util import _load
 
@@ -39,36 +43,41 @@ INSTANCES = {
 
 
 def plan_digest(result):
-    """Short hash of the final plan: every route's oriented task sequence
-    and its departure time."""
-    text = "|".join(
-        f"{t!r}:" + ",".join(f"{aid}{'-' if f else '+'}"
+    """Short hash of the final plan: every route's oriented task sequence."""
+    text = "|".join(",".join(f"{aid}{'-' if f else '+'}"
                              for aid, f in route.task_seq)
-        for route, t in zip(result["solution"].routes,
-                            result["departure_times"]))
+                    for route in result["solution"].routes)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# (plan digest, stage-1 cost, work counters)
 KG = {
-    "micro_a": ("72c9bff006e5eeec", 845.0, 276.00000949240825, {
+    "micro_a": ("124098b181c18719", 845.0, {
         "moves_enumerated": 5472, "pruned_by_criterion1": 3452,
         "criterion2_evaluations": 2020, "full_route_evaluations": 0,
         "sc_evaluations": 10316}),
-    "micro3lp_k05_a": ("0d643bd22940e7d3", 290.5, 137.0, {
+    "micro3lp_k05_a": ("68045fa0e2c870b9", 290.5, {
         "moves_enumerated": 8038, "pruned_by_criterion1": 2397,
         "criterion2_evaluations": 5641, "full_route_evaluations": 0,
         "sc_evaluations": 4680}),
-    "medium_2lp_s4": ("00aba24fb0a5d0f2", 695.0, 695.0, {
+    "medium_2lp_s4": ("bf703bf7e1f294e9", 695.0, {
         "moves_enumerated": 413677, "pruned_by_criterion1": 62,
         "criterion2_evaluations": 413615, "full_route_evaluations": 0,
         "sc_evaluations": 392981}),
 }
 
-# (plan digest, stage-1 cost, final cost, moves enumerated)
+# (plan digest, stage-1 cost, moves enumerated)
 TRADITIONAL = {
-    "micro_a": ("72c9bff006e5eeec", 845.0, 276.00000949240825, 5472),
-    "micro3lp_k05_a": ("0d643bd22940e7d3", 290.5, 137.0, 8039),
-    "medium_2lp_s4": ("00aba24fb0a5d0f2", 695.0, 695.0, 413676),
+    "micro_a": ("124098b181c18719", 845.0, 5472),
+    "micro3lp_k05_a": ("68045fa0e2c870b9", 290.5, 8039),
+    "medium_2lp_s4": ("bf703bf7e1f294e9", 695.0, 413676),
+}
+
+# (departure times, final cost); both arms reach the same plan
+DEPARTURES = {
+    "micro_a": ([176.0], 276.0),
+    "micro3lp_k05_a": ([105.0, 22.0, 111.0], 137.0),
+    "medium_2lp_s4": ([0.0] * 9, 695.0),
 }
 
 
@@ -83,25 +92,35 @@ def _solve(inst, sp, mode):
     return solve_once(inst, sp, cfg, SEED)
 
 
+def _check_departures(name, inst, sp, r):
+    times, cost = DEPARTURES[name]
+    assert r["departure_times"] == times
+    assert r["cost"] == cost
+    optima = [route_optimum(inst, sp, route.task_seq)
+              for route in r["solution"].routes]
+    assert [t for _, t in optima] == times
+    assert sum(c for c, _ in optima) == pytest.approx(cost, rel=1e-12)
+
+
 def test_kg_fingerprint(case):
     name, (inst, sp) = case
     r = _solve(inst, sp, "kg")
-    digest, stage1, cost, counters = KG[name]
+    digest, stage1, counters = KG[name]
     assert plan_digest(r) == digest
     assert r["stage1_cost"] == stage1
-    assert r["cost"] == cost
     assert r["counters"] == counters
+    _check_departures(name, inst, sp, r)
 
 
 def test_traditional_fingerprint(case):
     name, (inst, sp) = case
     r = _solve(inst, sp, "traditional")
-    digest, stage1, cost, moves = TRADITIONAL[name]
+    digest, stage1, moves = TRADITIONAL[name]
     assert plan_digest(r) == digest
     assert r["stage1_cost"] == stage1
-    assert r["cost"] == cost
     c = r["counters"]
     assert c["moves_enumerated"] == moves
     assert c["full_route_evaluations"] == moves
     assert c["pruned_by_criterion1"] == 0
     assert c["criterion2_evaluations"] == 0
+    _check_departures(name, inst, sp, r)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from carptdsc import (
+    ConfigError,
     ExperimentConfig,
     ExperimentReport,
     Route,
@@ -77,11 +78,24 @@ references = gdb1:316, micro-A:76
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
             parse_config(p)
 
+    @pytest.mark.parametrize("entry", [
+        "repetitions = 0",
+        "fmt = xml",
+        "departure = fastest",
+    ])
+    def test_out_of_range_value_names_file_and_line(self, tmp_path, entry):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# setup\ngenerations = 2\n{entry}\npsize = 4\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
+            parse_config(p)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="xml")
+        with pytest.raises(ConfigError, match="departure"):
+            ExperimentConfig(departure="ncs")
 
 
 class TestDumpSolution:
@@ -180,6 +194,19 @@ class TestCli:
         assert " : " in out
         assert (tmp_path / "micro-A_seed0_counters.json").exists()
         assert (tmp_path / "micro-A_seed0_trace.csv").exists()
+
+    @pytest.mark.parametrize("method", ["paper", "exact"])
+    def test_departure_flag_selects_stage2_method(self, tmp_path, capsys,
+                                                  monkeypatch, method):
+        import carptdsc.departure as dep
+        calls = []
+        real = dep.gss
+        monkeypatch.setattr(dep, "gss",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rc = cli_main(["solve", MICRO_K05C, "--generations", "2",
+                       "--departure", method, "--out", str(tmp_path)])
+        assert rc == 0
+        assert bool(calls) == (method == "paper")
 
     def test_bench_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"

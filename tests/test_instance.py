@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +26,8 @@ from carptdsc.instance import THREE_SEGMENT, TWO_SEGMENT
 from carptdsc.oracle import floyd_warshall
 
 from util import make_random_instance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fn3(bt, et, min_sc=1.0, slope=1.0):
@@ -206,6 +213,26 @@ class TestGeneration:
         for itype, kind in (("2LP", TWO_SEGMENT), ("3LP", THREE_SEGMENT)):
             inst = generate_td_parameters(base, itype, 1.0, seed=1)
             assert all(inst.arcs[t].cost_fn.kind == kind for t in inst.tasks)
+
+    def test_more_edges_than_a_simple_graph_rejected_without_hanging(self):
+        # 4 vertices carry at most 6 distinct edges; run in a child process
+        # with a timeout, so that a generator that loops forever fails the
+        # test instead of the suite
+        child = textwrap.dedent("""\
+            from carptdsc import InstanceError, random_classic_instance
+            random_classic_instance(4, 6, 14, seed=0)
+            try:
+                random_classic_instance(4, 7, 14, seed=0)
+            except InstanceError as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", child],
+                             capture_output=True, text=True, timeout=10,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert "7 edges exceed the 6" in out.stdout
 
     def test_inverse_pairing_symmetric(self):
         inst = make_random_instance(8)

@@ -28,6 +28,8 @@ from carptdsc.oracle import (
     classic_optimum,
     exhaustive_neighborhood,
     grid_scan,
+    route_optimum,
+    simulate_route,
 )
 
 from util import make_random_instance, random_feasible_solution, sample_moves
@@ -171,6 +173,44 @@ class TestClassicOptimum:
                                (ClassicEdge(1, 2, 3.0, 9.0),))
         with pytest.raises(InstanceError):
             classic_optimum(base)
+
+
+class TestRouteOptimum:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simulation_agrees_with_evaluator(self, micro3lp, seed):
+        from carptdsc import evaluate_route
+        inst, sp = micro3lp
+        sol = random_feasible_solution(inst, sp, random.Random(seed))
+        for route in sol.routes:
+            for t in (0.0, 7.5, inst.planning_horizon / 3):
+                ev = evaluate_route(inst, sp, Route(route.task_seq, t))
+                cost, end, begins = simulate_route(inst, sp, route.task_seq, t)
+                assert cost == pytest.approx(ev.total_cost, abs=1e-9)
+                assert end == pytest.approx(ev.end_time, abs=1e-9)
+                assert begins == pytest.approx(list(ev.begin_times))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_not_beaten_by_grid_scan(self, micro3lp, seed):
+        inst, sp = micro3lp
+        sol = random_feasible_solution(inst, sp, random.Random(seed))
+        steps = 2000
+        for route in sol.routes:
+            seq = route.task_seq
+            best, t = route_optimum(inst, sp, seq)
+            hi = inst.planning_horizon - simulate_route(inst, sp, seq, 0.0)[1]
+            assert 0.0 <= t <= hi
+            assert simulate_route(inst, sp, seq, t)[0] == best
+            _, grid_best = grid_scan(
+                lambda x: simulate_route(inst, sp, seq, x)[0], 0.0, hi, steps)
+            # the cost changes by at most the sum of slopes per unit of t
+            resolution = inst.global_slope_abs * len(seq) * hi / steps
+            assert best <= grid_best + 1e-9
+            assert grid_best - best <= resolution + 1e-9
+
+    def test_overlong_route_has_no_optimum(self, micro_a):
+        inst, sp = micro_a
+        seq = tuple((t, False) for t in inst.tasks) * 40
+        assert route_optimum(inst, sp, seq) == (math.inf, 0.0)
 
 
 class TestGridScan:
