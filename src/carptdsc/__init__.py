@@ -73,6 +73,7 @@ from .departure import (
     breakpoint_sweep,
     gss,
     ncs,
+    paper_stage2,
     route_cost_of_t,
     stage2,
 )
@@ -91,6 +92,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    ablation_departure,
     ablation_timing,
     compare_experiments,
     dump_solution,

@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: solve, bench, ablate-init, ablate-operators, time-to-target,
-gen, convert, oracle.
+Subcommands: solve, bench, ablate-init, ablate-operators, ablate-departure,
+time-to-target, gen, convert, oracle.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import json
 import sys
 from pathlib import Path
 
-from .departure import METHODS
 from .harness import (
     ExperimentConfig,
+    ablation_departure,
     ablation_timing,
     compare_experiments,
     dump_solution,
@@ -44,9 +44,6 @@ def _add_common(p):
     p.add_argument("--operators", choices=("kg", "traditional"), default="kg")
     p.add_argument("--out", default="out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--departure", choices=METHODS, default="exact",
-                   help="stage-2 method: exact breakpoint sweep, or the "
-                   "paper's GSS/NCS search")
 
 
 def _cfg_from_args(args, instances):
@@ -59,8 +56,7 @@ def _cfg_from_args(args, instances):
         instances=list(instances), init_mode=args.init,
         operator_mode=args.operators, lam=args.lam,
         repetitions=args.reps, generations=args.generations,
-        base_seed=args.seed, out_dir=args.out, fmt=args.format,
-        departure=args.departure)
+        base_seed=args.seed, out_dir=args.out, fmt=args.format)
 
 
 def _policy(name):
@@ -91,6 +87,12 @@ def main(argv=None):
 
     p = sub.add_parser("ablate-operators",
                        help="operator timing and evaluation-count ratios")
+    p.add_argument("instances", nargs="*")
+    p.add_argument("--config")
+    _add_common(p)
+
+    p = sub.add_parser("ablate-departure",
+                       help="exact departure times vs the paper's GSS/NCS")
     p.add_argument("instances", nargs="*")
     p.add_argument("--config")
     _add_common(p)
@@ -173,6 +175,16 @@ def main(argv=None):
         out = Path(cfg.out_dir or args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "operator_ablation.csv", rows)
+        for row in rows:
+            print(row)
+        return 0
+
+    if args.command == "ablate-departure":
+        cfg = _cfg_from_args(args, args.instances)
+        rows = ablation_departure(cfg)
+        out = Path(cfg.out_dir or args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "departure_ablation.csv", rows)
         for row in rows:
             print(row)
         return 0

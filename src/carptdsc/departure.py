@@ -9,10 +9,11 @@ breakpoints where some task's begin time meets an end of its flat
 interval.  ``breakpoint_sweep`` finds its exact leftmost minimum by
 walking those breakpoints in order with a running slope sum.
 
-The paper's search (golden section search for slopes of at most 1,
+``stage2`` times every route with that sweep.  ``paper_stage2`` is the
+paper's search (golden section search for slopes of at most 1,
 negatively correlated search for steeper ones, and 0 on flat-then-
-increasing instances) stays available as ``stage2(..., method="paper")``
-for ablations.
+increasing instances); only the departure ablation runs it, to measure
+it against the exact optimum on the same plans.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from typing import Optional
 from .evaluation import HorizonError, Route, Solution, get_context
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-EXACT = "exact"
-PAPER = "paper"
-METHODS = (EXACT, PAPER)
 
 
 @dataclass
@@ -64,7 +61,7 @@ class RouteCost:
     """
 
     def __init__(self, inst, sp, route: Route, ctx=None):
-        self.ctx = ctx or get_context(inst, sp)
+        self.ctx = ctx if ctx is not None else get_context(inst, sp)
         self.codes = self.ctx.encode_route(route)
         _, _, _, self.begins0, _, end0 = self.ctx.sim(self.codes, 0.0)
         self.lo = 0.0
@@ -211,8 +208,39 @@ def ncs(f, lo: float, hi: float, params: NcsParams,
     return best_x
 
 
-def _paper_search(inst, ncs_params, rng, gss_tol):
-    """The paper's per-route search, as a function of one RouteCost."""
+def _time_routes(inst, sp, s_bf: Solution, search) -> DepartureResult:
+    """Time every route of s_bf with ``search(f) -> t``, one context
+    lookup per call.  Raises HorizonError naming the route that overruns
+    the horizon even when it departs at 0."""
+    ctx = get_context(inst, sp)
+    times = []
+    costs = []
+    for k, route in enumerate(s_bf.routes):
+        try:
+            f = RouteCost(inst, sp, route, ctx)
+        except HorizonError as exc:
+            raise HorizonError(f"route {k}: {exc}") from None
+        t = search(f)
+        times.append(t)
+        costs.append(f(t))
+    return DepartureResult(times=times, per_route_cost=costs)
+
+
+def stage2(inst, sp, s_bf: Solution,
+           rng: Optional[random.Random] = None) -> DepartureResult:
+    """Leftmost optimal departure time and cost of every route of s_bf.
+
+    The sweep is deterministic: ``rng`` is accepted and not read, so
+    callers written for the paper's randomized search keep working.
+    """
+    return _time_routes(inst, sp, s_bf, breakpoint_sweep)
+
+
+def paper_stage2(inst, sp, s_bf: Solution,
+                 ncs_params: Optional[NcsParams] = None,
+                 rng: Optional[random.Random] = None,
+                 gss_tol: Optional[float] = None) -> DepartureResult:
+    """Departure times of s_bf by the paper's GSS/NCS search."""
     if rng is None:
         rng = random.Random(0)
     pt = inst.planning_horizon
@@ -233,37 +261,4 @@ def _paper_search(inst, ncs_params, rng, gss_tol):
             return 0.0 if f(0.0) <= f(t) else t
         return ncs(f, f.lo, f.hi, ncs_params, rng)
 
-    return search
-
-
-def stage2(inst, sp, s_bf: Solution,
-           ncs_params: Optional[NcsParams] = None,
-           rng: Optional[random.Random] = None,
-           gss_tol: Optional[float] = None,
-           method: str = EXACT) -> DepartureResult:
-    """Departure time and cost of every route of s_bf.
-
-    ``method`` "exact" (the default) times each route with
-    ``breakpoint_sweep``; "paper" runs the paper's GSS/NCS search, the
-    only one that reads ``ncs_params``, ``rng`` and ``gss_tol``.  Raises
-    HorizonError naming the route that overruns the horizon even when it
-    departs at 0.
-    """
-    if method == EXACT:
-        search = breakpoint_sweep
-    elif method == PAPER:
-        search = _paper_search(inst, ncs_params, rng, gss_tol)
-    else:
-        raise ValueError(f"unknown departure method {method!r}")
-    ctx = get_context(inst, sp)
-    times = []
-    costs = []
-    for k, route in enumerate(s_bf.routes):
-        try:
-            f = RouteCost(inst, sp, route, ctx)
-        except HorizonError as exc:
-            raise HorizonError(f"route {k}: {exc}") from None
-        t = search(f)
-        times.append(t)
-        costs.append(f(t))
-    return DepartureResult(times=times, per_route_cost=costs)
+    return _time_routes(inst, sp, s_bf, search)

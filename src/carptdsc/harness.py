@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .departure import METHODS, stage2
+from .departure import paper_stage2, stage2
 from .evaluation import evaluate_solution
 from .instance import Instance, all_pairs_shortest_paths, parse_instance
 from .localsearch import SearchCounters
@@ -52,16 +52,12 @@ class ExperimentConfig:
     base_seed: int = 0
     out_dir: Optional[str] = None
     fmt: str = "csv"
-    departure: str = "exact"  # stage-2 method: "exact" or "paper"
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError("repetitions", "repetitions must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("fmt", "format must be csv or json")
-        if self.departure not in METHODS:
-            raise ConfigError("departure", f"departure must be one of "
-                              f"{', '.join(METHODS)}, got {self.departure!r}")
 
 
 @dataclass
@@ -130,7 +126,7 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
     rng = random.Random(seed)
     t0 = time.perf_counter()
     sol, trace = kgma_run(inst, sp, params, rng, stop)
-    dep = stage2(inst, sp, sol, rng=rng, method=cfg.departure)
+    dep = stage2(inst, sp, sol)
     elapsed = time.perf_counter() - t0
     totals = {f.name: sum(row[f.name] for row in trace)
               for f in fields(SearchCounters)}
@@ -238,6 +234,37 @@ def ablation_timing(cfg: ExperimentConfig) -> list:
             "kg_cost": kg["cost"],
             "traditional_cost": tr["cost"],
         })
+    return rows
+
+
+def ablation_departure(cfg: ExperimentConfig) -> list:
+    """Exact breakpoint sweep vs the paper's GSS/NCS search, per run.
+
+    Each repetition runs stage 1 once; both stage-2 routines then time
+    the same plan.  Rows give each arm's cost and wall-clock, and the
+    paper arm's relative excess over the exact optimum.
+    """
+    rows = []
+    for path in cfg.instances:
+        inst, sp = load_instance(path)
+        for i in range(cfg.repetitions):
+            seed = cfg.base_seed + i
+            sol = solve_once(inst, sp, cfg, seed)["solution"]
+            t0 = time.perf_counter()
+            exact = stage2(inst, sp, sol)
+            t1 = time.perf_counter()
+            paper = paper_stage2(inst, sp, sol, rng=random.Random(seed))
+            t2 = time.perf_counter()
+            rows.append({
+                "instance": inst.name,
+                "seed": seed,
+                "exact_cost": exact.total,
+                "paper_cost": paper.total,
+                "paper_excess": (paper.total - exact.total) / exact.total
+                if exact.total > 0 else 0.0,
+                "exact_time": t1 - t0,
+                "paper_time": t2 - t1,
+            })
     return rows
 
 

@@ -14,6 +14,7 @@ from carptdsc import (
     gss,
     kgis_individual,
     ncs,
+    paper_stage2,
     random_classic_instance,
     route_cost_of_t,
     stage2,
@@ -178,7 +179,7 @@ class TestStage2:
         inst, sp = micro_k05_c
         assert inst.global_slope_abs <= 1.0
         sol = random_feasible_solution(inst, sp, random.Random(5))
-        res = stage2(inst, sp, sol, method="paper")
+        res = paper_stage2(inst, sp, sol)
         for route, t, c in zip(sol.routes, res.times, res.per_route_cost):
             f = route_cost_of_t(inst, sp, route)
             _, best = grid_scan(f, f.lo, f.hi, 10 ** 4)
@@ -205,7 +206,7 @@ class TestStage2:
         real = dep.ncs
         monkeypatch.setattr(dep, "ncs",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
-        dep.stage2(inst, sp, sol, method="paper")
+        dep.paper_stage2(inst, sp, sol)
         assert calls
 
     def test_default_runs_neither_gss_nor_ncs(self, monkeypatch):
@@ -221,11 +222,13 @@ class TestStage2:
         monkeypatch.setattr(dep, "ncs", refuse)
         assert dep.stage2(inst, sp, sol).total > 0
 
-    def test_unknown_method_rejected(self, micro_a):
-        inst, sp = micro_a
+    def test_rng_accepted_and_not_read(self):
+        inst, sp = _load("micro3lp_k20_a")
         sol = random_feasible_solution(inst, sp, random.Random(0))
-        with pytest.raises(ValueError, match="departure method"):
-            stage2(inst, sp, sol, method="ncs")
+        rng = random.Random(1)
+        state = rng.getstate()
+        assert stage2(inst, sp, sol, rng=rng) == stage2(inst, sp, sol)
+        assert rng.getstate() == state
 
     def test_overlong_route_named_by_index(self, micro_a):
         inst, sp = micro_a
@@ -268,7 +271,7 @@ class TestExactDepartures:
 
 
 # (case, plan seed, departure times, total) of the paper arm's GSS, NCS
-# and 2LP branches, recorded before the exact method became the default
+# and 2LP branches, recorded from stage2 while it ran the paper's search
 PAPER_ARM = [
     ("micro3lp_k05_c", 5,
      [130.00019623551762, 48.00022937790185, 84.00007574810446], 188.0),
@@ -292,6 +295,6 @@ def test_paper_arm_reproduces_recorded_search(case, plan_seed, times, total):
                                     slope=float(slope))
         sp = all_pairs_shortest_paths(inst)
     sol = random_feasible_solution(inst, sp, random.Random(plan_seed))
-    res = stage2(inst, sp, sol, method="paper")
+    res = paper_stage2(inst, sp, sol)
     assert res.times == times
     assert res.total == total

@@ -81,7 +81,6 @@ references = gdb1:316, micro-A:76
     @pytest.mark.parametrize("entry", [
         "repetitions = 0",
         "fmt = xml",
-        "departure = fastest",
     ])
     def test_out_of_range_value_names_file_and_line(self, tmp_path, entry):
         p = tmp_path / "bad.txt"
@@ -94,8 +93,9 @@ references = gdb1:316, micro-A:76
             ExperimentConfig(repetitions=0)
         with pytest.raises(ValueError):
             ExperimentConfig(fmt="xml")
-        with pytest.raises(ConfigError, match="departure"):
-            ExperimentConfig(departure="ncs")
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(fmt="xml")
+        assert exc.value.key == "fmt"
 
 
 class TestDumpSolution:
@@ -195,18 +195,18 @@ class TestCli:
         assert (tmp_path / "micro-A_seed0_counters.json").exists()
         assert (tmp_path / "micro-A_seed0_trace.csv").exists()
 
-    @pytest.mark.parametrize("method", ["paper", "exact"])
-    def test_departure_flag_selects_stage2_method(self, tmp_path, capsys,
-                                                  monkeypatch, method):
+    def test_solve_runs_neither_gss_nor_ncs(self, tmp_path, capsys,
+                                            monkeypatch):
         import carptdsc.departure as dep
-        calls = []
-        real = dep.gss
-        monkeypatch.setattr(dep, "gss",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve ran the paper's search")
+
+        monkeypatch.setattr(dep, "gss", refuse)
+        monkeypatch.setattr(dep, "ncs", refuse)
         rc = cli_main(["solve", MICRO_K05C, "--generations", "2",
-                       "--departure", method, "--out", str(tmp_path)])
+                       "--out", str(tmp_path)])
         assert rc == 0
-        assert bool(calls) == (method == "paper")
 
     def test_bench_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
@@ -256,6 +256,27 @@ osnum = 8
         assert values["instance"] == "micro-A"
         assert int(values["kg_evaluations"]) > 0
         assert int(values["traditional_evaluations"]) > 0
+
+    def test_ablate_departure_runs_both_arms(self, tmp_path, capsys,
+                                             monkeypatch):
+        import carptdsc.departure as dep
+        calls = []
+        real = dep.gss
+        monkeypatch.setattr(dep, "gss",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        rc = cli_main(["ablate-departure", MICRO_K05C, "--generations", "2",
+                       "--reps", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls
+        text = (tmp_path / "departure_ablation.csv").read_text()
+        header, *rows = text.strip().split("\n")
+        assert len(rows) == 2
+        for row in rows:
+            values = dict(zip(header.split(","), row.split(",")))
+            assert values["instance"] == "micro3lp_k05_c"
+            assert float(values["paper_cost"]) >= \
+                float(values["exact_cost"]) * (1 - 1e-12)
+            assert float(values["paper_excess"]) >= -1e-12
 
     def test_time_to_target_caps_runs_at_generations(self, tmp_path, capsys):
         rc = cli_main(["time-to-target", MICRO_A, "--target", "0",
