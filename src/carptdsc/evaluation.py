@@ -8,13 +8,15 @@ change of a neighborhood move from the involved routes alone.
 
 Internally a compiled context (dense per-task arrays plus shortest-path
 rows as plain lists) backs both the public functions and the local
-search hot loops.
+search hot loops.  It is built once per (instance, shortest paths) pair
+and kept on the ``ShortestPathMatrix`` object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .instance import Instance, ShortestPathMatrix
 
@@ -114,9 +116,18 @@ class EvalContext:
             self.ohead[2 * i] = a.head
             self.otail[2 * i + 1] = a.head
             self.ohead[2 * i + 1] = a.tail
-        # plain nested lists: scalar indexing is much faster than numpy here
-        self.spc = [list(row) for row in sp.sp_cost]
-        self.spt = [list(row) for row in sp.sp_time]
+        # the tuple rows of sp, shared rather than copied: scalar indexing is
+        # much faster than numpy here, and every cached context keeps them
+        self.spc = sp.sp_cost
+        self.spt = sp.sp_time
+        # numpy copies for the local search's vectorised gap screen;
+        # sptT[v] holds the travel times into vertex v
+        self.sptT = np.array(sp.sp_time, dtype=float).T.copy()
+        self.bt_a = np.array(self.bt, dtype=float)
+        self.et_a = np.array(self.et, dtype=float)
+        self.dem_a = np.array(self.demand, dtype=float)
+        self.otail_a = np.array(self.otail, dtype=np.intp)
+        self.flip_a = np.array(self.flip_ok, dtype=bool)
 
     # -- encoding -----------------------------------------------------------
 
@@ -205,9 +216,19 @@ class EvalContext:
         )
 
 
-@lru_cache(maxsize=32)
 def get_context(inst: Instance, sp: ShortestPathMatrix) -> EvalContext:
-    return EvalContext(inst, sp)
+    """The compiled context of ``(inst, sp)``, built on first use.
+
+    It is cached on ``sp`` together with the instance it was built for, and
+    compared by identity, so no call hashes the instance or the path tables
+    and a different instance never gets a stale context.
+    """
+    cached = getattr(sp, "_context", None)
+    if cached is not None and cached[0] is inst:
+        return cached[1]
+    ctx = EvalContext(inst, sp)
+    object.__setattr__(sp, "_context", (inst, ctx))
+    return ctx
 
 
 # ---------------------------------------------------------------------------

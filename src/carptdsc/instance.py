@@ -148,7 +148,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class ShortestPathMatrix:
-    """All-pairs shortest paths under travel-cost and travel-time weights."""
+    """All-pairs shortest paths under travel-cost and travel-time weights.
+
+    ``evaluation.get_context`` caches its compiled context on the object as
+    the attribute ``_context``; it is not a field, so equality, hashing and
+    ``dataclasses.replace`` ignore it.
+    """
 
     sp_cost: tuple  # |V| x |V| tuples
     sp_time: tuple
@@ -456,8 +461,12 @@ def parse_classic_dat(path) -> ClassicInstance:
             except ValueError:
                 raise ParseError(f"non-numeric edge field in {line!r}", line_no)
             edges.append(ClassicEdge(u, v, cost, demand))
-    if n_vertices is None or capacity is None or not edges:
-        raise ParseError(f"{path}: incomplete classic DAT file")
+    missing = [part for part, absent in (("VERTICES", n_vertices is None),
+                                         ("CAPACITY", capacity is None),
+                                         ("edge list", not edges)) if absent]
+    if missing:
+        raise ParseError(f"{path}: incomplete classic DAT file, missing "
+                         + ", ".join(missing))
     return ClassicInstance(name, n_vertices, depot, capacity, tuple(edges))
 
 
@@ -470,6 +479,8 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
     become tasks servable in either orientation.  min_sc of a task equals
     its classic serving cost, so a flat-everywhere policy reduces the
     instance exactly to the classic problem.  Deterministic in ``seed``.
+    The instance is named ``{type}-k{slope}[-{policy}]-{base name}``, the
+    policy named only when it is not the default one.
     """
     if slope_abs < 0:
         raise InstanceError("slope_abs must be nonnegative")
@@ -510,8 +521,11 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
         arcs.append(Arc(bwd_id, v, u, e.cost, e.cost, e.cost,
                         inverse_id=fwd_id))
 
+    label = f"{itype.lower()}-k{slope_abs:g}"
+    if interval_policy != IntervalPolicy():
+        label += f"-{interval_policy.name}"
     inst = Instance(
-        name=f"{itype.lower()}-{base.name}",
+        name=f"{label}-{base.name}",
         n_vertices=base.n_vertices,
         arcs=tuple(arcs),
         tasks=tuple(tasks),

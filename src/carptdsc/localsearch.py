@@ -9,13 +9,30 @@ pruning rule) and then classifies the survivors by an exact incremental
 cost delta restricted to the involved route suffixes.  The traditional
 operator, used for ablations, is a single generic sweep that fully
 re-evaluates the involved routes of every enumerated move.
+
+The pruning rule is screened with numpy, once per sweep: one array
+operation covers every (block orientation, position in another route or a
+fresh route) of an insertion sweep, or every (task, later task,
+orientation pair) of the swap sweep.  One screen per sweep rather than per
+block or per task keeps the numpy call overhead below the scalar screen's
+cost on small instances too.  The screen reads the prefix tables that
+``SolState`` builds once per plan (end-of-service time and head vertex
+before every position).  Its arithmetic is that of the scalar rule, term
+for term, so it prunes exactly the same moves.  Survivors get their exact
+delta in enumeration order, so ties still go to the first-enumerated move.
+Intra-route insertions are screened one at a time.  ``c1_gap_sums``,
+``criterion1_failed`` and ``_traditional_sweep`` stay scalar as the tests'
+independent reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .evaluation import (
     EvalContext,
@@ -72,28 +89,55 @@ class SearchCounters:
 
 
 class SolState:
-    """Encoded routes with cached begin times, gaps, loads and costs."""
+    """Encoded routes with cached begin times, gaps, end times and costs.
 
-    __slots__ = ("routes", "t0s", "begins", "gaps", "loads", "ends",
-                 "scs", "dcs")
+    It also holds the insertion slot tables of the knowledge-guided sweeps:
+    one slot for every position of every route (before its first task,
+    between tasks, after its last task), then one fresh-route slot.
+    ``slot_end``/``slot_head`` hold the end-of-service time and head vertex
+    of the prefix before each slot, route r's slots start at
+    ``slot_off[r]`` and the fresh-route slot is ``slot_off[-1]``.  The
+    ``*_a`` arrays are numpy copies, with ``slot_load_a`` the load of each
+    slot's route (0 for the fresh one).
+    """
+
+    __slots__ = ("routes", "t0s", "begins", "gaps", "ends", "scs", "dcs",
+                 "slot_off", "slot_end", "slot_head", "slot_end_a",
+                 "slot_head_a", "slot_load_a")
 
     def __init__(self, ctx: EvalContext, routes, t0s):
         self.routes = routes
         self.t0s = t0s
         self.begins = []
         self.gaps = []
-        self.loads = []
         self.ends = []
         self.scs = []
         self.dcs = []
+        dur, ohead, depot = ctx.dur, ctx.ohead, ctx.depot
+        off, s_end, s_head, s_load = [], [], [], []
         for codes, t0 in zip(routes, t0s):
             sc, dc, load, begins, gaps, end = ctx.sim(codes, t0)
             self.begins.append(begins)
             self.gaps.append(gaps)
-            self.loads.append(load)
             self.ends.append(end)
             self.scs.append(sc)
             self.dcs.append(dc)
+            off.append(len(s_end))
+            s_end.append(t0)
+            s_end += [b + dur[c >> 1] for c, b in zip(codes, begins)]
+            s_head.append(depot)
+            s_head += [ohead[c] for c in codes]
+            s_load += [load] * (len(codes) + 1)
+        off.append(len(s_end))
+        s_end.append(0.0)
+        s_head.append(depot)
+        s_load.append(0.0)
+        self.slot_off = off
+        self.slot_end = s_end
+        self.slot_head = s_head
+        self.slot_end_a = np.array(s_end, dtype=float)
+        self.slot_head_a = np.array(s_head, dtype=np.intp)
+        self.slot_load_a = np.array(s_load, dtype=float)
 
     @property
     def cost(self):
@@ -299,6 +343,14 @@ def _task_sc(ctx, ti, t):
     return ctx.minsc[ti] + g * ctx.slope[ti]
 
 
+def _gaps(t, b, e):
+    """EvalContext.gap over numpy arrays: the time gap of begin times ``t``
+    to the intervals [b, e].  Bit for bit equal to the scalar gap, because
+    b <= e (ServiceCostFunction enforces it) leaves at most one term
+    nonzero and adding 0.0 is exact."""
+    return np.maximum(b - t, 0.0) + np.maximum(t - e, 0.0)
+
+
 def _route_delta(ctx, state, r, cand_codes, counters):
     """Cost delta of replacing route r by cand_codes; None if infeasible."""
     sc, dc, load, _, _, end = ctx.sim(cand_codes, state.t0s[r])
@@ -427,30 +479,44 @@ SWEEPS = {"kg": _kg_sweep, "traditional": _traditional_sweep}
 
 def _ins_sweep(ctx, state, kind, lam, counters):
     """Insertion of every block of k consecutive tasks (k = 1 for SI, 2 for
-    DI) at every other position, in enumerate_moves order."""
+    DI) at every other position, in enumerate_moves order.
+
+    Criterion 1 screens every (block orientation, slot of another route or
+    the fresh-route slot) at once.  Then, for each block orientation in
+    enumeration order, the survivors of routes before the block's own, the
+    intra-route moves (screened one at a time), and the survivors of later
+    routes and of the fresh route get an exact delta, so the
+    first-enumerated move wins ties."""
     k = _block_len(kind)
     pair = k == 2
-    spc, spt = ctx.spc, ctx.spt
+    spc, spt, sptT = ctx.spc, ctx.spt, ctx.sptT
     otail, ohead = ctx.otail, ctx.ohead
     dur, dem = ctx.dur, ctx.demand
     minsc, slope = ctx.minsc, ctx.slope
     depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
     routes = state.routes
-    begins, gaps, loads, ends = state.begins, state.gaps, state.loads, state.ends
+    begins, gaps, ends = state.begins, state.gaps, state.ends
+    off, s_end, s_head = state.slot_off, state.slot_end, state.slot_head
     gapf = ctx.gap
     nroutes = len(routes)
-    best = -_EPS
-    best_move = None
+    fresh = off[nroutes]  # the fresh-route slot, the last one
+    # the source side of every block, and one screen row per block
+    # orientation: (block, flips, first and last oriented task, identity)
+    blocks = []
+    b_route, b_thr, b_dem, b_ok = [], [], [], []
+    rows = []
+    hops = []  # per row, for k = 2: time from the first task's begin to the last's
+    whole = []  # per row: the whole route unchanged, so a fresh route is no move
     for ra in range(nroutes):
         a = routes[ra]
         la = len(a)
+        lo = off[ra]
         bA, gA = begins[ra], gaps[ra]
         for pa in range(la - k + 1):
             block = a[pa:pa + k]
             c1, cl = block[0], block[-1]  # first and last task of the block
             t1i, tli = c1 >> 1, cl >> 1
-            src = _ins_src(ra, pa, k)
-            p_end, ph = _prefix(ctx, state, ra, pa)
+            p_end, ph = s_end[lo + pa], s_head[lo + pa]
             nv = otail[a[pa + k]] if pa + k < la else depot
             ddcA = spc[ph][nv] - spc[ph][otail[c1]]
             sc_old = minsc[t1i] + gA[pa] * slope[t1i]
@@ -470,193 +536,258 @@ def _ins_sweep(ctx, state, kind, lam, counters):
                 endA = p_end + spt[ph][depot]
             src_ok = endA <= PT + _H_EPS
             dscA = _shift_sc(ctx, state, ra, pa + k, dA, counters) if src_ok else 0.0
+            bi = len(blocks)
+            blocks.append((ra, pa, t1i, tli, ddcA, sc_old, dscA))
+            b_route.append(ra)
+            b_thr.append(lam * g_before)
+            b_dem.append(block_dem)
+            b_ok.append(src_ok)
             cur = tuple([bool(c & 1) for c in block])
-            kept = None
             for flips in _block_flips(ctx, block):
-                identity = flips == cur
                 n1, nl = 2 * t1i + flips[0], 2 * tli + flips[-1]
-                nt, nh, dl = otail[n1], ohead[nl], dur[tli]
+                rows.append((bi, flips, n1, nl, flips == cur))
                 if pair:
-                    hop = dur[t1i] + spt[ohead[n1]][otail[nl]]
-                    link = spc[ohead[n1]][otail[nl]]
-                    new_codes = [n1, nl]
-                else:
-                    new_codes = [n1]
-                for rb in range(nroutes + 1):
-                    if rb == ra:
-                        # intra-route reinsertion: full route re-simulation
-                        if kept is None:
-                            kept = a[:pa] + a[pa + k:]
-                        for pb in range(la - k + 1):
-                            if pb == pa and identity:
-                                continue
-                            counters.moves_enumerated += 1
-                            pe, phh = _prefix_after_removal(ctx, state, ra, pa, k, pb)
-                            tn1 = pe + spt[phh][nt]
-                            g_after = gapf(t1i, tn1)
-                            if pair:
-                                g_after += gapf(tli, tn1 + hop)
-                            if g_after - lam * g_before > 0.0:
-                                counters.pruned_by_criterion1 += 1
-                                continue
-                            counters.criterion2_evaluations += 1
-                            cand = kept[:pb] + new_codes + kept[pb:]
-                            delta = _route_delta(ctx, state, ra, cand, counters)
-                            if delta is not None and delta < best:
-                                best = delta
-                                best_move = Move(kind, src, (ra, pb), flips)
+                    hops.append(dur[t1i] + spt[ohead[n1]][otail[nl]])
+                whole.append(la == k and flips == cur)
+    # criterion 1 on every row and slot; T1 is the block's begin time
+    RB = np.array([r[0] for r in rows], dtype=np.intp)
+    N1 = np.array([r[2] for r in rows], dtype=np.intp)
+    T1 = state.slot_end_a + sptT[ctx.otail_a[N1][:, None], state.slot_head_a]
+    G = _gaps(T1, ctx.bt_a[N1 >> 1][:, None], ctx.et_a[N1 >> 1][:, None])
+    if pair:
+        NL = np.array([r[3] for r in rows], dtype=np.intp)
+        G += _gaps(T1 + np.array(hops)[:, None], ctx.bt_a[NL >> 1][:, None],
+                   ctx.et_a[NL >> 1][:, None])
+    prune = G - np.array(b_thr)[RB][:, None] > 0.0
+    # cross-route slots: not the block's own route, nor the fresh route for
+    # a whole route in its own orientation
+    slot_route = np.repeat(np.arange(nroutes + 1),
+                           np.diff(off + [fresh + 1]))
+    cross = slot_route != np.array(b_route, dtype=np.intp)[RB][:, None]
+    cross[:, fresh] = ~np.array(whole, dtype=bool)
+    n_cross = int(np.count_nonzero(cross))
+    n_pruned = int(np.count_nonzero(prune & cross))
+    counters.moves_enumerated += n_cross
+    counters.pruned_by_criterion1 += n_pruned
+    counters.criterion2_evaluations += n_cross - n_pruned
+    # exact deltas only where the source route stays within the horizon and
+    # the destination route takes the block's demand
+    fits = (state.slot_load_a + np.array(b_dem)[RB][:, None] <= Q) \
+        & np.array(b_ok, dtype=bool)[RB][:, None]
+    surv_r, surv_s = np.nonzero(cross & ~prune & fits)
+    surv_r, surv_s = surv_r.tolist(), surv_s.tolist()
+    best = -_EPS
+    best_move = None
+    q = 0
+    kept_of = -1  # block whose route ra without the block is in kept
+    for r, (bi, flips, n1, nl, identity) in enumerate(rows):
+        ra, pa, t1i, tli, ddcA, sc_old, dscA = blocks[bi]
+        thr = b_thr[bi]
+        src = _ins_src(ra, pa, k)
+        lo = off[ra]
+        nt, nh, dl = otail[n1], ohead[nl], dur[tli]
+        if pair:
+            hop = hops[r]
+            link = spc[ohead[n1]][otail[nl]]
+            new_codes = [n1, nl]
+        else:
+            new_codes = [n1]
+        e = bisect_right(surv_r, r, q)
+        surv = surv_s[q:e]
+        q = e
+        cut = bisect_left(surv, lo)
+        for seg in (surv[:cut], None, surv[cut:]):
+            if seg is None:
+                # intra-route reinsertion: full route re-simulation
+                if kept_of != bi:
+                    # prefix end and head at each position of kept
+                    kept_of = bi
+                    a = routes[ra]
+                    kept = a[:pa] + a[pa + k:]
+                    rm_end = s_end[lo:lo + pa + 1]
+                    rm_head = s_head[lo:lo + pa + 1]
+                    t, h = rm_end[-1], rm_head[-1]
+                    for ck in kept[pa:]:
+                        t += spt[h][otail[ck]] + dur[ck >> 1]
+                        h = ohead[ck]
+                        rm_end.append(t)
+                        rm_head.append(h)
+                for pb in range(len(kept) + 1):
+                    if pb == pa and identity:
                         continue
-                    new_route = rb == nroutes
-                    if new_route and la == k and identity:
-                        continue  # whole route into a fresh route: identity
-                    if not new_route:
-                        b = routes[rb]
-                        bB = begins[rb]
-                        cap_ok = loads[rb] + block_dem <= Q
-                        npos = len(b) + 1
-                    else:
-                        cap_ok = block_dem <= Q
-                        npos = 1
-                    for pb in range(npos):
-                        counters.moves_enumerated += 1
-                        if new_route:
-                            pp_end, pph = 0.0, depot
-                            nxv = depot
-                        else:
-                            pp_end, pph = _prefix(ctx, state, rb, pb)
-                            nxv = otail[b[pb]] if pb < len(b) else depot
-                        tn1 = pp_end + spt[pph][nt]  # begin of the block
-                        g_after = gapf(t1i, tn1)
-                        if pair:
-                            tnl = tn1 + hop  # begin of its last task
-                            g_after += gapf(tli, tnl)
-                        if g_after - lam * g_before > 0.0:
-                            counters.pruned_by_criterion1 += 1
-                            continue
-                        counters.criterion2_evaluations += 1
-                        if not (src_ok and cap_ok):
-                            continue
-                        if pair:
-                            ddcB = spc[pph][nt] + link + spc[nh][nxv] - spc[pph][nxv]
-                            sc_new = _task_sc(ctx, t1i, tn1) + _task_sc(ctx, tli, tnl)
-                        else:
-                            tnl = tn1
-                            ddcB = spc[pph][nt] + spc[nh][nxv] - spc[pph][nxv]
-                            sc_new = _task_sc(ctx, t1i, tn1)
-                        counters.sc_evaluations += k
-                        if new_route or pb == len(b):
-                            dscB = 0.0
-                            endB = tnl + dl + spt[nh][depot]
-                        else:
-                            dB = (tnl + dl + spt[nh][nxv]) - bB[pb]
-                            dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
-                            endB = ends[rb] + dB
-                        if endB > PT + _H_EPS:
-                            continue
-                        delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
-                        if delta < best:
-                            best = delta
-                            mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                            best_move = Move(kind, src, mvdst, flips)
+                    counters.moves_enumerated += 1
+                    tn1 = rm_end[pb] + spt[rm_head[pb]][nt]
+                    g_after = gapf(t1i, tn1)
+                    if pair:
+                        g_after += gapf(tli, tn1 + hop)
+                    if g_after - thr > 0.0:
+                        counters.pruned_by_criterion1 += 1
+                        continue
+                    counters.criterion2_evaluations += 1
+                    cand = kept[:pb] + new_codes + kept[pb:]
+                    delta = _route_delta(ctx, state, ra, cand, counters)
+                    if delta is not None and delta < best:
+                        best = delta
+                        best_move = Move(kind, src, (ra, pb), flips)
+                continue
+            for sl in seg:
+                rb = bisect_right(off, sl) - 1
+                new_route = rb == nroutes
+                pph = s_head[sl]
+                tn1 = s_end[sl] + spt[pph][nt]  # begin of the block
+                if new_route:
+                    nxv = depot
+                else:
+                    b = routes[rb]
+                    pb = sl - off[rb]
+                    nxv = otail[b[pb]] if pb < len(b) else depot
+                if pair:
+                    tnl = tn1 + hop  # begin of its last task
+                    ddcB = spc[pph][nt] + link + spc[nh][nxv] - spc[pph][nxv]
+                    sc_new = _task_sc(ctx, t1i, tn1) + _task_sc(ctx, tli, tnl)
+                else:
+                    tnl = tn1
+                    ddcB = spc[pph][nt] + spc[nh][nxv] - spc[pph][nxv]
+                    sc_new = _task_sc(ctx, t1i, tn1)
+                counters.sc_evaluations += k
+                if new_route or pb == len(b):
+                    dscB = 0.0
+                    endB = tnl + dl + spt[nh][depot]
+                else:
+                    dB = (tnl + dl + spt[nh][nxv]) - begins[rb][pb]
+                    dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
+                    endB = ends[rb] + dB
+                if endB > PT + _H_EPS:
+                    continue
+                delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
+                if delta < best:
+                    best = delta
+                    mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
+                    best_move = Move(kind, src, mvdst, flips)
     return best, best_move
 
 
 def _sw_sweep(ctx, state, lam, counters):
-    spc, spt = ctx.spc, ctx.spt
+    """Swap of every two tasks, in enumerate_moves order.
+
+    Criterion 1 screens every (spot i, later spot j, orientation of i's
+    task, orientation of j's task) at once, in C order, which is the
+    enumeration order; the survivors get an exact delta in that order."""
+    spc, spt, sptT = ctx.spc, ctx.spt, ctx.sptT
     otail, ohead = ctx.otail, ctx.ohead
-    dur, dem = ctx.dur, ctx.demand
+    dur = ctx.dur
+    minsc, slope = ctx.minsc, ctx.slope
     depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
     routes = state.routes
-    begins, gaps, loads, ends = state.begins, state.gaps, state.loads, state.ends
-    gapf = ctx.gap
+    begins, gaps, ends = state.begins, state.gaps, state.ends
+    off, s_end, s_head = state.slot_off, state.slot_end, state.slot_head
     best = -_EPS
     best_move = None
     spots = [(r, p) for r, codes in enumerate(routes)
              for p in range(len(codes))]
-    pref = [_prefix(ctx, state, r, p) for r, p in spots]
+    n = len(spots)
+    slots = [off[r] + p for r, p in spots]
     nxt = [otail[routes[r][p + 1]] if p + 1 < len(routes[r]) else depot
            for r, p in spots]
-    for i in range(len(spots)):
-        ra, pa = spots[i]
-        a = routes[ra]
-        ca = a[pa]
-        tai = ca >> 1
-        pa_end, pah = pref[i]
-        nva = nxt[i]
-        sc_a_old = ctx.minsc[tai] + gaps[ra][pa] * ctx.slope[tai]
-        rm_a = spc[pah][otail[ca]] + spc[ohead[ca]][nva]
-        for j in range(i + 1, len(spots)):
-            rb, pb = spots[j]
-            b = routes[rb]
-            cb = b[pb]
-            tbi = cb >> 1
-            same = rb == ra
-            if not same:
-                if loads[ra] - dem[tai] + dem[tbi] > Q:
-                    cap_ok = False
-                elif loads[rb] - dem[tbi] + dem[tai] > Q:
-                    cap_ok = False
-                else:
-                    cap_ok = True
-            else:
-                cap_ok = True
-            pb_end, pbh = pref[j]
-            nvb = nxt[j]
-            sc_b_old = ctx.minsc[tbi] + gaps[rb][pb] * ctx.slope[tbi]
-            rm_b = spc[pbh][otail[cb]] + spc[ohead[cb]][nvb]
-            g_before = gaps[ra][pa] + gaps[rb][pb]
-            for fa in (0, 1) if ctx.flip_ok[tai] else (0,):
-                na = 2 * tai + fa  # src task, placed at position j
-                for fb in (0, 1) if ctx.flip_ok[tbi] else (0,):
-                    nb = 2 * tbi + fb  # dst task, placed at position i
-                    counters.moves_enumerated += 1
-                    t_b_at_a = pa_end + spt[pah][otail[nb]]
-                    t_a_at_b = pb_end + spt[pbh][otail[na]]
-                    g_after = gapf(tai, t_a_at_b) + gapf(tbi, t_b_at_a)
-                    if g_after - lam * g_before > 0.0:
-                        counters.pruned_by_criterion1 += 1
-                        continue
-                    counters.criterion2_evaluations += 1
-                    mv = Move(SWAP, (ra, pa), (rb, pb), (bool(fa), bool(fb)))
-                    if same:
-                        cand = list(a)
-                        cand[pa] = nb
-                        cand[pb] = na
-                        delta = _route_delta(ctx, state, ra, cand, counters)
-                        if delta is not None and delta < best:
-                            best, best_move = delta, mv
-                        continue
-                    if not cap_ok:
-                        continue
-                    # route a: task b replaces position pa
-                    ddcAr = spc[pah][otail[nb]] + spc[ohead[nb]][nva] - rm_a
-                    sc_b_new = _task_sc(ctx, tbi, t_b_at_a)
-                    if pa + 1 < len(a):
-                        dAr = (t_b_at_a + dur[tbi] + spt[ohead[nb]][nva]) - begins[ra][pa + 1]
-                        endA = ends[ra] + dAr
-                        dscA = _shift_sc(ctx, state, ra, pa + 1, dAr, counters)
-                    else:
-                        endA = t_b_at_a + dur[tbi] + spt[ohead[nb]][depot]
-                        dscA = 0.0
-                    if endA > PT + _H_EPS:
-                        continue
-                    # route b: task a replaces position pb
-                    ddcBr = spc[pbh][otail[na]] + spc[ohead[na]][nvb] - rm_b
-                    sc_a_new = _task_sc(ctx, tai, t_a_at_b)
-                    counters.sc_evaluations += 2
-                    if pb + 1 < len(b):
-                        dBr = (t_a_at_b + dur[tai] + spt[ohead[na]][nvb]) - begins[rb][pb + 1]
-                        endB = ends[rb] + dBr
-                        dscB = _shift_sc(ctx, state, rb, pb + 1, dBr, counters)
-                    else:
-                        endB = t_a_at_b + dur[tai] + spt[ohead[na]][depot]
-                        dscB = 0.0
-                    if endB > PT + _H_EPS:
-                        continue
-                    delta = (ddcAr + ddcBr + dscA + dscB
-                             + (sc_b_new - sc_a_old) + (sc_a_new - sc_b_old))
-                    if delta < best:
-                        best, best_move = delta, mv
+    # per spot: prefix end and head, the tail of each orientation of its
+    # task, which orientations exist, interval, demand, gap, route, load
+    PE = state.slot_end_a[slots]
+    PH = state.slot_head_a[slots]
+    TI = np.array([c >> 1 for codes in routes for c in codes], dtype=np.intp)
+    OT = ctx.otail_a[2 * TI[:, None] + np.arange(2)]
+    OK = np.ones((n, 2), dtype=bool)
+    OK[:, 1] = ctx.flip_a[TI]
+    BT, ET, DEM = ctx.bt_a[TI], ctx.et_a[TI], ctx.dem_a[TI]
+    GAP = np.array([g for gs in gaps for g in gs], dtype=float)
+    ROUTE = np.repeat(np.arange(len(routes)), [len(c) for c in routes])
+    LOAD = state.slot_load_a[slots]
+    # task a of spot i begins at TA[i, j, fa] at spot j, task b of spot j
+    # at TB[i, j, fb] at spot i
+    TA = PE[None, :, None] + sptT[OT[:, None, :], PH[None, :, None]]
+    TB = PE[:, None, None] + sptT[OT[None, :, :], PH[:, None, None]]
+    G = (_gaps(TA, BT[:, None, None], ET[:, None, None])[:, :, :, None]
+         + _gaps(TB, BT[None, :, None], ET[None, :, None])[:, :, None, :])
+    g_before = GAP[:, None] + GAP[None, :]
+    prune = G - (lam * g_before)[:, :, None, None] > 0.0
+    valid = (np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None]
+             & OK[:, None, :, None] & OK[None, :, None, :])
+    n_moves = int(np.count_nonzero(valid))
+    n_pruned = int(np.count_nonzero(prune & valid))
+    counters.moves_enumerated += n_moves
+    counters.pruned_by_criterion1 += n_pruned
+    counters.criterion2_evaluations += n_moves - n_pruned
+    # an exact delta for survivors within one route, or on two routes that
+    # both stay within capacity
+    rest = LOAD - DEM  # route load without the spot's task
+    cap = ((rest[:, None] + DEM[None, :] <= Q)
+           & (rest[None, :] + DEM[:, None] <= Q))
+    cap |= ROUTE[:, None] == ROUTE[None, :]
+    surv = np.flatnonzero(valid & ~prune & cap[:, :, None, None]).tolist()
+    i_cur = -1
+    for f in surv:
+        ij, fab = divmod(f, 4)
+        i, j = divmod(ij, n)
+        fa, fb = divmod(fab, 2)
+        if i != i_cur:
+            i_cur = i
+            ra, pa = spots[i]
+            a = routes[ra]
+            ca = a[pa]
+            tai = ca >> 1
+            pa_end, pah = s_end[slots[i]], s_head[slots[i]]
+            nva = nxt[i]
+            sc_a_old = minsc[tai] + gaps[ra][pa] * slope[tai]
+            rm_a = spc[pah][otail[ca]] + spc[ohead[ca]][nva]
+        rb, pb = spots[j]
+        b = routes[rb]
+        cb = b[pb]
+        tbi = cb >> 1
+        na = 2 * tai + fa  # src task, placed at position j
+        nb = 2 * tbi + fb  # dst task, placed at position i
+        mv = Move(SWAP, (ra, pa), (rb, pb), (bool(fa), bool(fb)))
+        if rb == ra:
+            cand = list(a)
+            cand[pa] = nb
+            cand[pb] = na
+            delta = _route_delta(ctx, state, ra, cand, counters)
+            if delta is not None and delta < best:
+                best, best_move = delta, mv
+            continue
+        pb_end, pbh = s_end[slots[j]], s_head[slots[j]]
+        nvb = nxt[j]
+        t_b_at_a = pa_end + spt[pah][otail[nb]]
+        t_a_at_b = pb_end + spt[pbh][otail[na]]
+        # route a: task b replaces position pa
+        ddcAr = spc[pah][otail[nb]] + spc[ohead[nb]][nva] - rm_a
+        sc_b_new = _task_sc(ctx, tbi, t_b_at_a)
+        if pa + 1 < len(a):
+            dAr = (t_b_at_a + dur[tbi] + spt[ohead[nb]][nva]) - begins[ra][pa + 1]
+            endA = ends[ra] + dAr
+            dscA = _shift_sc(ctx, state, ra, pa + 1, dAr, counters)
+        else:
+            endA = t_b_at_a + dur[tbi] + spt[ohead[nb]][depot]
+            dscA = 0.0
+        if endA > PT + _H_EPS:
+            continue
+        # route b: task a replaces position pb
+        sc_b_old = minsc[tbi] + gaps[rb][pb] * slope[tbi]
+        rm_b = spc[pbh][otail[cb]] + spc[ohead[cb]][nvb]
+        ddcBr = spc[pbh][otail[na]] + spc[ohead[na]][nvb] - rm_b
+        sc_a_new = _task_sc(ctx, tai, t_a_at_b)
+        counters.sc_evaluations += 2
+        if pb + 1 < len(b):
+            dBr = (t_a_at_b + dur[tai] + spt[ohead[na]][nvb]) - begins[rb][pb + 1]
+            endB = ends[rb] + dBr
+            dscB = _shift_sc(ctx, state, rb, pb + 1, dBr, counters)
+        else:
+            endB = t_a_at_b + dur[tai] + spt[ohead[na]][depot]
+            dscB = 0.0
+        if endB > PT + _H_EPS:
+            continue
+        delta = (ddcAr + ddcBr + dscA + dscB
+                 + (sc_b_new - sc_a_old) + (sc_a_new - sc_b_old))
+        if delta < best:
+            best, best_move = delta, mv
     return best, best_move
 
 

@@ -23,6 +23,11 @@ def micro_b():
 
 
 @pytest.fixture(scope="session")
+def micro_oneway():
+    return _load("micro_oneway")
+
+
+@pytest.fixture(scope="session")
 def micro_k05_c():
     return _load("micro3lp_k05_c")
 

@@ -18,6 +18,7 @@ from carptdsc import (
     is_feasible,
     random_classic_instance,
 )
+from carptdsc.evaluation import get_context
 from carptdsc.oracle import classic_evaluate
 
 from util import make_random_instance, random_feasible_solution, sample_moves
@@ -78,12 +79,11 @@ class TestEvaluateRoute:
                 ev = evaluate_route(inst, sp, route)
                 assert list(ev.begin_times) == sorted(ev.begin_times)
 
-    def test_flip_without_inverse_rejected(self, micro_a):
-        inst, sp = micro_a
+    def test_flip_without_inverse_rejected(self, micro_oneway):
+        inst, sp = micro_oneway
         one_way = [a.id for a in inst.arcs
                    if a.required and a.inverse_id is None]
-        if not one_way:
-            pytest.skip("all tasks on this fixture have inverses")
+        assert one_way
         with pytest.raises(InvalidRouteError):
             evaluate_route(inst, sp, Route(((one_way[0], True),)))
 
@@ -96,6 +96,20 @@ class TestEvaluateRoute:
         ev1 = evaluate_route(inst, sp, Route(r.task_seq, 10.0))
         assert ev1.load == ev0.load
         assert ev1.deadhead_cost == ev0.deadhead_cost
+
+
+class TestContextCache:
+    def test_built_once_per_instance_and_shortest_paths(self):
+        inst = make_random_instance(2)
+        sp = all_pairs_shortest_paths(inst)
+        ctx = get_context(inst, sp)
+        assert get_context(inst, sp) is ctx
+        # a different instance on equal shortest paths gets its own context
+        other = make_random_instance(2, capacity=13)
+        assert other != inst and all_pairs_shortest_paths(other) == sp
+        fresh = get_context(other, sp)
+        assert fresh is not ctx and fresh.capacity == 13
+        assert get_context(inst, sp).capacity == inst.capacity
 
 
 class TestClassicReduction:

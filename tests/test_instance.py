@@ -171,6 +171,27 @@ class TestParsing:
             parse_classic_dat(p)
         assert err.value.line_no == 6
 
+    @pytest.mark.parametrize("part, drop", [
+        ("VERTICES", "VERTICES : 3\n"),
+        ("CAPACITY", "CAPACITY : 5\n"),
+        ("edge list", "1 2 3 1\n2 3 4 1\n"),
+    ])
+    def test_classic_missing_part_is_named(self, tmp_path, part, drop):
+        p = tmp_path / "short.dat"
+        p.write_text(CLASSIC_MINIMAL.replace(drop, ""))
+        with pytest.raises(ParseError) as err:
+            parse_classic_dat(p)
+        msg = str(err.value)
+        assert str(p) in msg
+        named = [q for q in ("VERTICES", "CAPACITY", "edge list") if q in msg]
+        assert named == [part]
+
+    def test_classic_every_missing_part_is_named(self, tmp_path):
+        p = tmp_path / "empty.dat"
+        p.write_text("NAME : empty\n")
+        with pytest.raises(ParseError, match="VERTICES, CAPACITY, edge list"):
+            parse_classic_dat(p)
+
     def test_write_parse_round_trip_is_canonical(self, tmp_path):
         inst = make_random_instance(3)
         p1 = tmp_path / "a.dat"
@@ -202,6 +223,14 @@ class TestGeneration:
         a = generate_td_parameters(base, "3LP", 2.0, seed=7)
         b = generate_td_parameters(base, "3LP", 2.0, seed=7)
         assert a == b
+
+    def test_name_carries_slope_and_policy(self):
+        base = random_classic_instance(30, 60, 30, seed=1)
+        names = {generate_td_parameters(base, "3LP", slope, seed=1).name
+                 for slope in (2.0, 0.5)}
+        assert names == {"3lp-k2-rand-v30-e60-s1", "3lp-k0.5-rand-v30-e60-s1"}
+        flat = generate_td_parameters(base, "2LP", 1.0, FLAT_EVERYWHERE, 1)
+        assert flat.name == "2lp-k1-flat-everywhere-rand-v30-e60-s1"
 
     def test_negative_slope_rejected(self):
         base = random_classic_instance(6, 9, 10, seed=4)

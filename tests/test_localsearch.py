@@ -1,6 +1,9 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
 
 import pytest
 
@@ -28,7 +31,8 @@ from carptdsc import (
     merge_split,
     traditional_operator,
 )
-from carptdsc.evaluation import get_context
+from carptdsc.evaluation import EvalContext, get_context
+from carptdsc.localsearch import _gaps
 from carptdsc.oracle import exhaustive_neighborhood
 
 from util import (
@@ -251,6 +255,30 @@ class TestOperators:
                     assert ck.criterion2_evaluations < ct.full_route_evaluations
 
 
+class TestVectorisedGap:
+    """The sweeps' numpy gap against the scalar EvalContext.gap, with ==."""
+
+    @pytest.mark.parametrize("bt, et", [
+        (131.0, 255.0),  # 3LP interval
+        (0.1, 0.7),  # fractional endpoints
+        (40.0, 40.0),  # zero-width interval
+        (0.0, 122.0),  # 2LP: bt = 0
+        (0.0, 0.0),
+    ])
+    def test_equals_scalar_gap(self, bt, et):
+        times = [bt, et, 0.0, (bt + et) / 2, 3 * et + 1.0]
+        for edge in (bt, et):
+            times += [math.nextafter(edge, -math.inf),
+                      math.nextafter(edge, math.inf)]
+        scalar = [EvalContext.gap(SimpleNamespace(bt=[bt], et=[et]), 0, t)
+                  for t in times]
+        t = np.array(times)
+        n = len(times)
+        # the sweeps pass the bounds as arrays; scalar bounds agree too
+        assert _gaps(t, bt, et).tolist() == scalar
+        assert _gaps(t, np.full(n, bt), np.full(n, et)).tolist() == scalar
+
+
 def _reference_sweep(inst, sp, sol, kind, lam):
     """kg_operator's result and counters rebuilt from the public per-move
     functions: the first-enumerated move of lowest delta among those that
@@ -273,7 +301,7 @@ def _reference_sweep(inst, sp, sol, kind, lam):
 def _reference_cases():
     """(name, inst, sp, plan seeds): the micro fixtures and seeded 2LP/3LP
     instances."""
-    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES:
+    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES + ("micro_oneway",):
         yield (name, *_load(name), (0, 1))
     for seed in range(3):
         for itype, slope in (("3LP", 0.5), ("3LP", 2.0), ("2LP", 1.0)):
