@@ -102,7 +102,9 @@ def main(argv=None):
     p.add_argument("instances", nargs="*")
     p.add_argument("--config")
     p.add_argument("--target", type=float,
-                   help="target cost applied to every instance")
+                   help="target cost applied to every instance; compared "
+                        "with the stage-1 cost (every route departing at "
+                        "0), not the final cost")
     _add_common(p)
     p.set_defaults(generations=600)  # here --generations caps each run
 

@@ -120,13 +120,18 @@ class EvalContext:
         # much faster than numpy here, and every cached context keeps them
         self.spc = sp.sp_cost
         self.spt = sp.sp_time
-        # numpy copies for the local search's vectorised gap screen;
+        # numpy copies for the local search's vectorised sweeps;
         # sptT[v] holds the travel times into vertex v
+        self.spc_a = np.array(sp.sp_cost, dtype=float)
         self.sptT = np.array(sp.sp_time, dtype=float).T.copy()
         self.bt_a = np.array(self.bt, dtype=float)
         self.et_a = np.array(self.et, dtype=float)
+        self.minsc_a = np.array(self.minsc, dtype=float)
+        self.slope_a = np.array(self.slope, dtype=float)
+        self.dur_a = np.array(self.dur, dtype=float)
         self.dem_a = np.array(self.demand, dtype=float)
         self.otail_a = np.array(self.otail, dtype=np.intp)
+        self.ohead_a = np.array(self.ohead, dtype=np.intp)
         self.flip_a = np.array(self.flip_ok, dtype=bool)
 
     # -- encoding -----------------------------------------------------------

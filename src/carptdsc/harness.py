@@ -269,7 +269,11 @@ def ablation_departure(cfg: ExperimentConfig) -> list:
 
 
 def runtime_to_target(cfg: ExperimentConfig, max_generations: int = 600):
-    """Wall-clock until each run first reaches its target cost, or DNF."""
+    """Wall-clock until each run first reaches its target cost, or DNF.
+
+    The target is a stage-1 cost: a run reaches it when its best plan,
+    with every route departing at 0, costs at most the target.  The final
+    cost after departure-time optimization is not compared."""
     rows = []
     for path in cfg.instances:
         inst, sp = load_instance(path)

@@ -34,7 +34,7 @@ class InstanceError(ValueError):
     """Structurally invalid instance (unreachable task, bad interval, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceCostFunction:
     """Piecewise-linear service cost in the service beginning time.
 
@@ -74,7 +74,7 @@ def eval_service_cost(fn: ServiceCostFunction, t: float) -> float:
     return fn.min_sc + time_gap(fn, t) * fn.slope_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """One directed arc.  Required arcs additionally carry the service data."""
 
@@ -201,13 +201,17 @@ def all_pairs_shortest_paths(inst: Instance) -> ShortestPathMatrix:
     for a in inst.arcs:
         adj_cost[a.tail].append((a.head, a.travel_cost))
         adj_time[a.tail].append((a.head, a.travel_time))
+    # equal distances share one float object: a float costs 24 bytes
+    # besides its tuple slot, and the tables hold few distinct values (43
+    # in the generated medium and large instances) against 2|V|^2 entries
+    shared = {}
     cost_rows, pred_rows, time_rows = [], [], []
     for s in range(n):
         dist, pred = _dijkstra(n, adj_cost, s)
-        cost_rows.append(tuple(dist))
+        cost_rows.append(tuple([shared.setdefault(d, d) for d in dist]))
         pred_rows.append(tuple(pred))
         tdist, _ = _dijkstra(n, adj_time, s)
-        time_rows.append(tuple(tdist))
+        time_rows.append(tuple([shared.setdefault(d, d) for d in tdist]))
     sp = ShortestPathMatrix(tuple(cost_rows), tuple(time_rows), tuple(pred_rows))
     touched = {inst.depot}
     for t in inst.tasks:

@@ -12,22 +12,26 @@ re-evaluates the involved routes of every enumerated move.
 
 The pruning rule is screened with numpy, once per sweep: one array
 operation covers every (block orientation, position in another route or a
-fresh route) of an insertion sweep, or every (task, later task,
-orientation pair) of the swap sweep.  One screen per sweep rather than per
-block or per task keeps the numpy call overhead below the scalar screen's
-cost on small instances too.  The screen reads the prefix tables that
-``SolState`` builds once per plan (end-of-service time and head vertex
-before every position).  Its arithmetic is that of the scalar rule, term
-for term, so it prunes exactly the same moves.  Survivors get their exact
-delta in enumeration order, so ties still go to the first-enumerated move.
-Intra-route insertions are screened one at a time.  ``c1_gap_sums``,
-``criterion1_failed`` and ``_traditional_sweep`` stay scalar as the tests'
-independent reference.
+fresh route) of an insertion sweep, one every (block orientation, position
+in its own route after the block's removal), and one every (task, later
+task, orientation pair) of the swap sweep.  One screen per sweep rather
+than per block or per task keeps the numpy call overhead below the scalar
+screen's cost on small instances too.  The survivors are then evaluated in
+one batch per sweep: moves between two routes from the shifted suffixes of
+both routes, moves within one route by re-simulating all the candidate
+routes together as one padded matrix.  The screens and batches read the
+tables that ``SolState`` builds once per plan (per position: end-of-service
+time and head vertex before it, next vertex, begin time, route).  Their
+arithmetic is that of the scalar code, operation for operation and in the
+same order, so they prune the same moves and give bit for bit the same
+deltas.  The sweep returns the move of least delta, and ties go to the
+first-enumerated move, as in a one-at-a-time scan.  ``c1_gap_sums``,
+``criterion1_failed``, ``criterion2_successful`` and ``_traditional_sweep``
+stay scalar as the tests' independent reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import Iterator, Optional
@@ -89,55 +93,89 @@ class SearchCounters:
 
 
 class SolState:
-    """Encoded routes with cached begin times, gaps, end times and costs.
+    """Encoded routes with cached begin times, gaps and costs.
 
-    It also holds the insertion slot tables of the knowledge-guided sweeps:
-    one slot for every position of every route (before its first task,
-    between tasks, after its last task), then one fresh-route slot.
-    ``slot_end``/``slot_head`` hold the end-of-service time and head vertex
-    of the prefix before each slot, route r's slots start at
-    ``slot_off[r]`` and the fresh-route slot is ``slot_off[-1]``.  The
-    ``*_a`` arrays are numpy copies, with ``slot_load_a`` the load of each
-    slot's route (0 for the fresh one).
+    It also holds the numpy tables of the knowledge-guided sweeps.  There
+    is one insertion slot for every position of every route (before its
+    first task, between tasks, after its last task), then one fresh-route
+    slot; route r's slots start at ``slot_off[r]`` and the fresh-route slot
+    is ``slot_off[-1]``.  Per slot: ``slot_end_a``/``slot_head_a`` the
+    end-of-service time and head vertex of the prefix before it,
+    ``slot_load_a`` its route's load, ``slot_route_a`` its route (the
+    route count for the fresh slot), ``slot_rest_a`` the number of tasks
+    from it to the route's end, ``slot_next_a`` the tail vertex of the task
+    at it (the depot at a route's end), ``slot_begin_a`` that task's begin
+    time and ``slot_rend_a`` the route's end time (0.0 where undefined).
+    Per task, route after route: ``code_a``, ``route_a``, ``begin_a`` and
+    ``gap_a``; the task at slot s is task ``s - slot_route_a[s]``.  Per
+    route: ``t0_a`` its departure and ``cost_a`` its service plus deadhead
+    cost.
     """
 
-    __slots__ = ("routes", "t0s", "begins", "gaps", "ends", "scs", "dcs",
-                 "slot_off", "slot_end", "slot_head", "slot_end_a",
-                 "slot_head_a", "slot_load_a")
+    __slots__ = ("routes", "t0s", "begins", "gaps", "scs", "dcs",
+                 "slot_off", "slot_end_a", "slot_head_a", "slot_load_a",
+                 "slot_route_a", "slot_rest_a", "slot_next_a", "slot_begin_a",
+                 "slot_rend_a", "code_a", "route_a", "begin_a", "gap_a",
+                 "t0_a", "cost_a")
 
     def __init__(self, ctx: EvalContext, routes, t0s):
         self.routes = routes
         self.t0s = t0s
         self.begins = []
         self.gaps = []
-        self.ends = []
         self.scs = []
         self.dcs = []
-        dur, ohead, depot = ctx.dur, ctx.ohead, ctx.depot
+        dur, otail, ohead, depot = ctx.dur, ctx.otail, ctx.ohead, ctx.depot
         off, s_end, s_head, s_load = [], [], [], []
-        for codes, t0 in zip(routes, t0s):
+        s_route, s_rest, s_next, s_begin, s_rend = [], [], [], [], []
+        for r, (codes, t0) in enumerate(zip(routes, t0s)):
             sc, dc, load, begins, gaps, end = ctx.sim(codes, t0)
             self.begins.append(begins)
             self.gaps.append(gaps)
-            self.ends.append(end)
             self.scs.append(sc)
             self.dcs.append(dc)
+            n = len(codes)
             off.append(len(s_end))
             s_end.append(t0)
             s_end += [b + dur[c >> 1] for c, b in zip(codes, begins)]
             s_head.append(depot)
             s_head += [ohead[c] for c in codes]
-            s_load += [load] * (len(codes) + 1)
+            s_load += [load] * (n + 1)
+            s_route += [r] * (n + 1)
+            s_rest += range(n, -1, -1)
+            s_next += [otail[c] for c in codes]
+            s_next.append(depot)
+            s_begin += begins
+            s_begin.append(0.0)
+            s_rend += [end] * (n + 1)
         off.append(len(s_end))
         s_end.append(0.0)
         s_head.append(depot)
         s_load.append(0.0)
-        self.slot_off = off
-        self.slot_end = s_end
-        self.slot_head = s_head
+        s_route.append(len(routes))
+        s_rest.append(0)
+        s_next.append(depot)
+        s_begin.append(0.0)
+        s_rend.append(0.0)
+        self.slot_off = np.array(off, dtype=np.intp)
         self.slot_end_a = np.array(s_end, dtype=float)
         self.slot_head_a = np.array(s_head, dtype=np.intp)
         self.slot_load_a = np.array(s_load, dtype=float)
+        self.slot_route_a = np.array(s_route, dtype=np.intp)
+        self.slot_rest_a = np.array(s_rest, dtype=np.intp)
+        self.slot_next_a = np.array(s_next, dtype=np.intp)
+        self.slot_begin_a = np.array(s_begin, dtype=float)
+        self.slot_rend_a = np.array(s_rend, dtype=float)
+        self.code_a = np.array([c for codes in routes for c in codes],
+                               dtype=np.intp)
+        self.route_a = np.repeat(np.arange(len(routes)), np.diff(off) - 1)
+        self.begin_a = np.array([b for bs in self.begins for b in bs],
+                                dtype=float)
+        self.gap_a = np.array([g for gs in self.gaps for g in gs],
+                              dtype=float)
+        self.t0_a = np.array(t0s, dtype=float)
+        self.cost_a = np.array(self.scs, dtype=float) \
+            + np.array(self.dcs, dtype=float)
 
     @property
     def cost(self):
@@ -318,31 +356,6 @@ def _prefix_after_removal(ctx, state, r, pa, count, pb):
     return t, ph
 
 
-def _shift_sc(ctx, state, r, start, dt, counters):
-    """Service-cost change when begins[start:] of route r shift by dt."""
-    if dt == 0.0:
-        return 0.0
-    codes = state.routes[r]
-    begins = state.begins[r]
-    gaps = state.gaps[r]
-    bt, et, slope = ctx.bt, ctx.et, ctx.slope
-    s = 0.0
-    for k in range(start, len(codes)):
-        ti = codes[k] >> 1
-        t = begins[k] + dt
-        b = bt[ti]
-        g = b - t if t < b else (t - et[ti] if t > et[ti] else 0.0)
-        s += (g - gaps[k]) * slope[ti]
-    counters.sc_evaluations += len(codes) - start
-    return s
-
-
-def _task_sc(ctx, ti, t):
-    b = ctx.bt[ti]
-    g = b - t if t < b else (t - ctx.et[ti] if t > ctx.et[ti] else 0.0)
-    return ctx.minsc[ti] + g * ctx.slope[ti]
-
-
 def _gaps(t, b, e):
     """EvalContext.gap over numpy arrays: the time gap of begin times ``t``
     to the intervals [b, e].  Bit for bit equal to the scalar gap, because
@@ -351,13 +364,76 @@ def _gaps(t, b, e):
     return np.maximum(b - t, 0.0) + np.maximum(t - e, 0.0)
 
 
-def _route_delta(ctx, state, r, cand_codes, counters):
-    """Cost delta of replacing route r by cand_codes; None if infeasible."""
-    sc, dc, load, _, _, end = ctx.sim(cand_codes, state.t0s[r])
-    counters.sc_evaluations += len(cand_codes)
-    if load > ctx.capacity or end > ctx.horizon + _H_EPS:
+# The batched evaluations below repeat the scalar arithmetic operation for
+# operation, so every float is bit for bit what the per-move code gives.
+# Sums along a route start from the same value and add left to right, as
+# the Python loops do: np.cumsum accumulates sequentially, where np.sum
+# would add in pairs and round differently.
+
+def _row_sums(first, w):
+    """Running sums ``first, first + w[:, 0], ... + w[:, 1], ...`` of every
+    row, added left to right; shape (rows, 1 + columns)."""
+    out = np.empty((w.shape[0], 1 + w.shape[1]))
+    out[:, 0] = first
+    out[:, 1:] = w
+    return np.cumsum(out, axis=1)
+
+
+def _shift_sums(ctx, state, start, rest, dt):
+    """Service-cost changes when the begin times of the ``rest[i]`` tasks
+    from position ``start[i]`` of ``state.code_a`` (one route's suffix)
+    shift by ``dt[i]``, and the number of tasks evaluated.  Each change is
+    the sum, left to right, of (gap after - gap before) * slope over those
+    tasks, added one suffix position at a time over the suffixes that
+    reach it.  A shift of 0.0 evaluates no task, and its change is 0.0."""
+    rest = np.where(dt != 0.0, rest, 0)
+    s = np.zeros(len(dt))
+    for m in range(rest.max(initial=0)):
+        live = np.flatnonzero(rest > m)
+        pos = start[live] + m
+        ti = state.code_a[pos] >> 1
+        g = _gaps(state.begin_a[pos] + dt[live], ctx.bt_a[ti], ctx.et_a[ti])
+        s[live] += (g - state.gap_a[pos]) * ctx.slope_a[ti]
+    return s, int(rest.sum())
+
+
+def _sim_batch(ctx, cand, lens, t0):
+    """EvalContext.sim of every row of the code matrix ``cand``, whose row
+    i holds a route of lens[i] >= 1 codes (padded with any valid code)
+    departing at t0[i]: the arrays (service + deadhead cost, load, end
+    time).  Padding adds 0.0 to every sum, which changes none."""
+    n = len(cand)
+    live = np.arange(cand.shape[1]) < lens[:, None]
+    ti = cand >> 1
+    tail = ctx.otail_a[cand]
+    prev = np.column_stack([np.full(n, ctx.depot),
+                            ctx.ohead_a[cand[:, :-1]]])
+    last = ctx.ohead_a[cand[np.arange(n), lens - 1]]
+    # the clock alternates travel to a task and its service
+    steps = np.empty((n, 2 * cand.shape[1]))
+    steps[:, 0::2] = np.where(live, ctx.sptT[tail, prev], 0.0)
+    steps[:, 1::2] = np.where(live, ctx.dur_a[ti], 0.0)
+    clock = _row_sums(t0, steps)
+    g = _gaps(clock[:, 1::2], ctx.bt_a[ti], ctx.et_a[ti])
+    sc = _row_sums(0.0, np.where(live, ctx.minsc_a[ti] + g * ctx.slope_a[ti],
+                                 0.0))[:, -1]
+    dc = _row_sums(0.0, np.where(live, ctx.spc_a[prev, tail], 0.0))[:, -1]
+    dc = dc + ctx.spc_a[last, ctx.depot]
+    load = _row_sums(0.0, np.where(live, ctx.dem_a[ti], 0.0))[:, -1]
+    end = clock[:, -1] + ctx.sptT[ctx.depot, last]
+    return sc + dc, load, end
+
+
+def _pick(delta, ok, key):
+    """(delta, index) of the move that a strict ``delta < best`` scan from
+    best = -_EPS over the feasible (``ok``) moves in ``key`` order keeps:
+    the least delta, the least key among equals.  None if no move."""
+    ok = ok & (delta < -_EPS)
+    if not ok.any():
         return None
-    return (sc + dc) - (state.scs[r] + state.dcs[r])
+    m = delta[ok].min()
+    at = np.flatnonzero(ok & (delta == m))
+    return float(m), int(at[np.argmin(key[at])])
 
 
 def _full_move_delta(ctx, state, move: Move, counters: Optional[SearchCounters] = None):
@@ -481,190 +557,183 @@ def _ins_sweep(ctx, state, kind, lam, counters):
     """Insertion of every block of k consecutive tasks (k = 1 for SI, 2 for
     DI) at every other position, in enumerate_moves order.
 
-    Criterion 1 screens every (block orientation, slot of another route or
-    the fresh-route slot) at once.  Then, for each block orientation in
-    enumeration order, the survivors of routes before the block's own, the
-    intra-route moves (screened one at a time), and the survivors of later
-    routes and of the fresh route get an exact delta, so the
-    first-enumerated move wins ties."""
+    One row per block orientation.  Criterion 1 screens every (row, slot
+    of another route or the fresh-route slot) at once, and every (row,
+    position in the block's route after its removal) at once.  The
+    survivors get their exact deltas in one batch of each kind: the
+    cross-route ones from the shifted route suffixes, the intra-route ones
+    by re-simulating the route.  A move's enumeration key is (row, slot),
+    with intra-route position pb at slot ``slot_off[ra] + pb`` of the
+    block's own route, whose slots no cross-route move uses: routes before
+    the block's own, then the intra-route moves, then later routes and the
+    fresh route."""
     k = _block_len(kind)
     pair = k == 2
-    spc, spt, sptT = ctx.spc, ctx.spt, ctx.sptT
-    otail, ohead = ctx.otail, ctx.ohead
-    dur, dem = ctx.dur, ctx.demand
-    minsc, slope = ctx.minsc, ctx.slope
-    depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
-    routes = state.routes
-    begins, gaps, ends = state.begins, state.gaps, state.ends
-    off, s_end, s_head = state.slot_off, state.slot_end, state.slot_head
-    gapf = ctx.gap
-    nroutes = len(routes)
-    fresh = off[nroutes]  # the fresh-route slot, the last one
-    # the source side of every block, and one screen row per block
-    # orientation: (block, flips, first and last oriented task, identity)
-    blocks = []
-    b_route, b_thr, b_dem, b_ok = [], [], [], []
-    rows = []
-    hops = []  # per row, for k = 2: time from the first task's begin to the last's
-    whole = []  # per row: the whole route unchanged, so a fresh route is no move
-    for ra in range(nroutes):
-        a = routes[ra]
-        la = len(a)
-        lo = off[ra]
-        bA, gA = begins[ra], gaps[ra]
-        for pa in range(la - k + 1):
-            block = a[pa:pa + k]
-            c1, cl = block[0], block[-1]  # first and last task of the block
-            t1i, tli = c1 >> 1, cl >> 1
-            p_end, ph = s_end[lo + pa], s_head[lo + pa]
-            nv = otail[a[pa + k]] if pa + k < la else depot
-            ddcA = spc[ph][nv] - spc[ph][otail[c1]]
-            sc_old = minsc[t1i] + gA[pa] * slope[t1i]
-            g_before = gA[pa]
-            block_dem = dem[t1i]
-            if pair:
-                ddcA -= spc[ohead[c1]][otail[cl]]
-                sc_old = sc_old + minsc[tli] + gA[pa + 1] * slope[tli]
-                g_before = g_before + gA[pa + 1]
-                block_dem = block_dem + dem[tli]
-            ddcA -= spc[ohead[cl]][nv]
-            if pa + k < la:
-                dA = (p_end + spt[ph][nv]) - bA[pa + k]
-                endA = ends[ra] + dA
-            else:
-                dA = 0.0
-                endA = p_end + spt[ph][depot]
-            src_ok = endA <= PT + _H_EPS
-            dscA = _shift_sc(ctx, state, ra, pa + k, dA, counters) if src_ok else 0.0
-            bi = len(blocks)
-            blocks.append((ra, pa, t1i, tli, ddcA, sc_old, dscA))
-            b_route.append(ra)
-            b_thr.append(lam * g_before)
-            b_dem.append(block_dem)
-            b_ok.append(src_ok)
-            cur = tuple([bool(c & 1) for c in block])
-            for flips in _block_flips(ctx, block):
-                n1, nl = 2 * t1i + flips[0], 2 * tli + flips[-1]
-                rows.append((bi, flips, n1, nl, flips == cur))
-                if pair:
-                    hops.append(dur[t1i] + spt[ohead[n1]][otail[nl]])
-                whole.append(la == k and flips == cur)
-    # criterion 1 on every row and slot; T1 is the block's begin time
-    RB = np.array([r[0] for r in rows], dtype=np.intp)
-    N1 = np.array([r[2] for r in rows], dtype=np.intp)
-    T1 = state.slot_end_a + sptT[ctx.otail_a[N1][:, None], state.slot_head_a]
-    G = _gaps(T1, ctx.bt_a[N1 >> 1][:, None], ctx.et_a[N1 >> 1][:, None])
+    sptT, spc_a = ctx.sptT, ctx.spc_a
+    minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
+    otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
+    Q, PT = ctx.capacity, ctx.horizon
+    off = state.slot_off
+    nroutes = len(state.routes)
+    fresh = int(off[nroutes])  # the fresh-route slot, the last one
+    lens = np.diff(off) - 1  # route lengths
+    CODE, ROUTE, GAP = state.code_a, state.route_a, state.gap_a
+    SLOT = np.arange(len(CODE)) + ROUTE
+    s_end, s_head = state.slot_end_a, state.slot_head_a
+
+    # blocks: the k tasks from every position with k tasks left in its
+    # route, by their first task's index i in code_a
+    i = np.flatnonzero(state.slot_rest_a[SLOT] >= k)
+    b_ra = ROUTE[i]
+    s0 = SLOT[i]
+    b_pa = s0 - off[b_ra]
+    c1, cl = CODE[i], CODE[i + k - 1]  # first and last task of the block
+    t1i, tli = c1 >> 1, cl >> 1
+    p_end, ph = s_end[s0], s_head[s0]
+    after = s0 + k  # the slot after the block
+    nv, rest = state.slot_next_a[after], state.slot_rest_a[after]
+    # the source route without the block
+    ddcA = spc_a[ph, nv] - spc_a[ph, otail_a[c1]]
+    sc_old = minsc_a[t1i] + GAP[i] * slope_a[t1i]
+    g_before = GAP[i]
+    b_dem = ctx.dem_a[t1i]
     if pair:
-        NL = np.array([r[3] for r in rows], dtype=np.intp)
-        G += _gaps(T1 + np.array(hops)[:, None], ctx.bt_a[NL >> 1][:, None],
-                   ctx.et_a[NL >> 1][:, None])
-    prune = G - np.array(b_thr)[RB][:, None] > 0.0
-    # cross-route slots: not the block's own route, nor the fresh route for
-    # a whole route in its own orientation
-    slot_route = np.repeat(np.arange(nroutes + 1),
-                           np.diff(off + [fresh + 1]))
-    cross = slot_route != np.array(b_route, dtype=np.intp)[RB][:, None]
-    cross[:, fresh] = ~np.array(whole, dtype=bool)
+        ddcA = ddcA - spc_a[ohead_a[c1], otail_a[cl]]
+        sc_old = sc_old + minsc_a[tli] + GAP[i + 1] * slope_a[tli]
+        g_before = g_before + GAP[i + 1]
+        b_dem = b_dem + ctx.dem_a[tli]
+    ddcA = ddcA - spc_a[ohead_a[cl], nv]
+    arrive = p_end + sptT[nv, ph]
+    dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
+    src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
+        <= PT + _H_EPS
+    dscA, n_sc = _shift_sums(ctx, state, i + k, np.where(src_ok, rest, 0), dA)
+    counters.sc_evaluations += n_sc
+    # prefix end at the positions after the block in the route without it:
+    # RM[b, j] at position pa + j, each step travel plus service
+    cols = np.arange(rest.max(initial=0))
+    live = cols < rest[:, None]
+    q = np.where(live, (i + k)[:, None] + cols, 0)
+    into = np.where(cols == 0, ph[:, None], s_head[SLOT[q]])
+    step = sptT[otail_a[CODE[q]], into] + ctx.dur_a[CODE[q] >> 1]
+    RM = _row_sums(p_end, np.where(live, step, 0.0))
+
+    # rows: every orientation of every block, the first task's flip outer
+    F = np.arange(2 ** k)
+    bits = [(F >> (k - 1 - t)) & 1 for t in range(k)]  # flip of task t
+    opt = np.ones((len(i), 2 ** k), dtype=bool)
+    for t in range(k):
+        opt &= (bits[t] == 0) | ctx.flip_a[CODE[i + t] >> 1][:, None]
+    B, F = np.nonzero(opt)
+    ident = np.ones(len(B), dtype=bool)
+    for t in range(k):
+        ident &= bits[t][F] == (CODE[i[B] + t] & 1)
+    RA, PA = b_ra[B], b_pa[B]
+    N1 = 2 * t1i[B] + bits[0][F]
+    NL = 2 * tli[B] + bits[-1][F]
+    T1, TL = N1 >> 1, NL >> 1
+    NT, NH = otail_a[N1], ohead_a[NL]
+    THR = (lam * g_before)[B]
+    # for k = 2: time from the first task's begin to the last's
+    HOP = ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]]
+
+    def c1_gaps(T, rows):
+        """Gap sum of the block of ``rows`` when it begins at times T."""
+        G = _gaps(T, bt_a[T1[rows]], et_a[T1[rows]])
+        if pair:
+            G += _gaps(T + HOP[rows], bt_a[TL[rows]], et_a[TL[rows]])
+        return G
+
+    # criterion 1 on every row and cross-route slot; T is the block's begin
+    # time.  Cross-route slots: not the block's own route, nor the fresh
+    # route for a whole route in its own orientation
+    T = s_end + sptT[NT[:, None], s_head]
+    prune = c1_gaps(T, np.arange(len(B))[:, None]) - THR[:, None] > 0.0
+    cross = state.slot_route_a != RA[:, None]
+    cross[:, fresh] = ~((lens[RA] == k) & ident)
     n_cross = int(np.count_nonzero(cross))
     n_pruned = int(np.count_nonzero(prune & cross))
-    counters.moves_enumerated += n_cross
-    counters.pruned_by_criterion1 += n_pruned
-    counters.criterion2_evaluations += n_cross - n_pruned
-    # exact deltas only where the source route stays within the horizon and
-    # the destination route takes the block's demand
-    fits = (state.slot_load_a + np.array(b_dem)[RB][:, None] <= Q) \
-        & np.array(b_ok, dtype=bool)[RB][:, None]
-    surv_r, surv_s = np.nonzero(cross & ~prune & fits)
-    surv_r, surv_s = surv_r.tolist(), surv_s.tolist()
-    best = -_EPS
-    best_move = None
-    q = 0
-    kept_of = -1  # block whose route ra without the block is in kept
-    for r, (bi, flips, n1, nl, identity) in enumerate(rows):
-        ra, pa, t1i, tli, ddcA, sc_old, dscA = blocks[bi]
-        thr = b_thr[bi]
-        src = _ins_src(ra, pa, k)
-        lo = off[ra]
-        nt, nh, dl = otail[n1], ohead[nl], dur[tli]
-        if pair:
-            hop = hops[r]
-            link = spc[ohead[n1]][otail[nl]]
-            new_codes = [n1, nl]
-        else:
-            new_codes = [n1]
-        e = bisect_right(surv_r, r, q)
-        surv = surv_s[q:e]
-        q = e
-        cut = bisect_left(surv, lo)
-        for seg in (surv[:cut], None, surv[cut:]):
-            if seg is None:
-                # intra-route reinsertion: full route re-simulation
-                if kept_of != bi:
-                    # prefix end and head at each position of kept
-                    kept_of = bi
-                    a = routes[ra]
-                    kept = a[:pa] + a[pa + k:]
-                    rm_end = s_end[lo:lo + pa + 1]
-                    rm_head = s_head[lo:lo + pa + 1]
-                    t, h = rm_end[-1], rm_head[-1]
-                    for ck in kept[pa:]:
-                        t += spt[h][otail[ck]] + dur[ck >> 1]
-                        h = ohead[ck]
-                        rm_end.append(t)
-                        rm_head.append(h)
-                for pb in range(len(kept) + 1):
-                    if pb == pa and identity:
-                        continue
-                    counters.moves_enumerated += 1
-                    tn1 = rm_end[pb] + spt[rm_head[pb]][nt]
-                    g_after = gapf(t1i, tn1)
-                    if pair:
-                        g_after += gapf(tli, tn1 + hop)
-                    if g_after - thr > 0.0:
-                        counters.pruned_by_criterion1 += 1
-                        continue
-                    counters.criterion2_evaluations += 1
-                    cand = kept[:pb] + new_codes + kept[pb:]
-                    delta = _route_delta(ctx, state, ra, cand, counters)
-                    if delta is not None and delta < best:
-                        best = delta
-                        best_move = Move(kind, src, (ra, pb), flips)
-                continue
-            for sl in seg:
-                rb = bisect_right(off, sl) - 1
-                new_route = rb == nroutes
-                pph = s_head[sl]
-                tn1 = s_end[sl] + spt[pph][nt]  # begin of the block
-                if new_route:
-                    nxv = depot
-                else:
-                    b = routes[rb]
-                    pb = sl - off[rb]
-                    nxv = otail[b[pb]] if pb < len(b) else depot
-                if pair:
-                    tnl = tn1 + hop  # begin of its last task
-                    ddcB = spc[pph][nt] + link + spc[nh][nxv] - spc[pph][nxv]
-                    sc_new = _task_sc(ctx, t1i, tn1) + _task_sc(ctx, tli, tnl)
-                else:
-                    tnl = tn1
-                    ddcB = spc[pph][nt] + spc[nh][nxv] - spc[pph][nxv]
-                    sc_new = _task_sc(ctx, t1i, tn1)
-                counters.sc_evaluations += k
-                if new_route or pb == len(b):
-                    dscB = 0.0
-                    endB = tnl + dl + spt[nh][depot]
-                else:
-                    dB = (tnl + dl + spt[nh][nxv]) - begins[rb][pb]
-                    dscB = _shift_sc(ctx, state, rb, pb, dB, counters)
-                    endB = ends[rb] + dB
-                if endB > PT + _H_EPS:
-                    continue
-                delta = ddcA + ddcB + dscA + dscB + (sc_new - sc_old)
-                if delta < best:
-                    best = delta
-                    mvdst = (NEW_ROUTE, 0) if new_route else (rb, pb)
-                    best_move = Move(kind, src, mvdst, flips)
-    return best, best_move
+    # ... and on every row and position of its route without the block,
+    # the identity skipped
+    npos = lens[RA] - k + 1
+    IR = np.repeat(np.arange(len(B)), npos)
+    PB = np.arange(len(IR)) - np.repeat(np.cumsum(npos) - npos, npos)
+    moved = ~((PB == PA[IR]) & ident[IR])
+    IR, PB = IR[moved], PB[moved]
+    j = PB - PA[IR]
+    at = off[RA[IR]] + PB
+    T = (np.where(j <= 0, s_end[at], RM[B[IR], np.maximum(j, 0)])
+         + sptT[NT[IR], np.where(j <= 0, s_head[at], s_head[at + k])])
+    prune_in = c1_gaps(T, IR) - THR[IR] > 0.0
+    n_in = len(IR)
+    n_pruned_in = int(np.count_nonzero(prune_in))
+    counters.moves_enumerated += n_cross + n_in
+    counters.pruned_by_criterion1 += n_pruned + n_pruned_in
+    counters.criterion2_evaluations += n_cross - n_pruned + n_in - n_pruned_in
+
+    # exact deltas of the cross-route survivors where the source route stays
+    # within the horizon and the destination route takes the block's demand
+    fits = (state.slot_load_a + b_dem[B][:, None] <= Q) & src_ok[B][:, None]
+    R, S = np.nonzero(cross & ~prune & fits)
+    BR = B[R]
+    pph, nxv = s_head[S], state.slot_next_a[S]
+    nt, nh, t1 = NT[R], NH[R], T1[R]
+    tn1 = s_end[S] + sptT[nt, pph]  # begin of the block
+    sc_new = minsc_a[t1] + _gaps(tn1, bt_a[t1], et_a[t1]) * slope_a[t1]
+    ddcB = spc_a[pph, nt]
+    if pair:
+        tnl = tn1 + HOP[R]  # begin of its last task
+        tl = TL[R]
+        sc_new = sc_new + (minsc_a[tl] + _gaps(tnl, bt_a[tl], et_a[tl])
+                           * slope_a[tl])
+        ddcB = ddcB + spc_a[ohead_a[N1[R]], otail_a[NL[R]]]
+    else:
+        tnl = tn1
+    ddcB = ddcB + spc_a[nh, nxv] - spc_a[pph, nxv]
+    arrive = tnl + ctx.dur_a[TL[R]] + sptT[nxv, nh]
+    rest = state.slot_rest_a[S]
+    dB = arrive - state.slot_begin_a[S]
+    endB = np.where(rest > 0, state.slot_rend_a[S] + dB, arrive)
+    dscB, n_sc = _shift_sums(ctx, state, S - state.slot_route_a[S], rest, dB)
+    counters.sc_evaluations += k * len(S) + n_sc
+    d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
+    ok_cross = ~(endB > PT + _H_EPS)
+
+    # exact deltas of the intra-route survivors: the route re-simulated with
+    # the block at position PB of the route without it
+    IR, PB = IR[~prune_in], PB[~prune_in]
+    ra, la, pb = RA[IR], lens[RA[IR]], PB[:, None]
+    cols = np.arange(la.max(initial=1))
+    m = np.where(cols < pb, cols, cols - k)  # position without the block
+    m = np.where(m < PA[IR][:, None], m, m + k)  # position in the route
+    kept = (cols < la[:, None]) & ((cols < pb) | (cols >= pb + k))
+    first = off[ra] - ra  # index of the route's first task in code_a
+    cand = CODE[np.where(kept, first[:, None] + m, 0)]
+    cand = np.where(cols == pb, N1[IR][:, None], cand)
+    if pair:
+        cand = np.where(cols == pb + 1, NL[IR][:, None], cand)
+    cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[ra])
+    counters.sc_evaluations += int(la.sum())
+    d_in = cost - state.cost_a[ra]
+    ok_in = ~((load > Q) | (end > PT + _H_EPS))
+
+    got = _pick(np.concatenate([d_cross, d_in]),
+                np.concatenate([ok_cross, ok_in]),
+                np.concatenate([R * (fresh + 1) + S,
+                                IR * (fresh + 1) + off[ra] + PB]))
+    if got is None:
+        return -_EPS, None
+    best, x = got
+    if x < len(R):
+        r, sl = R[x], S[x]
+        rb = int(state.slot_route_a[sl])
+        dst = (NEW_ROUTE, 0) if rb == nroutes else (rb, int(sl - off[rb]))
+    else:
+        x -= len(R)
+        r = IR[x]
+        dst = (int(ra[x]), int(PB[x]))
+    flips = tuple(bool(bits[t][F[r]]) for t in range(k))
+    return best, Move(kind, _ins_src(int(RA[r]), int(PA[r]), k), dst, flips)
 
 
 def _sw_sweep(ctx, state, lam, counters):
@@ -672,35 +741,31 @@ def _sw_sweep(ctx, state, lam, counters):
 
     Criterion 1 screens every (spot i, later spot j, orientation of i's
     task, orientation of j's task) at once, in C order, which is the
-    enumeration order; the survivors get an exact delta in that order."""
-    spc, spt, sptT = ctx.spc, ctx.spt, ctx.sptT
-    otail, ohead = ctx.otail, ctx.ohead
-    dur = ctx.dur
-    minsc, slope = ctx.minsc, ctx.slope
-    depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
-    routes = state.routes
-    begins, gaps, ends = state.begins, state.gaps, state.ends
-    off, s_end, s_head = state.slot_off, state.slot_end, state.slot_head
-    best = -_EPS
-    best_move = None
-    spots = [(r, p) for r, codes in enumerate(routes)
-             for p in range(len(codes))]
-    n = len(spots)
-    slots = [off[r] + p for r, p in spots]
-    nxt = [otail[routes[r][p + 1]] if p + 1 < len(routes[r]) else depot
-           for r, p in spots]
-    # per spot: prefix end and head, the tail of each orientation of its
-    # task, which orientations exist, interval, demand, gap, route, load
-    PE = state.slot_end_a[slots]
-    PH = state.slot_head_a[slots]
-    TI = np.array([c >> 1 for codes in routes for c in codes], dtype=np.intp)
-    OT = ctx.otail_a[2 * TI[:, None] + np.arange(2)]
+    enumeration order.  The survivors get their exact deltas in one batch
+    of each kind: the swaps between two routes from the shifted route
+    suffixes, those within one route by re-simulating it."""
+    sptT, spc_a = ctx.sptT, ctx.spc_a
+    minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
+    otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
+    Q, PT = ctx.capacity, ctx.horizon
+    off = state.slot_off
+    lens = np.diff(off) - 1  # route lengths
+    n = len(state.code_a)
+    # per spot (a task position, in code_a order): route, slot, prefix end
+    # and head, the tail of each orientation of its task, which
+    # orientations exist, interval, demand, gap, route load
+    ROUTE = state.route_a
+    SLOT = np.arange(n) + ROUTE
+    PE = state.slot_end_a[SLOT]
+    PH = state.slot_head_a[SLOT]
+    CODE = state.code_a
+    TI = CODE >> 1
+    OT = otail_a[2 * TI[:, None] + np.arange(2)]
     OK = np.ones((n, 2), dtype=bool)
     OK[:, 1] = ctx.flip_a[TI]
-    BT, ET, DEM = ctx.bt_a[TI], ctx.et_a[TI], ctx.dem_a[TI]
-    GAP = np.array([g for gs in gaps for g in gs], dtype=float)
-    ROUTE = np.repeat(np.arange(len(routes)), [len(c) for c in routes])
-    LOAD = state.slot_load_a[slots]
+    BT, ET, DEM = bt_a[TI], et_a[TI], ctx.dem_a[TI]
+    GAP = state.gap_a
+    LOAD = state.slot_load_a[SLOT]
     # task a of spot i begins at TA[i, j, fa] at spot j, task b of spot j
     # at TB[i, j, fb] at spot i
     TA = PE[None, :, None] + sptT[OT[:, None, :], PH[None, :, None]]
@@ -722,73 +787,76 @@ def _sw_sweep(ctx, state, lam, counters):
     cap = ((rest[:, None] + DEM[None, :] <= Q)
            & (rest[None, :] + DEM[:, None] <= Q))
     cap |= ROUTE[:, None] == ROUTE[None, :]
-    surv = np.flatnonzero(valid & ~prune & cap[:, :, None, None]).tolist()
-    i_cur = -1
-    for f in surv:
-        ij, fab = divmod(f, 4)
-        i, j = divmod(ij, n)
-        fa, fb = divmod(fab, 2)
-        if i != i_cur:
-            i_cur = i
-            ra, pa = spots[i]
-            a = routes[ra]
-            ca = a[pa]
-            tai = ca >> 1
-            pa_end, pah = s_end[slots[i]], s_head[slots[i]]
-            nva = nxt[i]
-            sc_a_old = minsc[tai] + gaps[ra][pa] * slope[tai]
-            rm_a = spc[pah][otail[ca]] + spc[ohead[ca]][nva]
-        rb, pb = spots[j]
-        b = routes[rb]
-        cb = b[pb]
-        tbi = cb >> 1
-        na = 2 * tai + fa  # src task, placed at position j
-        nb = 2 * tbi + fb  # dst task, placed at position i
-        mv = Move(SWAP, (ra, pa), (rb, pb), (bool(fa), bool(fb)))
-        if rb == ra:
-            cand = list(a)
-            cand[pa] = nb
-            cand[pb] = na
-            delta = _route_delta(ctx, state, ra, cand, counters)
-            if delta is not None and delta < best:
-                best, best_move = delta, mv
-            continue
-        pb_end, pbh = s_end[slots[j]], s_head[slots[j]]
-        nvb = nxt[j]
-        t_b_at_a = pa_end + spt[pah][otail[nb]]
-        t_a_at_b = pb_end + spt[pbh][otail[na]]
-        # route a: task b replaces position pa
-        ddcAr = spc[pah][otail[nb]] + spc[ohead[nb]][nva] - rm_a
-        sc_b_new = _task_sc(ctx, tbi, t_b_at_a)
-        if pa + 1 < len(a):
-            dAr = (t_b_at_a + dur[tbi] + spt[ohead[nb]][nva]) - begins[ra][pa + 1]
-            endA = ends[ra] + dAr
-            dscA = _shift_sc(ctx, state, ra, pa + 1, dAr, counters)
-        else:
-            endA = t_b_at_a + dur[tbi] + spt[ohead[nb]][depot]
-            dscA = 0.0
-        if endA > PT + _H_EPS:
-            continue
-        # route b: task a replaces position pb
-        sc_b_old = minsc[tbi] + gaps[rb][pb] * slope[tbi]
-        rm_b = spc[pbh][otail[cb]] + spc[ohead[cb]][nvb]
-        ddcBr = spc[pbh][otail[na]] + spc[ohead[na]][nvb] - rm_b
-        sc_a_new = _task_sc(ctx, tai, t_a_at_b)
-        counters.sc_evaluations += 2
-        if pb + 1 < len(b):
-            dBr = (t_a_at_b + dur[tai] + spt[ohead[na]][nvb]) - begins[rb][pb + 1]
-            endB = ends[rb] + dBr
-            dscB = _shift_sc(ctx, state, rb, pb + 1, dBr, counters)
-        else:
-            endB = t_a_at_b + dur[tai] + spt[ohead[na]][depot]
-            dscB = 0.0
-        if endB > PT + _H_EPS:
-            continue
-        delta = (ddcAr + ddcBr + dscA + dscB
-                 + (sc_b_new - sc_a_old) + (sc_a_new - sc_b_old))
-        if delta < best:
-            best, best_move = delta, mv
-    return best, best_move
+    surv = np.flatnonzero(valid & ~prune & cap[:, :, None, None])
+    ij, fab = np.divmod(surv, 4)
+    I, J = np.divmod(ij, n)
+    FA, FB = np.divmod(fab, 2)
+    NA = 2 * TI[I] + FA  # task of spot i, placed at spot j
+    NB = 2 * TI[J] + FB  # task of spot j, placed at spot i
+    same = ROUTE[I] == ROUTE[J]
+    delta = np.empty(len(surv))
+    ok = np.empty(len(surv), dtype=bool)
+
+    # within one route: re-simulate it with the two tasks exchanged
+    s = np.flatnonzero(same)
+    r = ROUTE[I[s]]
+    la = lens[r]
+    cols = np.arange(la.max(initial=1))
+    pos = (off[r] - r)[:, None] + cols
+    cand = CODE[np.where(cols < la[:, None], pos, 0)]
+    cand = np.where(pos == I[s][:, None], NB[s][:, None], cand)
+    cand = np.where(pos == J[s][:, None], NA[s][:, None], cand)
+    cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[r])
+    counters.sc_evaluations += int(la.sum())
+    delta[s] = cost - state.cost_a[r]
+    ok[s] = ~((load > Q) | (end > PT + _H_EPS))
+
+    # on two routes: per spot, the vertex after it, the tasks after it, the
+    # next task's begin, the route's end, the spot's task's service cost
+    # and the deadhead cost into and out of it
+    NXT = state.slot_next_a[SLOT + 1]
+    REST = state.slot_rest_a[SLOT + 1]
+    NBEG = state.slot_begin_a[SLOT + 1]
+    REND = state.slot_rend_a[SLOT]
+    SC = minsc_a[TI] + GAP * slope_a[TI]
+    LINKS = spc_a[PH, otail_a[CODE]] + spc_a[ohead_a[CODE], NXT]
+    x = np.flatnonzero(~same)
+    i, j, na, nb = I[x], J[x], NA[x], NB[x]
+    tai, tbi = TI[i], TI[j]
+    t_b_at_a = PE[i] + sptT[otail_a[nb], PH[i]]
+    t_a_at_b = PE[j] + sptT[otail_a[na], PH[j]]
+    # route of spot i: task b replaces its task
+    ddcA = spc_a[PH[i], otail_a[nb]] + spc_a[ohead_a[nb], NXT[i]] - LINKS[i]
+    sc_b_new = minsc_a[tbi] + _gaps(t_b_at_a, bt_a[tbi], et_a[tbi]) \
+        * slope_a[tbi]
+    arrive = t_b_at_a + dur_a[tbi] + sptT[NXT[i], ohead_a[nb]]
+    dA = arrive - NBEG[i]
+    endA = np.where(REST[i] > 0, REND[i] + dA, arrive)
+    dscA, n_a = _shift_sums(ctx, state, i + 1, REST[i], dA)
+    okA = ~(endA > PT + _H_EPS)
+    # route of spot j, evaluated where route i stays within the horizon:
+    # task a replaces its task
+    ddcB = spc_a[PH[j], otail_a[na]] + spc_a[ohead_a[na], NXT[j]] - LINKS[j]
+    sc_a_new = minsc_a[tai] + _gaps(t_a_at_b, bt_a[tai], et_a[tai]) \
+        * slope_a[tai]
+    arrive = t_a_at_b + dur_a[tai] + sptT[NXT[j], ohead_a[na]]
+    dB = arrive - NBEG[j]
+    endB = np.where(REST[j] > 0, REND[j] + dB, arrive)
+    dscB, n_b = _shift_sums(ctx, state, j + 1, np.where(okA, REST[j], 0), dB)
+    counters.sc_evaluations += n_a + 2 * int(np.count_nonzero(okA)) + n_b
+    delta[x] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
+                + (sc_a_new - SC[j]))
+    ok[x] = okA & ~(endB > PT + _H_EPS)
+
+    got = _pick(delta, ok, np.arange(len(surv)))
+    if got is None:
+        return -_EPS, None
+    best, f = got
+    i, j = int(I[f]), int(J[f])
+    ra, rb = int(ROUTE[i]), int(ROUTE[j])
+    return best, Move(SWAP, (ra, int(SLOT[i] - off[ra])),
+                      (rb, int(SLOT[j] - off[rb])),
+                      (bool(FA[f]), bool(FB[f])))
 
 
 # ---------------------------------------------------------------------------

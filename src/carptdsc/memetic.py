@@ -49,6 +49,11 @@ class MemeticParams:
 
 @dataclass
 class StopRule:
+    """When ``kgma_run`` stops: after ``generations``, after
+    ``wallclock_seconds``, or once the best plan's stage-1 cost (every
+    route departing at 0) is at most ``target_cost``.  The target is not
+    compared with the final cost after departure-time optimization."""
+
     generations: Optional[int] = None
     wallclock_seconds: Optional[float] = None
     target_cost: Optional[float] = None
@@ -202,7 +207,9 @@ def kgma_run(inst, sp, params: MemeticParams,
 
     The trace holds one dict per generation (including generation 0 for
     the initial population) with best/mean cost, feasible count, and the
-    local-search work counters accumulated during that generation.
+    local-search work counters accumulated during that generation.  The
+    generation-0 row also carries ``init_duplicates``: how many initial
+    individuals repeat an earlier one after the initializer's retries.
     """
     if rng is None:
         rng = random.Random(params.seed)
@@ -212,7 +219,7 @@ def kgma_run(inst, sp, params: MemeticParams,
     t_start = time.perf_counter()
 
     init_cfg = InitConfig(psize=params.psize, mode=params.init_mode)
-    sols, _ = kgis_population(inst, sp, init_cfg, rng)
+    sols, duplicates = kgis_population(inst, sp, init_cfg, rng)
     pop = [Individual(s, evaluate_solution(inst, sp, s)) for s in sols]
     best = _best_feasible(pop)
     trace = []
@@ -230,6 +237,7 @@ def kgma_run(inst, sp, params: MemeticParams,
         trace.append(row)
 
     record(0, SearchCounters())
+    trace[0]["init_duplicates"] = duplicates
 
     gen = 0
     max_gen = stop.generations if stop.generations is not None else 10 ** 9

@@ -32,7 +32,7 @@ from carptdsc import (
     traditional_operator,
 )
 from carptdsc.evaluation import EvalContext, get_context
-from carptdsc.localsearch import _gaps
+from carptdsc.localsearch import SolState, _gaps, _kg_sweep, _row_sums
 from carptdsc.oracle import exhaustive_neighborhood
 
 from util import (
@@ -279,6 +279,23 @@ class TestVectorisedGap:
         assert _gaps(t, np.full(n, bt), np.full(n, et)).tolist() == scalar
 
 
+class TestRowSums:
+    def test_added_left_to_right_as_a_loop(self):
+        # mixed magnitudes: any other order of additions rounds differently
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((200, 40)) * 10.0 ** rng.integers(-8, 8,
+                                                                   (200, 40))
+        first = rng.standard_normal(200)
+        sums = _row_sums(first, w)
+        for r in range(200):
+            s = float(first[r])
+            expect = [s]
+            for x in w[r].tolist():
+                s += x
+                expect.append(s)
+            assert sums[r].tolist() == expect
+
+
 def _reference_sweep(inst, sp, sol, kind, lam):
     """kg_operator's result and counters rebuilt from the public per-move
     functions: the first-enumerated move of lowest delta among those that
@@ -311,6 +328,26 @@ def _reference_cases():
                    all_pairs_shortest_paths(inst), (seed,))
 
 
+def _tight_cases():
+    """Each reference case with its horizon cut to the end of the latest
+    route of its plan (or of the latest service interval), so that moves
+    lengthening a route break the horizon.  The plan is unchanged:
+    random_feasible_solution only builds route prefixes that end by then."""
+    for name, inst, sp, plan_seeds in _reference_cases():
+        ctx = get_context(inst, sp)
+        for plan_seed in plan_seeds:
+            sol = random_feasible_solution(inst, sp, random.Random(plan_seed))
+            ends = [ctx.sim(ctx.encode_route(r), 0.0)[5] for r in sol.routes]
+            tight = replace(inst, planning_horizon=max(max(ctx.et), max(ends)))
+            yield (f"{name}-tight-p{plan_seed}", tight,
+                   all_pairs_shortest_paths(tight), (plan_seed,))
+
+
+def _all_cases():
+    yield from _reference_cases()
+    yield from _tight_cases()
+
+
 class TestMoveLevelReference:
     """Pins the returned move and every work counter of each kg sweep."""
 
@@ -331,6 +368,84 @@ class TestMoveLevelReference:
                     # per-move reference
                     assert counters == replace(
                         expect, sc_evaluations=counters.sc_evaluations), where
+
+
+class TestTightHorizonReference:
+    """TestMoveLevelReference on the tight-horizon cases."""
+
+    @pytest.mark.parametrize("kind",
+                             [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+    def test_kg_operator_matches_per_move_reference(self, kind):
+        for name, inst, sp, (plan_seed,) in _tight_cases():
+            sol = random_feasible_solution(inst, sp, random.Random(plan_seed))
+            for lam in (1.0, 0.5):
+                counters = SearchCounters()
+                out = kg_operator(inst, sp, sol, kind, lam, counters)
+                ref, expect = _reference_sweep(inst, sp, sol, kind, lam)
+                where = (name, lam)
+                assert out == ref, where
+                assert counters == replace(
+                    expect, sc_evaluations=counters.sc_evaluations), where
+
+
+# sc_evaluations summed over every kg sweep of both reference tests, as the
+# one-move-at-a-time sweeps counted them
+SC_EVALUATIONS = {SINGLE_INSERTION: 6728, DOUBLE_INSERTION: 5566, SWAP: 7630}
+
+
+@pytest.mark.parametrize("kind", [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+def test_sc_evaluations_pinned(kind):
+    total = 0
+    for name, inst, sp, plan_seeds in _all_cases():
+        for plan_seed in plan_seeds:
+            sol = random_feasible_solution(inst, sp, random.Random(plan_seed))
+            for lam in (1.0, 0.5):
+                counters = SearchCounters()
+                kg_operator(inst, sp, sol, kind, lam, counters)
+                total += counters.sc_evaluations
+    assert total == SC_EVALUATIONS[kind]
+
+
+def _integral_data(ctx):
+    """Integral times, costs, bounds and demands, and slopes in halves:
+    every delta is then exact in floating point, whatever the order of its
+    additions."""
+    values = ([x for row in ctx.spc for x in row]
+              + [x for row in ctx.spt for x in row]
+              + ctx.dur + ctx.bt + ctx.et + ctx.minsc + ctx.demand
+              + [2 * s for s in ctx.slope])
+    return all(float(v).is_integer() for v in values)
+
+
+class TestSweepDelta:
+    """The delta each kg sweep returns is its move's true delta, so a batch
+    that ranks moves right with wrong deltas fails here."""
+
+    @pytest.mark.parametrize("kind",
+                             [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+    def test_returned_delta_equals_criterion2_delta(self, kind):
+        checked = 0
+        for name, inst, sp, plan_seeds in _all_cases():
+            ctx = get_context(inst, sp)
+            exact = _integral_data(ctx)
+            for plan_seed in plan_seeds:
+                sol = random_feasible_solution(inst, sp,
+                                               random.Random(plan_seed))
+                state = SolState.from_solution(ctx, sol)
+                for lam in (1.0, 0.5):
+                    delta, move = _kg_sweep(ctx, state, kind, lam,
+                                            SearchCounters())
+                    if move is None:
+                        continue
+                    ok, ref = criterion2_successful(inst, sp, sol, move)
+                    where = (name, plan_seed, lam, move)
+                    assert ok, where
+                    if exact:
+                        assert delta == ref, where
+                    else:
+                        assert delta == pytest.approx(ref, rel=1e-9), where
+                    checked += 1
+        assert checked >= 20
 
 
 class TestKgslss:

@@ -4,13 +4,18 @@ import pytest
 
 from carptdsc import (
     Individual,
+    InitConfig,
     MemeticParams,
     StopRule,
+    all_pairs_shortest_paths,
     check_coverage,
     evaluate_solution,
     exact_solve,
+    generate_td_parameters,
     is_feasible,
+    kgis_population,
     kgma_run,
+    random_classic_instance,
     sbx_crossover,
     stage2,
     stochastic_rank,
@@ -100,6 +105,18 @@ class TestKgmaRun:
         assert len(trace) == 1
         assert trace[0]["generation"] == 0
         assert evaluate_solution(inst, sp, sol).tc == trace[0]["best_tc"]
+
+    def test_generation_zero_reports_init_duplicates(self):
+        base = random_classic_instance(20, 40, 20, seed=1000)
+        inst = generate_td_parameters(base, "3LP", 2.0, seed=1000)
+        sp = all_pairs_shortest_paths(inst)
+        _, trace = kgma_run(inst, sp, MemeticParams(seed=5),
+                            random.Random(5), StopRule(generations=1))
+        _, expect = kgis_population(inst, sp, InitConfig(psize=10),
+                                    random.Random(5))
+        assert expect > 0
+        assert trace[0]["init_duplicates"] == expect
+        assert all("init_duplicates" not in row for row in trace[1:])
 
     def test_best_tc_monotone_nonincreasing(self, micro_b):
         inst, sp = micro_b
