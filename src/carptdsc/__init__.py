@@ -63,6 +63,7 @@ from .memetic import (
     Individual,
     MemeticParams,
     StopRule,
+    evaluate_plan,
     kgma_run,
     sbx_crossover,
     stochastic_rank,

@@ -59,6 +59,40 @@ def _cfg_from_args(args, instances):
         base_seed=args.seed, out_dir=args.out, fmt=args.format)
 
 
+# base graph sizes of the seeded experiment suite
+SUITE_SIZES = {
+    "small": dict(n_vertices=8, n_edges=13, capacity=15),
+    "medium": dict(n_vertices=20, n_edges=40, capacity=20),
+    "large": dict(n_vertices=40, n_edges=100, capacity=30),
+}
+
+
+def write_suite(out, seeds=3):
+    """Write the seeded suite into directory ``out``; returns the count.
+
+    The published time-dependent parameters are not available, so each
+    instance is derived from a seeded random classic base graph of each
+    size, with both function shapes and two slope magnitudes, one per seed
+    0..seeds-1, named ``<size>_<type>_k<slope>_s<seed>.dat``.  The same
+    seeds give the same files byte for byte.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for size, kw in SUITE_SIZES.items():
+        for itype in ("2LP", "3LP"):
+            for slope in (0.5, 2.0):
+                for seed in range(seeds):
+                    base = random_classic_instance(seed=seed, **kw)
+                    inst = generate_td_parameters(base, itype, slope,
+                                                  seed=seed)
+                    stem = (f"{size}_{itype.lower()}_k"
+                            f"{str(slope).replace('.', '')}_s{seed}")
+                    write_instance(inst, out / f"{stem}.dat")
+                    count += 1
+    return count
+
+
 def _policy(name):
     if name == "flat-everywhere":
         return FLAT_EVERYWHERE
@@ -108,7 +142,14 @@ def main(argv=None):
     _add_common(p)
     p.set_defaults(generations=600)  # here --generations caps each run
 
-    p = sub.add_parser("gen", help="generate a random instance")
+    p = sub.add_parser("gen", help="generate a random instance, or with "
+                       "--suite the seeded experiment suite")
+    p.add_argument("--suite", action="store_true",
+                   help="write the seeded suite into the directory --out: "
+                        "small/medium/large bases x 2LP/3LP x slope 0.5/2.0 "
+                        "x --seeds seeds")
+    p.add_argument("--seeds", type=int, default=3,
+                   help="with --suite: instances per size/type/slope cell")
     p.add_argument("--vertices", type=int, default=12)
     p.add_argument("--edges", type=int, default=22)
     p.add_argument("--capacity", type=float, default=5)
@@ -203,6 +244,11 @@ def main(argv=None):
         _write_csv(out / "time_to_target.csv", rows)
         for row in rows:
             print(row)
+        return 0
+
+    if args.command == "gen" and args.suite:
+        count = write_suite(args.out, args.seeds)
+        print(f"wrote {count} instances to {args.out}")
         return 0
 
     if args.command == "gen":

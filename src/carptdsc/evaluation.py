@@ -88,6 +88,7 @@ class EvalContext:
         self.depot = inst.depot
         self.capacity = inst.capacity
         self.horizon = inst.planning_horizon
+        self.global_slope_abs = inst.global_slope_abs
         self.n_tasks = len(inst.tasks)
 
         self.task_arc = list(inst.tasks)  # dense index -> arc id

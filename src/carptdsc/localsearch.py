@@ -187,9 +187,6 @@ class SolState:
         t0s = [r.departure_time for r in sol.routes]
         return cls(ctx, routes, t0s)
 
-    def to_solution(self, ctx: EvalContext) -> Solution:
-        return ctx.decode_routes(self.routes, self.t0s)
-
 
 # ---------------------------------------------------------------------------
 # Move application
@@ -889,20 +886,27 @@ def traditional_operator(inst, sp, sol: Solution, kind: str,
     return _operator(inst, sp, sol, kind, 0.0, counters, _traditional_sweep)
 
 
-def _kgslss_state(ctx, state, lam, counters, sweep=_kg_sweep):
-    """One small-step sweep of all three kinds; returns (state, changed)."""
+def _best_move(ctx, state, lam, counters, sweep):
+    """The best move of one sweep of each kind (SI, then DI, then SW on
+    ties), or None."""
     best_delta, best_move = None, None
     for kind in MOVE_KINDS:
         delta, move = sweep(ctx, state, kind, lam, counters)
         if move is not None and (best_delta is None or delta < best_delta):
             best_delta, best_move = delta, move
-    if best_move is None:
-        return state, False
-    new_codes = moved_route_codes(ctx, state.routes, best_move)
-    t0s = list(state.t0s) + [0.0]
-    kept = [(c, t0s[k]) for k, c in enumerate(new_codes) if c]
-    new_state = SolState(ctx, [c for c, _ in kept], [t for _, t in kept])
-    return new_state, True
+    return best_move
+
+
+def _kgslss_state(ctx, plan, lam, counters, sweep=_kg_sweep):
+    """One small-step sweep of all three kinds on an encoded stage-1 plan
+    (every route departing at 0); returns (plan, changed).  The moved plan
+    is returned as codes, without the tables of a ``SolState``."""
+    move = _best_move(ctx, SolState(ctx, plan, [0.0] * len(plan)), lam,
+                      counters, sweep)
+    if move is None:
+        return plan, False
+    return tuple(tuple(c) for c in moved_route_codes(ctx, plan, move)
+                 if c), True
 
 
 def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
@@ -910,10 +914,10 @@ def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
     """Apply all three knowledge-guided operators to ``sol`` and keep the
     best of the three outcomes (SI, then DI, then SW on ties)."""
     ctx = get_context(inst, sp)
-    state = SolState.from_solution(ctx, sol)
     if counters is None:
         counters = SearchCounters()
-    new_state, changed = _kgslss_state(ctx, state, lam, counters)
-    if not changed:
+    move = _best_move(ctx, SolState.from_solution(ctx, sol), lam, counters,
+                      _kg_sweep)
+    if move is None:
         return sol
-    return new_state.to_solution(ctx)
+    return apply_move(inst, sp, sol, move)

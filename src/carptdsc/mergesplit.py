@@ -5,7 +5,8 @@ path scanning under the five classic tie-breaking rules (evaluated on
 travel cost only), then re-partitions the resulting giant tour optimally
 with a shortest-path split dynamic program evaluated at departure time 0.
 The best of the five re-plans replaces the chosen routes, guarded so the
-result is never worse than the input.
+result is never worse than the input.  Plans come and go encoded, as
+tuples of routes of oriented task codes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .evaluation import Solution, get_context
 
 # tie-breaking rules for path scanning
 _RULES = (1, 2, 3, 4, 5)
@@ -86,9 +86,16 @@ def split_giant_tour(ctx, order):
 
     Shortest-path dynamic program over break points; each segment is
     simulated at departure time 0 and must satisfy capacity and horizon.
-    Returns (routes as lists of codes, total cost) or (None, inf) when no
-    feasible partition exists.
+    The segments from one break point extend one task at a time, carrying
+    ``sim``'s running state, so each segment's cost and end time are bit
+    for bit those of ``sim`` on it.  Returns (routes as lists of codes,
+    total cost) or (None, inf) when no feasible partition exists.
     """
+    spc, spt = ctx.spc, ctx.spt
+    otail, ohead = ctx.otail, ctx.ohead
+    minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
+    depot = ctx.depot
+    limit = ctx.horizon + 1e-12
     m = len(order)
     INF = float("inf")
     best = [INF] * (m + 1)
@@ -98,14 +105,28 @@ def split_giant_tour(ctx, order):
         if best[i] == INF:
             continue
         load = 0.0
+        t = 0.0
+        prev = depot
+        sc = 0.0
+        dc = 0.0
         for j in range(i + 1, m + 1):
-            load += ctx.demand[order[j - 1] >> 1]
+            c = order[j - 1]
+            ti = c >> 1
+            load += ctx.demand[ti]
             if load > ctx.capacity:
                 break
-            sc, dc, _, _, _, end = ctx.sim(order[i:j], 0.0)
-            if end > ctx.horizon + 1e-12:
+            tail = otail[c]
+            dc += spc[prev][tail]
+            t += spt[prev][tail]
+            b = bt[ti]
+            e = et[ti]
+            g = b - t if t < b else (t - e if t > e else 0.0)
+            sc += minsc[ti] + g * slope[ti]
+            t += dur[ti]
+            prev = ohead[c]
+            if t + spt[prev][depot] > limit:
                 break
-            c = best[i] + sc + dc
+            c = best[i] + sc + (dc + spc[prev][depot])
             if c < best[j]:
                 best[j] = c
                 back[j] = i
@@ -121,24 +142,21 @@ def split_giant_tour(ctx, order):
     return [order[i:j] for i, j in cuts], best[m]
 
 
-def merge_split(inst, sp, sol: Solution, p: int = 2,
-                rng: Optional[random.Random] = None) -> Solution:
-    """Re-plan the tasks of ``p`` random routes; keep the better plan."""
+def merge_split(ctx, plan, p: int = 2,
+                rng: Optional[random.Random] = None):
+    """Re-plan the tasks of ``p`` random routes of an encoded stage-1 plan
+    (every route departing at 0); returns the better plan, encoded."""
     if rng is None:
         rng = random.Random()
-    if p > len(sol.routes) or p < 1:
-        return sol
-    ctx = get_context(inst, sp)
-    routes = [ctx.encode_route(r) for r in sol.routes]
-    t0s = [r.departure_time for r in sol.routes]
-    chosen = sorted(rng.sample(range(len(routes)), p))
-    chosen_set = set(chosen)
-    pool = [c >> 1 for ri in chosen for c in routes[ri]]
+    if p > len(plan) or p < 1:
+        return plan
+    chosen = sorted(rng.sample(range(len(plan)), p))
+    pool = [c >> 1 for ri in chosen for c in plan[ri]]
     if not pool:
-        return sol
+        return plan
     old_cost = 0.0
     for ri in chosen:
-        sc, dc, *_ = ctx.sim(routes[ri], t0s[ri])
+        sc, dc, *_ = ctx.sim(plan[ri], 0.0)
         old_cost += sc + dc
     best_routes = None
     best_cost = old_cost
@@ -149,9 +167,6 @@ def merge_split(inst, sp, sol: Solution, p: int = 2,
             best_cost = cost
             best_routes = segs
     if best_routes is None:
-        return sol
-    new_routes = [routes[ri] for ri in range(len(routes))
-                  if ri not in chosen_set] + best_routes
-    new_t0s = [t0s[ri] for ri in range(len(routes))
-               if ri not in chosen_set] + [0.0] * len(best_routes)
-    return ctx.decode_routes(new_routes, new_t0s)
+        return plan
+    return tuple(route for ri, route in enumerate(plan)
+                 if ri not in chosen) + tuple(map(tuple, best_routes))

@@ -36,6 +36,11 @@ class OracleBudget:
     grid_steps: int = 10 ** 5
 
 
+# route sequences exact_solve enumerates at most (see _sequence_count): at
+# 10-12 us each on 2 vCPUs about 1 s; the test suite needs at most 6,330
+MAX_SEQUENCES = 100_000
+
+
 class OracleRefusal(RuntimeError):
     """Instance too large for exhaustive enumeration."""
 
@@ -141,17 +146,41 @@ def route_optimum(inst: Instance, sp, task_seq):
     return best_c, best_t
 
 
+def _sequence_count(inst: Instance):
+    """Number of (ordering, orientation) route sequences over the task sets
+    within capacity: the routes ``exact_solve`` enumerates."""
+    arcs = [inst.arcs[aid] for aid in inst.tasks]
+    count = 0
+    for mask in range(1, 1 << len(arcs)):
+        members = [a for i, a in enumerate(arcs) if mask >> i & 1]
+        if sum(a.demand for a in members) > inst.capacity:
+            continue
+        k = math.factorial(len(members))
+        for a in members:
+            if a.inverse_id is not None:
+                k *= 2
+        count += k
+    return count
+
+
 def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
     """Global optimum by brute force.
 
     Returns (tc, Solution with optimized departure times, grid_error_bound).
     Enumerates every partition of the task set into routes, every route
     ordering and orientation, and optimizes each route's departure time.
+    Refuses with OracleRefusal when the task count exceeds ``budget`` or
+    the number of route sequences exceeds ``MAX_SEQUENCES``.
     """
     n = len(inst.tasks)
     if n > budget.max_tasks:
         raise OracleRefusal(
             f"{n} tasks exceed the enumeration budget of {budget.max_tasks}")
+    count = _sequence_count(inst)
+    if count > MAX_SEQUENCES:
+        raise OracleRefusal(
+            f"{count} route sequences exceed the enumeration budget of "
+            f"{MAX_SEQUENCES}")
     if sp is None:
         sp = floyd_warshall(inst)
     arcs = [inst.arcs[aid] for aid in inst.tasks]

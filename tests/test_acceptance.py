@@ -53,6 +53,7 @@ from carptdsc import (
     traditional_operator,
     u_statistic,
 )
+from carptdsc.evaluation import get_context
 from carptdsc.initialization import kgis_population
 from carptdsc.localsearch import c1_gap_sums
 from carptdsc.oracle import OracleBudget, classic_optimum, grid_scan
@@ -60,6 +61,7 @@ from carptdsc.stats import BETTER, WORSE
 
 from util import (
     DATA,
+    decode_plan,
     make_random_instance,
     random_feasible_solution,
     sample_moves,
@@ -227,10 +229,11 @@ class TestInitializationAblation:
         sp = all_pairs_shortest_paths(inst)
 
         def best_of_population(mode, seed):
-            sols, _ = kgis_population(inst, sp,
-                                      InitConfig(psize=10, mode=mode),
-                                      random.Random(seed))
-            return min(evaluate_solution(inst, sp, s).tc for s in sols)
+            ctx = get_context(inst, sp)
+            plans, _ = kgis_population(ctx, InitConfig(psize=10, mode=mode),
+                                       random.Random(seed))
+            return min(evaluate_solution(inst, sp, decode_plan(ctx, p)).tc
+                       for p in plans)
 
         guided = [best_of_population(KGIS, s) for s in range(100)]
         plain = [best_of_population(BASELINE, s) for s in range(100)]

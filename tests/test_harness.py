@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -229,6 +230,22 @@ osnum = 8
         assert rc == 0
         inst = parse_instance(out)
         assert inst.tasks
+
+    def test_gen_suite_files_pinned(self, tmp_path, capsys):
+        # digest of the one-seed suite as the retired
+        # scripts/make_instances.py wrote it: names and bytes
+        rc = cli_main(["gen", "--suite", "--seeds", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert "wrote 12 instances" in capsys.readouterr().out
+        files = sorted(tmp_path.glob("*.dat"))
+        digest = hashlib.sha256()
+        for f in files:
+            digest.update(f.name.encode())
+            digest.update(f.read_bytes())
+        assert digest.hexdigest()[:16] == "f93b6038d7323376"
+        assert "large_3lp_k20_s0.dat" in [f.name for f in files]
+        assert parse_instance(tmp_path / "small_2lp_k05_s0.dat").tasks
 
     def test_convert_classic(self, tmp_path):
         out = tmp_path / "c.dat"

@@ -9,6 +9,9 @@ import pytest
 
 from carptdsc import (
     BASELINE,
+    ClassicEdge,
+    ClassicInstance,
+    FLAT_EVERYWHERE,
     InitConfig,
     InstanceError,
     KGIS,
@@ -16,14 +19,16 @@ from carptdsc import (
     baseline_individual,
     check_coverage,
     evaluate_solution,
+    generate_td_parameters,
     is_feasible,
     kgis_individual,
     kgis_population,
     parse_instance,
+    random_classic_instance,
 )
 from carptdsc.evaluation import get_context
 
-from util import make_random_instance
+from util import decode_plan, make_random_instance
 
 ONE_TASK = """\
 NAME one
@@ -183,22 +188,24 @@ class TestIndividuals:
 class TestPopulation:
     def test_psize_one(self, micro_a):
         inst, sp = micro_a
-        pop, warns = kgis_population(inst, sp, InitConfig(psize=1),
-                                     random.Random(0))
+        pop, warns = kgis_population(get_context(inst, sp),
+                                     InitConfig(psize=1), random.Random(0))
         assert len(pop) == 1 and warns == 0
 
     def test_ten_distinct_plans(self, gdb1_flat):
         inst, sp = gdb1_flat
-        pop, warns = kgis_population(inst, sp, InitConfig(psize=10),
+        ctx = get_context(inst, sp)
+        pop, warns = kgis_population(ctx, InitConfig(psize=10),
                                      random.Random(3))
-        keys = {tuple(r.task_seq for r in s.routes) for s in pop}
+        keys = {tuple(r.task_seq for r in decode_plan(ctx, p).routes)
+                for p in pop}
         assert len(keys) == 10
         assert warns == 0
 
     def test_one_task_instance_duplicates_warned(self, one_task):
         inst, sp = one_task
-        pop, warns = kgis_population(inst, sp, InitConfig(psize=10),
-                                     random.Random(0))
+        pop, warns = kgis_population(get_context(inst, sp),
+                                     InitConfig(psize=10), random.Random(0))
         assert len(pop) == 10
         assert warns == 9
 
@@ -218,3 +225,123 @@ class TestKnowledgeDirection:
                     evaluate_solution(inst, sp, base).tc + 1e-9:
                 wins += 1
         assert wins >= 50
+
+
+def _scratch_build(inst, sp, slope_abs, use_gap, rng):
+    """One greedy plan built from scratch off the raw arcs: every step
+    rescans every unserved task.  Routes hold (arc id, flipped) pairs;
+    ties go to ``rng.choice`` over the sorted codes 2 * task index +
+    flipped, as the builder under test does."""
+    tasks = list(inst.tasks)
+    depot, Q, PT = inst.depot, inst.capacity, inst.planning_horizon
+    unserved = set(range(len(tasks)))
+    routes, route = [], []
+    t_end, v, cap = 0.0, depot, Q
+    while unserved:
+        best, ties = None, []
+        for i in unserved:
+            arc = inst.arcs[tasks[i]]
+            if arc.demand > cap:
+                continue
+            for flipped in ((0, 1) if arc.inverse_id is not None else (0,)):
+                tail, head = (arc.head, arc.tail) if flipped \
+                    else (arc.tail, arc.head)
+                begin = t_end + sp.sp_time[v][tail]
+                if begin + arc.service_time + sp.sp_time[head][depot] \
+                        > PT + 1e-12:
+                    continue
+                score = sp.sp_cost[v][tail]
+                if use_gap:
+                    fn = arc.cost_fn
+                    gap = fn.bt - begin if begin < fn.bt \
+                        else (begin - fn.et if begin > fn.et else 0.0)
+                    score += gap * slope_abs
+                if best is None or score < best:
+                    best, ties = score, [2 * i + flipped]
+                elif score == best:
+                    ties.append(2 * i + flipped)
+        if best is None:
+            assert route, "a fresh vehicle fits no task"
+            routes.append(tuple(route))
+            route, t_end, v, cap = [], 0.0, depot, Q
+            continue
+        pick = ties[0] if len(ties) == 1 else rng.choice(sorted(ties))
+        i, flipped = pick >> 1, pick & 1
+        arc = inst.arcs[tasks[i]]
+        tail, head = (arc.head, arc.tail) if flipped else (arc.tail, arc.head)
+        t_end += sp.sp_time[v][tail] + arc.service_time
+        v = head
+        cap -= arc.demand
+        route.append((tasks[i], bool(flipped)))
+        unserved.discard(i)
+    if route:
+        routes.append(tuple(route))
+    return tuple(routes)
+
+
+def _scratch_population(inst, sp, cfg, rng):
+    """kgis_population's retry rule over from-scratch builds: (plans,
+    duplicate count, number of builds)."""
+    gap = cfg.mode == KGIS
+    slope = inst.global_slope_abs if gap else 0.0
+    pop, seen, warnings, builds = [], set(), 0, 0
+    for _ in range(cfg.psize):
+        plan = _scratch_build(inst, sp, slope, gap, rng)
+        builds += 1
+        tries = 0
+        while plan in seen and tries < cfg.max_retries:
+            plan = _scratch_build(inst, sp, slope, gap, rng)
+            builds += 1
+            tries += 1
+        if plan in seen:
+            warnings += 1
+        seen.add(plan)
+        pop.append(plan)
+    return pop, warnings, builds
+
+
+def _population_bases():
+    """A large 3LP base, whose builds share long prefixes and repeat whole
+    plans; a medium 2LP base, whose steps tie often; and two tasks whose
+    first step ties the two orientations of task 2-3 (both ends one unit
+    from the depot), so that builds revisit that step and go on from
+    either end of the task."""
+    large = random_classic_instance(40, 100, 30, seed=0)
+    medium = random_classic_instance(20, 40, 20, seed=4)
+    square = ClassicInstance("orientation-tie", 5, 1, 10.0, tuple(
+        ClassicEdge(u, v, 1.0, demand) for u, v, demand in (
+            (1, 2, 0.0), (1, 3, 0.0), (2, 3, 1.0), (2, 4, 0.0),
+            (3, 5, 0.0), (4, 5, 1.0))))
+    for name, inst in (
+            ("large-3lp", generate_td_parameters(large, "3LP", 2.0, seed=0)),
+            ("medium-2lp", generate_td_parameters(medium, "2LP", 1.0,
+                                                  seed=4)),
+            ("orientation-tie", generate_td_parameters(
+                square, "3LP", 1.0, FLAT_EVERYWHERE, seed=0))):
+        yield name, inst, all_pairs_shortest_paths(inst)
+
+
+class TestPopulationReference:
+    """kgis_population against from-scratch builds under the same retry
+    rule: the same plans, duplicate count and random state afterwards."""
+
+    @pytest.mark.parametrize("mode", [KGIS, BASELINE])
+    def test_equals_scratch_builds(self, mode):
+        retried = 0
+        for name, inst, sp in _population_bases():
+            ctx = get_context(inst, sp)
+            cfg = InitConfig(psize=10, mode=mode)
+            for seed in (0, 1):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                plans, dups = kgis_population(ctx, cfg, rng)
+                expect, ref_dups, builds = _scratch_population(
+                    inst, sp, cfg, ref_rng)
+                where = (name, mode, seed)
+                assert [tuple(r.task_seq for r in decode_plan(ctx, p).routes)
+                        for p in plans] == expect, where
+                assert dups == ref_dups, where
+                assert rng.getstate() == ref_rng.getstate(), where
+                retried += builds - cfg.psize
+        # the large 3LP base repeats whole plans, so later builds walk
+        # known prefixes to their end
+        assert retried > 0 or mode == BASELINE

@@ -38,6 +38,8 @@ from carptdsc.oracle import exhaustive_neighborhood
 from util import (
     MICRO3LP_NAMES,
     _load,
+    decode_plan,
+    encode_plan,
     make_random_instance,
     random_feasible_solution,
     sample_moves,
@@ -480,17 +482,20 @@ class TestKgslss:
 class TestMergeSplit:
     def test_p_larger_than_route_count_is_noop(self, micro_a):
         inst, sp = micro_a
-        sol = random_feasible_solution(inst, sp, random.Random(1))
-        out = merge_split(inst, sp, sol, len(sol.routes) + 1,
-                          random.Random(0))
-        assert out == sol
+        ctx = get_context(inst, sp)
+        plan = encode_plan(
+            ctx, random_feasible_solution(inst, sp, random.Random(1)))
+        out = merge_split(ctx, plan, len(plan) + 1, random.Random(0))
+        assert out == plan
 
     def test_never_worse(self, micro_b):
         inst, sp = micro_b
+        ctx = get_context(inst, sp)
         for seed in range(6):
             rng = random.Random(seed)
             sol = random_feasible_solution(inst, sp, rng)
-            out = merge_split(inst, sp, sol, min(2, len(sol.routes)), rng)
+            out = decode_plan(ctx, merge_split(
+                ctx, encode_plan(ctx, sol), min(2, len(sol.routes)), rng))
             assert evaluate_solution(inst, sp, out).tc <= \
                 evaluate_solution(inst, sp, sol).tc + 1e-9
             assert is_feasible(inst, sp, out)[0]
@@ -499,8 +504,10 @@ class TestMergeSplit:
         inst, sp = micro_a
         rng = random.Random(11)
         # deliberately fragmented plan: one task per route
+        ctx = get_context(inst, sp)
         sol = Solution(tuple(Route(((t, False),)) for t in inst.tasks))
-        out = merge_split(inst, sp, sol, len(sol.routes), rng)
+        out = decode_plan(ctx, merge_split(
+            ctx, encode_plan(ctx, sol), len(sol.routes), rng))
         greedy = kgis_individual(inst, sp, inst.global_slope_abs,
                                  random.Random(7))
         assert evaluate_solution(inst, sp, out).tc <= \

@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from carptdsc import (
-    Individual,
     InitConfig,
     MemeticParams,
+    Route,
     StopRule,
     all_pairs_shortest_paths,
     check_coverage,
+    evaluate_plan,
     evaluate_solution,
     exact_solve,
     generate_td_parameters,
@@ -20,50 +22,69 @@ from carptdsc import (
     stage2,
     stochastic_rank,
 )
-from carptdsc.oracle import OracleBudget
+from carptdsc.evaluation import get_context
+from carptdsc.memetic import _cheapest_spot, _repair
+from carptdsc.oracle import OracleBudget, simulate_route
 
-from util import random_feasible_solution
+from util import (
+    MICRO3LP_NAMES,
+    _load,
+    decode_plan,
+    encode_plan,
+    make_random_instance,
+    random_feasible_solution,
+)
+
+
+def _random_plan(inst, sp, rng):
+    ctx = get_context(inst, sp)
+    return encode_plan(ctx, random_feasible_solution(inst, sp, rng))
 
 
 class TestCrossover:
     def test_child_covers_every_task_once(self, micro_b):
         inst, sp = micro_b
+        ctx = get_context(inst, sp)
         rng = random.Random(0)
         for _ in range(50):
-            p1 = random_feasible_solution(inst, sp, rng)
-            p2 = random_feasible_solution(inst, sp, rng)
-            child = sbx_crossover(p1, p2, inst, sp, rng)
-            check_coverage(inst, child)
+            p1 = _random_plan(inst, sp, rng)
+            p2 = _random_plan(inst, sp, rng)
+            child = sbx_crossover(ctx, p1, p2, rng)
+            check_coverage(inst, decode_plan(ctx, child))
 
     def test_child_routes_nonempty_departures_zero(self, gdb1_flat):
         inst, sp = gdb1_flat
+        ctx = get_context(inst, sp)
         rng = random.Random(1)
         for _ in range(20):
-            p1 = random_feasible_solution(inst, sp, rng)
-            p2 = random_feasible_solution(inst, sp, rng)
-            child = sbx_crossover(p1, p2, inst, sp, rng)
-            assert all(r.task_seq for r in child.routes)
-            assert all(r.departure_time == 0.0 for r in child.routes)
+            p1 = _random_plan(inst, sp, rng)
+            p2 = _random_plan(inst, sp, rng)
+            child = sbx_crossover(ctx, p1, p2, rng)
+            assert all(child)
+            assert all(type(r) is tuple for r in child)
 
     def test_deterministic_under_seed(self, micro_b):
         inst, sp = micro_b
-        p1 = random_feasible_solution(inst, sp, random.Random(3))
-        p2 = random_feasible_solution(inst, sp, random.Random(4))
-        a = sbx_crossover(p1, p2, inst, sp, random.Random(9))
-        b = sbx_crossover(p1, p2, inst, sp, random.Random(9))
+        ctx = get_context(inst, sp)
+        p1 = _random_plan(inst, sp, random.Random(3))
+        p2 = _random_plan(inst, sp, random.Random(4))
+        a = sbx_crossover(ctx, p1, p2, random.Random(9))
+        b = sbx_crossover(ctx, p1, p2, random.Random(9))
         assert a == b
 
     def test_parents_untouched(self, micro_b):
         inst, sp = micro_b
-        p1 = random_feasible_solution(inst, sp, random.Random(5))
-        p2 = random_feasible_solution(inst, sp, random.Random(6))
-        r1, r2 = p1.routes, p2.routes
-        sbx_crossover(p1, p2, inst, sp, random.Random(0))
-        assert p1.routes == r1 and p2.routes == r2
+        ctx = get_context(inst, sp)
+        p1 = _random_plan(inst, sp, random.Random(5))
+        p2 = _random_plan(inst, sp, random.Random(6))
+        r1, r2 = list(p1), list(p2)
+        sbx_crossover(ctx, p1, p2, random.Random(0))
+        assert list(p1) == r1 and list(p2) == r2
 
 
 def _ind(inst, sp, sol):
-    return Individual(sol, evaluate_solution(inst, sp, sol))
+    ctx = get_context(inst, sp)
+    return evaluate_plan(ctx, encode_plan(ctx, sol))
 
 
 class TestStochasticRank:
@@ -77,7 +98,7 @@ class TestStochasticRank:
         _, _, pop = self._population(micro_b)
         for pf in (0.0, 0.5, 1.0):
             ranked = stochastic_rank(pop, pf, random.Random(1))
-            tcs = [ind.eval.tc for ind in ranked]
+            tcs = [ind.tc for ind in ranked]
             assert tcs == sorted(tcs)
 
     def test_rank_is_permutation(self, micro_b):
@@ -89,10 +110,10 @@ class TestStochasticRank:
         inst, sp, pop = self._population(micro_b, n=5)
         # overload one plan far past capacity by merging all routes
         from carptdsc import Route, Solution
-        merged = Route(tuple(p for r in pop[0].solution.routes
-                             for p in r.task_seq))
+        merged = Route(tuple(p for r in decode_plan(
+            get_context(inst, sp), pop[0].plan).routes for p in r.task_seq))
         bad = _ind(inst, sp, Solution((merged,)))
-        assert bad.eval.violation > 0
+        assert bad.violation > 0
         ranked = stochastic_rank(pop + [bad], 0.0, random.Random(3))
         assert ranked[-1] is bad
 
@@ -112,8 +133,8 @@ class TestKgmaRun:
         sp = all_pairs_shortest_paths(inst)
         _, trace = kgma_run(inst, sp, MemeticParams(seed=5),
                             random.Random(5), StopRule(generations=1))
-        _, expect = kgis_population(inst, sp, InitConfig(psize=10),
-                                    random.Random(5))
+        _, expect = kgis_population(get_context(inst, sp),
+                                    InitConfig(psize=10), random.Random(5))
         assert expect > 0
         assert trace[0]["init_duplicates"] == expect
         assert all("init_duplicates" not in row for row in trace[1:])
@@ -133,6 +154,12 @@ class TestKgmaRun:
         _, trace = kgma_run(inst, sp, MemeticParams(seed=0),
                             stop=StopRule(generations=50, target_cost=1e9))
         assert len(trace) == 1
+
+    @pytest.mark.parametrize("kwargs", [{}, {"target_cost": 100.0}])
+    def test_stop_rule_without_a_bound_rejected(self, kwargs):
+        with pytest.raises(ValueError,
+                           match="generations or wallclock_seconds"):
+            StopRule(**kwargs)
 
     def test_wallclock_stop(self, micro_b):
         inst, sp = micro_b
@@ -179,3 +206,98 @@ class TestKgmaRun:
             if final.total <= exact_tc + err + 1e-9:
                 hits += 1
         assert hits >= 2
+
+
+def _repair_cases():
+    """(name, inst, sp): the micro fixtures, seeded 2LP/3LP instances, and
+    a tight-horizon copy of each, whose horizon is the latest route end of
+    a random plan, so that many insertions overrun it."""
+    cases = [(n, *_load(n)) for n in
+             ("micro_a", "micro_b", "micro_oneway") + MICRO3LP_NAMES]
+    for seed in range(3):
+        for itype, slope in (("3LP", 0.5), ("3LP", 2.0), ("2LP", 1.0)):
+            inst = make_random_instance(seed, itype, slope, n_vertices=7,
+                                        n_edges=11)
+            cases.append((f"{itype}-k{slope}-s{seed}", inst,
+                          all_pairs_shortest_paths(inst)))
+    for name, inst, sp in list(cases):
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        end = max(simulate_route(inst, sp, r.task_seq, 0.0)[1]
+                  for r in sol.routes)
+        tight = replace(inst, planning_horizon=end)
+        cases.append((f"{name}-tight", tight, all_pairs_shortest_paths(tight)))
+    return cases
+
+
+def _simulated_spot(inst, sp, routes, aid):
+    """(delta, route, position, flipped) of the cheapest insertion of task
+    ``aid`` into ``routes`` ((arc id, flipped) tuples), each candidate
+    re-simulated in full with oracle.simulate_route; the first enumerated
+    among equals."""
+    arc = inst.arcs[aid]
+    best = None
+    for r, seq in enumerate(routes):
+        if sum(inst.arcs[a].demand for a, _ in seq) + arc.demand \
+                > inst.capacity:
+            continue
+        base = simulate_route(inst, sp, seq, 0.0)[0]
+        for pos in range(len(seq) + 1):
+            for flipped in ((False, True) if arc.inverse_id is not None
+                            else (False,)):
+                cand = seq[:pos] + ((aid, flipped),) + seq[pos:]
+                cost, end, _ = simulate_route(inst, sp, cand, 0.0)
+                if end > inst.planning_horizon + 1e-12:
+                    continue
+                if best is None or cost - base < best[0]:
+                    best = (cost - base, r, pos, flipped)
+    return best
+
+
+class TestRepairReference:
+    """Crossover repair against full re-simulation of every candidate
+    route.  The cases' times and costs are integral, so deltas compare
+    with ==."""
+
+    def test_spots_match_full_simulation(self):
+        checked = 0
+        fresh = 0
+        for name, inst, sp in _repair_cases():
+            ctx = get_context(inst, sp)
+            for plan_seed in range(4):
+                rng = random.Random(plan_seed)
+                sol = random_feasible_solution(inst, sp, rng)
+                lost = rng.sample(list(inst.tasks),
+                                  min(3, len(inst.tasks) - 1))
+                ref = [tuple(p for p in r.task_seq if p[0] not in lost)
+                       for r in sol.routes]
+                ref = [r for r in ref if r]
+                routes = [list(ctx.encode_route(Route(r))) for r in ref]
+                loads = [sum(ctx.demand[c >> 1] for c in r) for r in routes]
+                states = [None] * len(routes)
+                for aid in lost:
+                    ti = ctx.arc_task[aid]
+                    got = _cheapest_spot(ctx, routes, loads, states, ti)
+                    expect = _simulated_spot(inst, sp, ref, aid)
+                    where = (name, plan_seed, aid)
+                    if expect is None:
+                        assert got is None, where
+                        ref.append(((aid, False),))
+                        fresh += 1
+                    else:
+                        delta, r, pos, flipped = expect
+                        assert got == (delta, r, pos, 2 * ti + flipped), where
+                        ref[r] = ref[r][:pos] + ((aid, flipped),) + ref[r][pos:]
+                    checked += 1
+                    # the repair's own bookkeeping carries on from here
+                    routes = [list(ctx.encode_route(Route(r))) for r in ref]
+                    loads = [sum(ctx.demand[c >> 1] for c in r)
+                             for r in routes]
+                    states = [None] * len(routes)
+                # the whole repair, with its incremental bookkeeping
+                start = [tuple(p for p in r.task_seq if p[0] not in lost)
+                         for r in sol.routes]
+                start = [list(ctx.encode_route(Route(r))) for r in start if r]
+                _repair(ctx, start, [ctx.arc_task[a] for a in lost])
+                assert [tuple(r.task_seq) for r in
+                        decode_plan(ctx, start).routes] == ref, name
+        assert checked >= 300 and fresh > 0

@@ -1,5 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,8 @@ from carptdsc.oracle import (
 )
 
 from util import make_random_instance, random_feasible_solution, sample_moves
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ONE_TASK_3LP = """\
 NAME single
@@ -80,6 +88,44 @@ class TestExactSolve:
         inst, sp = gdb1_flat
         with pytest.raises(OracleRefusal):
             exact_solve(inst, sp, OracleBudget(max_tasks=7))
+
+    def test_sequence_budget_refuses_within_time_bound(self):
+        # 7 tasks, every task set within capacity: 1,063,622 route
+        # sequences, 8-15 s of enumeration on 2 vCPUs.  Run in a child
+        # process with a timeout, so that a missing bound fails the test
+        # instead of stalling the suite.
+        child = textwrap.dedent("""\
+            from carptdsc import FLAT_EVERYWHERE, generate_td_parameters
+            from carptdsc.instance import random_classic_instance
+            from carptdsc.oracle import OracleRefusal, exact_solve
+            base = random_classic_instance(5, 7, 60, seed=0)
+            inst = generate_td_parameters(base, "2LP", 1.0, FLAT_EVERYWHERE,
+                                          seed=0)
+            try:
+                exact_solve(inst)
+            except OracleRefusal as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", child],
+                             capture_output=True, text=True, timeout=20,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert "1063622 route sequences exceed" in out.stdout
+
+    def test_sequence_budget_counts_orderings_and_orientations(self):
+        base = random_classic_instance(5, 7, 60, seed=0)
+        inst = generate_td_parameters(base, "2LP", 1.0, FLAT_EVERYWHERE,
+                                      seed=0)
+        # every task can be flipped: sum over k of C(7, k) k! 2^k
+        assert sum(math.comb(7, k) * math.factorial(k) * 2 ** k
+                   for k in range(1, 8)) == 1063622
+        with pytest.raises(OracleRefusal, match="1063622"):
+            exact_solve(inst)
+        small = replace(inst, capacity=10)
+        tc, _, _ = exact_solve(small, budget=OracleBudget())
+        assert math.isfinite(tc)
 
     def test_reported_plan_matches_reported_cost(self, micro3lp):
         inst, sp = micro3lp

@@ -32,6 +32,16 @@ def make_random_instance(seed, itype="3LP", slope=1.0, n_vertices=6,
     return generate_td_parameters(base, itype, slope, seed=seed)
 
 
+def encode_plan(ctx, sol):
+    """A Solution as an encoded stage-1 plan: a tuple of code tuples."""
+    return tuple(tuple(ctx.encode_route(r)) for r in sol.routes)
+
+
+def decode_plan(ctx, plan):
+    """An encoded plan as a Solution, every route departing at 0."""
+    return ctx.decode_routes(plan, [0.0] * len(plan))
+
+
 def random_feasible_solution(inst, sp, rng: random.Random) -> Solution:
     """Random-order greedy packing; always capacity- and horizon-feasible."""
     ctx = get_context(inst, sp)
