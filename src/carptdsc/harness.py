@@ -20,6 +20,7 @@ from typing import Optional
 
 from .departure import paper_stage2, stage2
 from .evaluation import evaluate_solution
+from .initialization import InitConfig
 from .instance import Instance, all_pairs_shortest_paths, parse_instance
 from .localsearch import SearchCounters
 from .memetic import MemeticParams, StopRule, kgma_run
@@ -58,6 +59,22 @@ class ExperimentConfig:
             raise ConfigError("repetitions", "repetitions must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("fmt", "format must be csv or json")
+        # the solver's own rules, one key at a time, so that an error names
+        # its key
+        for key, check in (
+                ("psize", lambda v: (MemeticParams(psize=v),
+                                     InitConfig(psize=v))),
+                ("pls", lambda v: MemeticParams(pls=v)),
+                ("pf", lambda v: MemeticParams(pf=v)),
+                ("operator_mode", lambda v: MemeticParams(operator_mode=v)),
+                ("init_mode", lambda v: InitConfig(mode=v)),
+                ("generations", lambda v: StopRule(generations=v)),
+                ("wallclock_seconds",
+                 lambda v: StopRule(generations=0, wallclock_seconds=v))):
+            try:
+                check(getattr(self, key))
+            except ValueError as exc:
+                raise ConfigError(key, str(exc)) from None
 
 
 @dataclass
@@ -206,7 +223,11 @@ def ablation_timing(cfg: ExperimentConfig) -> list:
     """Knowledge-guided vs traditional operators, per instance.
 
     Returns rows with wall-clock and evaluation counts for both variants
-    and their ratios (traditional / knowledge-guided).
+    and their ratios (traditional / knowledge-guided).  The time ratio
+    includes the knowledge-guided sweeps' reuse of the results of routes
+    and route pairs from the plan swept before, while the traditional
+    sweep re-evaluates every move; the evaluation counts are those of
+    sweeps from scratch either way.
     """
     rows = []
     for path in cfg.instances:

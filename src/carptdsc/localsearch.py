@@ -3,35 +3,57 @@
 Three move kinds: single insertion (SI), double insertion (DI) and swap
 (SW).  SI and DI move a block of one or two consecutive tasks, so the
 knowledge-guided operator is one insertion sweep for blocks of one or two
-tasks and one swap sweep.  Each first prunes moves whose directly-affected
+tasks and one swap sweep; a run sweeps both insertion kinds together,
+each array operation covering the blocks of both.  Each first prunes moves whose directly-affected
 tasks would drift far from their optimal service intervals (the time-gap
 pruning rule) and then classifies the survivors by an exact incremental
 cost delta restricted to the involved route suffixes.  The traditional
 operator, used for ablations, is a single generic sweep that fully
 re-evaluates the involved routes of every enumerated move.
 
-The pruning rule is screened with numpy, once per sweep: one array
-operation covers every (block orientation, position in another route or a
-fresh route) of an insertion sweep, one every (block orientation, position
-in its own route after the block's removal), and one every (task, later
-task, orientation pair) of the swap sweep.  One screen per sweep rather
-than per block or per task keeps the numpy call overhead below the scalar
-screen's cost on small instances too.  The survivors are then evaluated in
-one batch per sweep: moves between two routes from the shifted suffixes of
-both routes, moves within one route by re-simulating all the candidate
-routes together as one padded matrix.  The screens and batches read the
-tables that ``SolState`` builds once per plan (per position: end-of-service
-time and head vertex before it, next vertex, begin time, route).  Their
-arithmetic is that of the scalar code, operation for operation and in the
-same order, so they prune the same moves and give bit for bit the same
-deltas.  The sweep returns the move of least delta, and ties go to the
-first-enumerated move, as in a one-at-a-time scan.  ``c1_gap_sums``,
-``criterion1_failed``, ``criterion2_successful`` and ``_traditional_sweep``
-stay scalar as the tests' independent reference.
+The pruning rule is screened with numpy: one array operation covers a
+rectangle of (block orientation, position in another route or a fresh
+route) of an insertion sweep, one every (block orientation, position in
+its own route after the block's removal), and one a rectangle of (task,
+later task, orientation pair) of the swap sweep.  The survivors are then
+evaluated in one batch per sweep: moves between two routes from the
+shifted suffixes of both routes, moves within one route by re-simulating
+all the candidate routes together as one padded matrix.  The screens and
+batches read the tables that ``SolState`` builds once per plan (per
+position: end-of-service time and head vertex before it, next vertex,
+begin time, route).  Their arithmetic is that of the scalar code,
+operation for operation and in the same order, so they prune the same
+moves and give bit for bit the same deltas.  The sweep returns the move of
+least delta, and ties go to the first-enumerated move, as in a
+one-at-a-time scan.
+
+Sweeps are incremental.  A sweep's moves fall into entries: the moves of
+one route's tasks into another route (its slots for an insertion, its
+tasks for a swap), into the route itself, or into a fresh route.  Stage-1
+routes all depart at 0, so an entry's results depend on the contents of
+its routes only, not on the rest of the plan: which moves criterion 1
+prunes, each survivor's capacity and horizon test and exact delta, and
+each work counter's share.  A ``SweepMemo`` keeps, per move kind, every
+entry of the last plan swept: its counter shares and its least delta with
+that move's position inside the entry.  The next sweep matches its routes
+to that plan's by content, copies the entries among known routes and
+computes the others, two rectangles per screen: new routes against all
+routes, and the known routes against the new ones.  The global pick
+rebuilds each copied move's enumeration key from the current plan's
+offsets, so ties go to the same move as in a cold sweep, and the copied
+counter shares add up to the same counters.  A swap between two routes
+adds the earlier route's terms first and enumerates its tasks first, so an
+entry is copied only if its two routes keep their order; the known routes
+outside a longest run that keeps it are computed as new.  The public
+operators start from an empty memo, since their departures need not be 0.
+``c1_gap_sums``, ``criterion1_failed``, ``criterion2_successful`` and
+``_traditional_sweep`` stay scalar as the tests' independent reference,
+and the traditional sweep reuses nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from itertools import product
 from typing import Iterator, Optional
@@ -356,9 +378,9 @@ def _prefix_after_removal(ctx, state, r, pa, count, pb):
 def _gaps(t, b, e):
     """EvalContext.gap over numpy arrays: the time gap of begin times ``t``
     to the intervals [b, e].  Bit for bit equal to the scalar gap, because
-    b <= e (ServiceCostFunction enforces it) leaves at most one term
-    nonzero and adding 0.0 is exact."""
-    return np.maximum(b - t, 0.0) + np.maximum(t - e, 0.0)
+    b <= e (ServiceCostFunction enforces it) leaves at most one of b - t
+    and t - e positive."""
+    return np.maximum(np.maximum(b - t, t - e), 0.0)
 
 
 # The batched evaluations below repeat the scalar arithmetic operation for
@@ -379,10 +401,11 @@ def _row_sums(first, w):
 def _shift_sums(ctx, state, start, rest, dt):
     """Service-cost changes when the begin times of the ``rest[i]`` tasks
     from position ``start[i]`` of ``state.code_a`` (one route's suffix)
-    shift by ``dt[i]``, and the number of tasks evaluated.  Each change is
-    the sum, left to right, of (gap after - gap before) * slope over those
-    tasks, added one suffix position at a time over the suffixes that
-    reach it.  A shift of 0.0 evaluates no task, and its change is 0.0."""
+    shift by ``dt[i]``, and the number of tasks each evaluates.  Each
+    change is the sum, left to right, of (gap after - gap before) * slope
+    over those tasks, added one suffix position at a time over the
+    suffixes that reach it.  A shift of 0.0 evaluates no task, and its
+    change is 0.0."""
     rest = np.where(dt != 0.0, rest, 0)
     s = np.zeros(len(dt))
     for m in range(rest.max(initial=0)):
@@ -391,7 +414,7 @@ def _shift_sums(ctx, state, start, rest, dt):
         ti = state.code_a[pos] >> 1
         g = _gaps(state.begin_a[pos] + dt[live], ctx.bt_a[ti], ctx.et_a[ti])
         s[live] += (g - state.gap_a[pos]) * ctx.slope_a[ti]
-    return s, int(rest.sum())
+    return s, rest
 
 
 def _sim_batch(ctx, cand, lens, t0):
@@ -421,16 +444,133 @@ def _sim_batch(ctx, cand, lens, t0):
     return sc + dc, load, end
 
 
-def _pick(delta, ok, key):
-    """(delta, index) of the move that a strict ``delta < best`` scan from
-    best = -_EPS over the feasible (``ok``) moves in ``key`` order keeps:
-    the least delta, the least key among equals.  None if no move."""
-    ok = ok & (delta < -_EPS)
-    if not ok.any():
-        return None
-    m = delta[ok].min()
-    at = np.flatnonzero(ok & (delta == m))
-    return float(m), int(at[np.argmin(key[at])])
+def _group_sums(mask, starts):
+    """Per row of the boolean matrix ``mask``, the number of its True
+    cells in each run of columns that starts at a column of ``starts``."""
+    return np.add.reduceat(mask.view(np.uint8), starts, axis=1,
+                           dtype=np.intp)
+
+
+def _in_order(old):
+    """Mask of a largest set of routes known to the memo (``old`` >= 0)
+    whose indices in the memo's plan rise with their position here."""
+    tails, ends, back = [], [], [-1] * len(old)  # patience sorting
+    for r, o in enumerate(old.tolist()):
+        if o < 0:
+            continue
+        k = bisect_left(tails, o)
+        back[r] = ends[k - 1] if k else -1
+        if k == len(tails):
+            tails.append(o)
+            ends.append(r)
+        else:
+            tails[k] = o
+            ends[k] = r
+    keep = np.zeros(len(old), dtype=bool)
+    r = ends[-1] if ends else -1
+    while r >= 0:
+        keep[r] = True
+        r = back[r]
+    return keep
+
+
+class SweepMemo:
+    """What the knowledge-guided sweeps of each move kind found on the
+    last plan they swept.
+
+    A sweep's moves fall into entries: entry (a, b) holds the moves that
+    take tasks of route a to route b (a's own positions for b = a, and for
+    insertions the fresh route as column b = number of routes).  Per
+    entry the memo keeps the work counts (moves enumerated, moves pruned
+    by criterion 1, service-cost evaluations) and the least feasible
+    negative delta with its enumeration key relative to the entry's first
+    move.  Entries are matched by route content.  ``reused`` and
+    ``computed`` count the routes and route pairs (ordered for the
+    insertion kinds) whose entries sweeps took from the memo and those
+    they computed, summed over the kinds.  The entries are only valid for
+    one context, one lam and stage-1 plans, whose routes all depart at
+    0."""
+
+    def __init__(self):
+        # kind -> (route -> index, (counts, delta, key, key width, columns))
+        self.last = {}
+        self.reused = 0
+        self.computed = 0
+
+
+class _Entries:
+    """The entries of one sweep of ``kind`` on ``routes`` in a table of
+    ``ncols`` columns; ``old`` holds each route's index in the plan the
+    memo holds for the kind (-1 for a route that plan did not have) and
+    ``pnc`` the column count of that plan's table."""
+
+    def __init__(self, memo, kind, routes, ncols):
+        self.memo, self.kind, self.ncols = memo, kind, ncols
+        self.keys = [tuple(r) for r in routes]
+        index, self.prev = memo.last.get(kind, ({}, None))
+        self.old = np.array([index.get(r, -1) for r in self.keys],
+                            dtype=np.intp)
+        self.pnc = 0 if self.prev is None else self.prev[4]
+
+    def among(self, rows, fresh=False):
+        """(entries, the memo's entries) of every (a, b) of two routes a, b
+        of ``rows``, and with ``fresh`` of every (a, fresh route)."""
+        if not len(rows):
+            return rows, rows
+        old = self.old[rows]
+        cols, old_cols = rows, old
+        if fresh:
+            cols = np.concatenate((rows, [self.ncols - 1]))
+            old_cols = np.concatenate((old, [self.pnc - 1]))
+        return ((rows[:, None] * self.ncols + cols).ravel(),
+                (old[:, None] * self.pnc + old_cols).ravel())
+
+    def settle(self, counts, cand, reuse, poff, soff, width, counters):
+        """The table of this sweep: the entries ``reuse[0]`` from the
+        memo's entries ``reuse[1]``, the others from ``counts`` (per
+        entry, the moves enumerated, pruned by criterion 1 and the
+        service-cost evaluations, a (3, entries) array) and ``cand``
+        (entry, delta, key of every computed feasible move with a negative
+        delta).  Stores it in the memo and adds its counts to
+        ``counters``.  A move's key is its enumeration order, ``(poff[a] +
+        x) * width + soff[b] + y`` for the move (x, y) of entry (a, b); the
+        table keeps x * width + y and the width.  Returns (delta, key) of
+        the least delta, the least key among equals, or None."""
+        base = (poff[:len(self.keys), None] * width
+                + soff[:self.ncols]).ravel()  # each entry's first key
+        best = np.full(len(base), np.inf)
+        rel = np.zeros(len(base), dtype=np.intp)
+        e, delta, key = cand
+        if len(e):
+            at = np.lexsort((key, delta, e))
+            e = e[at]
+            head = np.empty(len(e), dtype=bool)  # each entry's least move
+            head[0] = True
+            np.not_equal(e[1:], e[:-1], out=head[1:])
+            e, at = e[head], at[head]
+            best[e] = delta[at]
+            rel[e] = key[at] - base[e]
+        r, g = reuse
+        if len(r):
+            pcnt, pbest, prel, pwidth = self.prev[:4]
+            counts[:, r] = pcnt[:, g]
+            best[r] = pbest[g]
+            x, y = np.divmod(prel[g], pwidth)
+            rel[r] = x * width + y
+        self.memo.last[self.kind] = (
+            {r: i for i, r in enumerate(self.keys)},
+            (counts, best, rel, width, self.ncols))
+
+        moves, pruned, sc = (int(v) for v in counts.sum(axis=1).tolist())
+        counters.moves_enumerated += moves
+        counters.pruned_by_criterion1 += pruned
+        counters.criterion2_evaluations += moves - pruned
+        counters.sc_evaluations += sc
+        at = best.argmin() if len(best) else 0
+        if not len(best) or best[at] == np.inf:
+            return None
+        at = (best == best[at]).nonzero()[0]
+        return float(best[at[0]]), int((base[at] + rel[at]).min())
 
 
 def _full_move_delta(ctx, state, move: Move, counters: Optional[SearchCounters] = None):
@@ -518,20 +658,37 @@ def criterion2_successful(inst, sp, sol: Solution, move: Move):
 
 
 # ---------------------------------------------------------------------------
-# Best-improvement sweeps: (ctx, state, kind, lam, counters) -> (delta, move)
+# Best-improvement sweeps:
+# (ctx, state, kind, lam, counters, memo) -> (delta, move), and for all kinds
+# (ctx, state, lam, counters, memo) -> [(delta, move) per kind]
 #
 # _kg_sweep is the knowledge-guided operator: one insertion sweep for blocks
 # of one or two tasks (SI, DI) and one swap sweep, each counting every move
 # it screens out by criterion 1 and every survivor it classifies by an exact
-# incremental delta.  _traditional_sweep is the traditional operator: every
-# enumerated move is re-simulated in full, and lam is ignored.  Both return
-# the first-enumerated best move on ties, in enumerate_moves order.
+# incremental delta.  _kg_sweeps sweeps both insertion kinds at once.  Both
+# take the entries of the routes and route pairs that ``memo`` holds from
+# the last plan swept, and compute the others.  _traditional_sweep is the
+# traditional operator: every enumerated move is re-simulated in full, and
+# lam is ignored; _traditional_sweeps reuses nothing.  All return the
+# first-enumerated best move on ties, in enumerate_moves order.
 # ---------------------------------------------------------------------------
 
-def _kg_sweep(ctx, state, kind, lam, counters):
+def _kg_sweep(ctx, state, kind, lam, counters, memo=None):
+    if memo is None:
+        memo = SweepMemo()
     if kind == SWAP:
-        return _sw_sweep(ctx, state, lam, counters)
-    return _ins_sweep(ctx, state, kind, lam, counters)
+        return _sw_sweep(ctx, state, lam, counters, memo)
+    return _ins_sweep(ctx, state, (kind,), lam, counters, memo)[0]
+
+
+def _kg_sweeps(ctx, state, lam, counters, memo=None):
+    """_kg_sweep of every kind of MOVE_KINDS, the insertions in one
+    sweep."""
+    if memo is None:
+        memo = SweepMemo()
+    return _ins_sweep(ctx, state, (SINGLE_INSERTION, DOUBLE_INSERTION), lam,
+                      counters, memo) + [_sw_sweep(ctx, state, lam,
+                                                   counters, memo)]
 
 
 def _traditional_sweep(ctx, state, kind, lam, counters):
@@ -547,25 +704,37 @@ def _traditional_sweep(ctx, state, kind, lam, counters):
     return best, best_move
 
 
-SWEEPS = {"kg": _kg_sweep, "traditional": _traditional_sweep}
+def _traditional_sweeps(ctx, state, lam, counters, memo=None):
+    """_traditional_sweep of every kind of MOVE_KINDS."""
+    return [_traditional_sweep(ctx, state, kind, lam, counters)
+            for kind in MOVE_KINDS]
 
 
-def _ins_sweep(ctx, state, kind, lam, counters):
+SWEEPS = {"kg": _kg_sweeps, "traditional": _traditional_sweeps}
+
+
+def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     """Insertion of every block of k consecutive tasks (k = 1 for SI, 2 for
-    DI) at every other position, in enumerate_moves order.
+    DI) at every other position, for each kind of ``kinds``, in
+    enumerate_moves order; returns (delta, move) per kind.
 
-    One row per block orientation.  Criterion 1 screens every (row, slot
-    of another route or the fresh-route slot) at once, and every (row,
-    position in the block's route after its removal) at once.  The
-    survivors get their exact deltas in one batch of each kind: the
-    cross-route ones from the shifted route suffixes, the intra-route ones
-    by re-simulating the route.  A move's enumeration key is (row, slot),
-    with intra-route position pb at slot ``slot_off[ra] + pb`` of the
-    block's own route, whose slots no cross-route move uses: routes before
-    the block's own, then the intra-route moves, then later routes and the
+    One row per block orientation, the kinds' rows one kind after the
+    other, each kind's by route.  Entry (a, b) of a kind holds the moves
+    of a's rows into route b: its slots for b != a, the positions of a
+    without the block for b = a, the fresh route for b = the route
+    count.  Criterion 1 screens the
+    (row, slot) cells of the entries between two routes that the sweep
+    computes in two rectangles, and every (row, position) of those within
+    one route at once.  The survivors get their exact deltas in one batch
+    of each kind: the cross-route ones from the shifted route suffixes,
+    the intra-route ones by re-simulating the route.  The kinds share
+    every array operation: a term of a block's second task is 0.0 for a
+    block of one task, and adding 0.0 to a nonnegative sum changes no bit.
+    A move's enumeration key is (its row among its kind's, slot), with
+    intra-route position pb at slot ``slot_off[ra] + pb`` of the block's
+    own route, whose slots no cross-route move uses: routes before the
+    block's own, then the intra-route moves, then later routes and the
     fresh route."""
-    k = _block_len(kind)
-    pair = k == 2
     sptT, spc_a = ctx.sptT, ctx.spc_a
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
@@ -573,133 +742,193 @@ def _ins_sweep(ctx, state, kind, lam, counters):
     off = state.slot_off
     nroutes = len(state.routes)
     fresh = int(off[nroutes])  # the fresh-route slot, the last one
-    lens = np.diff(off) - 1  # route lengths
+    nslots = np.empty(nroutes + 1, dtype=np.intp)  # per route, the fresh last
+    np.subtract(off[1:], off[:-1], out=nslots[:-1])
+    nslots[-1] = 1
+    lens = nslots[:-1] - 1  # route lengths
     CODE, ROUTE, GAP = state.code_a, state.route_a, state.gap_a
     SLOT = np.arange(len(CODE)) + ROUTE
     s_end, s_head = state.slot_end_a, state.slot_head_a
+    # entries: (a, b) of the kind q at q * ne + a * (nroutes + 1) + b.
+    # Those among routes the memo knows, and their fresh-route entries, are
+    # taken from it
+    nk = len(kinds)
+    ne = nroutes * (nroutes + 1)
+    ents = [_Entries(memo, kind, state.routes, nroutes + 1) for kind in kinds]
+    new = np.logical_or.reduce([ent.old < 0 for ent in ents])
+    kept = (~new).nonzero()[0]
+    reuse = [ent.among(kept, fresh=True) for ent in ents]
+    memo.reused += nk * len(kept) ** 2
+    memo.computed += nk * (nroutes ** 2 - len(kept) ** 2)
+    diag = np.arange(nroutes) * (nroutes + 2)  # entry (a, a)
 
     # blocks: the k tasks from every position with k tasks left in its
-    # route, by their first task's index i in code_a
-    i = np.flatnonzero(state.slot_rest_a[SLOT] >= k)
+    # route, kind after kind, by their first task's index i in code_a
+    ks = [_block_len(kind) for kind in kinds]
+    i = [(state.slot_rest_a[SLOT] >= k).nonzero()[0] for k in ks]
+    kb = np.repeat(ks, [len(x) for x in i])  # block length
+    bq = np.repeat(np.arange(nk), [len(x) for x in i])  # kind
+    i = np.concatenate(i)
+    pair = kb == 2
     b_ra = ROUTE[i]
     s0 = SLOT[i]
     b_pa = s0 - off[b_ra]
-    c1, cl = CODE[i], CODE[i + k - 1]  # first and last task of the block
+    i2 = i + pair  # the block's last task
+    c1, cl = CODE[i], CODE[i2]  # first and last task of the block
     t1i, tli = c1 >> 1, cl >> 1
     p_end, ph = s_end[s0], s_head[s0]
-    after = s0 + k  # the slot after the block
+    after = s0 + kb  # the slot after the block
     nv, rest = state.slot_next_a[after], state.slot_rest_a[after]
-    # the source route without the block
+    # the source route without the block, where an entry of its route is
+    # computed
     ddcA = spc_a[ph, nv] - spc_a[ph, otail_a[c1]]
     sc_old = minsc_a[t1i] + GAP[i] * slope_a[t1i]
-    g_before = GAP[i]
-    b_dem = ctx.dem_a[t1i]
-    if pair:
-        ddcA = ddcA - spc_a[ohead_a[c1], otail_a[cl]]
-        sc_old = sc_old + minsc_a[tli] + GAP[i + 1] * slope_a[tli]
-        g_before = g_before + GAP[i + 1]
-        b_dem = b_dem + ctx.dem_a[tli]
+    ddcA = ddcA - np.where(pair, spc_a[ohead_a[c1], otail_a[cl]], 0.0)
+    sc_old = sc_old + np.where(pair, minsc_a[tli], 0.0) \
+        + np.where(pair, GAP[i2] * slope_a[tli], 0.0)
+    g_before = GAP[i] + np.where(pair, GAP[i2], 0.0)
+    b_dem = ctx.dem_a[t1i] + np.where(pair, ctx.dem_a[tli], 0.0)
     ddcA = ddcA - spc_a[ohead_a[cl], nv]
     arrive = p_end + sptT[nv, ph]
     dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
     src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
         <= PT + _H_EPS
-    dscA, n_sc = _shift_sums(ctx, state, i + k, np.where(src_ok, rest, 0), dA)
-    counters.sc_evaluations += n_sc
-    # prefix end at the positions after the block in the route without it:
-    # RM[b, j] at position pa + j, each step travel plus service
-    cols = np.arange(rest.max(initial=0))
-    live = cols < rest[:, None]
-    q = np.where(live, (i + k)[:, None] + cols, 0)
-    into = np.where(cols == 0, ph[:, None], s_head[SLOT[q]])
+    dscA, n_sc = _shift_sums(ctx, state, i + kb,
+                             np.where(src_ok & (new.any() | new[b_ra]), rest,
+                                      0), dA)
+    counts = np.zeros((3, nk * ne))
+    counts[2] = np.bincount(bq * ne + diag[b_ra], n_sc, nk * ne)
+    # prefix end at the positions after a block of a new route in the
+    # route without it: RM[bn[b], j] at position pa + j, each step travel
+    # plus service
+    bn = new[b_ra].nonzero()[0]
+    rn = rest[bn]
+    cols = np.arange(rn.max(initial=0))
+    live = cols < rn[:, None]
+    q = np.where(live, (i[bn] + kb[bn])[:, None] + cols, 0)
+    into = np.where(cols == 0, ph[bn][:, None], s_head[SLOT[q]])
     step = sptT[otail_a[CODE[q]], into] + ctx.dur_a[CODE[q] >> 1]
-    RM = _row_sums(p_end, np.where(live, step, 0.0))
+    RM = _row_sums(p_end[bn], np.where(live, step, 0.0))
+    rm_at = np.zeros(len(i), dtype=np.intp)
+    rm_at[bn] = np.arange(len(bn))
 
     # rows: every orientation of every block, the first task's flip outer
-    F = np.arange(2 ** k)
-    bits = [(F >> (k - 1 - t)) & 1 for t in range(k)]  # flip of task t
-    opt = np.ones((len(i), 2 ** k), dtype=bool)
-    for t in range(k):
-        opt &= (bits[t] == 0) | ctx.flip_a[CODE[i + t] >> 1][:, None]
+    F = np.arange(4)
+    flip1 = np.where(pair[:, None], F >> 1, F)  # of the first task
+    flipl = F & 1  # of the last task
+    opt = (((flip1 == 0) | ctx.flip_a[t1i][:, None])
+           & ((flipl == 0) | ctx.flip_a[tli][:, None])
+           & (pair[:, None] | (F < 2)))
     B, F = np.nonzero(opt)
-    ident = np.ones(len(B), dtype=bool)
-    for t in range(k):
-        ident &= bits[t][F] == (CODE[i[B] + t] & 1)
-    RA, PA = b_ra[B], b_pa[B]
-    N1 = 2 * t1i[B] + bits[0][F]
-    NL = 2 * tli[B] + bits[-1][F]
+    flip1, flipl = flip1[B, F], flipl[F]
+    ident = (flip1 == (c1[B] & 1)) & (flipl == (cl[B] & 1))
+    RA, PA, KR, RQ = b_ra[B], b_pa[B], kb[B], bq[B]
+    R0 = np.searchsorted(RQ, np.arange(nk + 1))  # each kind's first row
+    RP = pair[B]
+    N1 = 2 * t1i[B] + flip1
+    NL = 2 * tli[B] + flipl
     T1, TL = N1 >> 1, NL >> 1
     NT, NH = otail_a[N1], ohead_a[NL]
     THR = (lam * g_before)[B]
-    # for k = 2: time from the first task's begin to the last's
-    HOP = ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]]
+    # time from the first task's begin to the last's; 0.0 for one task
+    HOP = np.where(RP, ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]], 0.0)
+    pairs_from = R0[-2] if ks[-1] == 2 else R0[-1]  # the first pair row
 
     def c1_gaps(T, rows):
-        """Gap sum of the block of ``rows`` when it begins at times T."""
+        """Gap sum of the blocks of the sorted ``rows`` when they begin at
+        times T.  Criterion 1 keeps a move where it is at most THR: a
+        difference of two floats is positive exactly when the first is
+        greater."""
         G = _gaps(T, bt_a[T1[rows]], et_a[T1[rows]])
-        if pair:
-            G += _gaps(T + HOP[rows], bt_a[TL[rows]], et_a[TL[rows]])
+        p = np.searchsorted(rows.ravel(), pairs_from)
+        rows = rows[p:]
+        G[p:] += _gaps(T[p:] + HOP[rows], bt_a[TL[rows]], et_a[TL[rows]])
         return G
 
-    # criterion 1 on every row and cross-route slot; T is the block's begin
-    # time.  Cross-route slots: not the block's own route, nor the fresh
-    # route for a whole route in its own orientation
-    T = s_end + sptT[NT[:, None], s_head]
-    prune = c1_gaps(T, np.arange(len(B))[:, None]) - THR[:, None] > 0.0
-    cross = state.slot_route_a != RA[:, None]
-    cross[:, fresh] = ~((lens[RA] == k) & ident)
-    n_cross = int(np.count_nonzero(cross))
-    n_pruned = int(np.count_nonzero(prune & cross))
-    # ... and on every row and position of its route without the block,
-    # the identity skipped
-    npos = lens[RA] - k + 1
-    IR = np.repeat(np.arange(len(B)), npos)
+    # criterion 1 on every (row, slot) of the two rectangles of computed
+    # moves between two routes: rows of new routes by every slot, rows of
+    # the other routes by the slots of new routes.  T is the block's begin
+    # time.  The fresh route is no move for a whole route in its own
+    # orientation
+    whole = (lens[RA] == KR) & ident
+    moves = np.bincount(RQ * nroutes + RA, None, nk * nroutes)[:, None] \
+        * nslots
+    moves[:, nroutes] -= np.bincount((RQ * nroutes + RA)[whole], None,
+                                     nk * nroutes)
+    moves = moves.reshape(nk, nroutes, nroutes + 1)
+    moves[:, np.arange(nroutes), np.arange(nroutes)] = 0  # counted below
+    counts[0] = moves.ravel()
+    passed = np.zeros(nk * ne)  # moves that criterion 1 keeps
+    R, S = [np.empty(0, np.intp)], [np.empty(0, np.intp)]  # survivors
+    everyone = np.arange(nroutes + 1)
+    for rows, dst in ((new, everyone), (~new, new.nonzero()[0])):
+        rows = rows[RA].nonzero()[0]
+        if not (len(rows) and len(dst)):
+            continue
+        # the slots of the routes dst, each route's first at ``at``
+        at = np.cumsum(nslots[dst]) - nslots[dst]
+        cols = np.repeat(off[dst] - at, nslots[dst]) + np.arange(
+            at[-1] + nslots[dst[-1]])
+        ra = RA[rows]
+        T = s_end[cols] + sptT[:, s_head[cols]][NT[rows]]
+        keep = c1_gaps(T, rows[:, None]) <= THR[rows][:, None]
+        keep &= state.slot_route_a[cols] != ra[:, None]
+        if cols[-1] == fresh:
+            keep[:, -1] &= ~whole[rows]
+        passed += np.bincount(
+            ((RQ[rows] * ne + ra * (nroutes + 1))[:, None] + dst).ravel(),
+            _group_sums(keep, at).ravel(), nk * ne)
+        # exact deltas where the source route stays within the horizon and
+        # the destination route takes the block's demand
+        keep &= state.slot_load_a[cols] + b_dem[B[rows]][:, None] <= Q
+        keep[~src_ok[B[rows]]] = False
+        r, c = np.nonzero(keep)
+        R.append(rows[r])
+        S.append(cols[c])
+    R, S = np.concatenate(R), np.concatenate(S)
+    e = RQ[R] * ne + RA[R] * (nroutes + 1) + state.slot_route_a[S]
+    # ... and on every row of a new route and position of its route
+    # without the block, the identity skipped
+    rows = new[RA].nonzero()[0]
+    npos = lens[RA[rows]] - KR[rows] + 1
+    IR = np.repeat(rows, npos)
     PB = np.arange(len(IR)) - np.repeat(np.cumsum(npos) - npos, npos)
     moved = ~((PB == PA[IR]) & ident[IR])
     IR, PB = IR[moved], PB[moved]
     j = PB - PA[IR]
     at = off[RA[IR]] + PB
-    T = (np.where(j <= 0, s_end[at], RM[B[IR], np.maximum(j, 0)])
-         + sptT[NT[IR], np.where(j <= 0, s_head[at], s_head[at + k])])
-    prune_in = c1_gaps(T, IR) - THR[IR] > 0.0
-    n_in = len(IR)
-    n_pruned_in = int(np.count_nonzero(prune_in))
-    counters.moves_enumerated += n_cross + n_in
-    counters.pruned_by_criterion1 += n_pruned + n_pruned_in
-    counters.criterion2_evaluations += n_cross - n_pruned + n_in - n_pruned_in
+    T = (np.where(j <= 0, s_end[at], RM[rm_at[B[IR]], np.maximum(j, 0)])
+         + sptT[NT[IR], np.where(j <= 0, s_head[at], s_head[at + KR[IR]])])
+    keep = c1_gaps(T, IR) <= THR[IR]
+    e_in = RQ[IR] * ne + diag[RA[IR]]
+    counts[0] += np.bincount(e_in, None, nk * ne)
+    IR, PB, e_in = IR[keep], PB[keep], e_in[keep]
+    counts[1] = counts[0] - passed - np.bincount(e_in, None, nk * ne)
 
-    # exact deltas of the cross-route survivors where the source route stays
-    # within the horizon and the destination route takes the block's demand
-    fits = (state.slot_load_a + b_dem[B][:, None] <= Q) & src_ok[B][:, None]
-    R, S = np.nonzero(cross & ~prune & fits)
+    # exact deltas of the cross-route survivors
     BR = B[R]
     pph, nxv = s_head[S], state.slot_next_a[S]
-    nt, nh, t1 = NT[R], NH[R], T1[R]
+    nt, nh, t1, tl = NT[R], NH[R], T1[R], TL[R]
     tn1 = s_end[S] + sptT[nt, pph]  # begin of the block
+    tnl = tn1 + HOP[R]  # begin of its last task
     sc_new = minsc_a[t1] + _gaps(tn1, bt_a[t1], et_a[t1]) * slope_a[t1]
-    ddcB = spc_a[pph, nt]
-    if pair:
-        tnl = tn1 + HOP[R]  # begin of its last task
-        tl = TL[R]
-        sc_new = sc_new + (minsc_a[tl] + _gaps(tnl, bt_a[tl], et_a[tl])
-                           * slope_a[tl])
-        ddcB = ddcB + spc_a[ohead_a[N1[R]], otail_a[NL[R]]]
-    else:
-        tnl = tn1
+    sc_new = sc_new + np.where(RP[R], minsc_a[tl] + _gaps(
+        tnl, bt_a[tl], et_a[tl]) * slope_a[tl], 0.0)
+    ddcB = spc_a[pph, nt] + np.where(RP[R], spc_a[ohead_a[N1[R]],
+                                                   otail_a[NL[R]]], 0.0)
     ddcB = ddcB + spc_a[nh, nxv] - spc_a[pph, nxv]
-    arrive = tnl + ctx.dur_a[TL[R]] + sptT[nxv, nh]
+    arrive = tnl + ctx.dur_a[tl] + sptT[nxv, nh]
     rest = state.slot_rest_a[S]
     dB = arrive - state.slot_begin_a[S]
     endB = np.where(rest > 0, state.slot_rend_a[S] + dB, arrive)
     dscB, n_sc = _shift_sums(ctx, state, S - state.slot_route_a[S], rest, dB)
-    counters.sc_evaluations += k * len(S) + n_sc
+    counts[2] += np.bincount(e, KR[R] + n_sc, nk * ne)
     d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
-    ok_cross = ~(endB > PT + _H_EPS)
+    c_cross = ~(endB > PT + _H_EPS) & (d_cross < -_EPS)
 
     # exact deltas of the intra-route survivors: the route re-simulated with
     # the block at position PB of the route without it
-    IR, PB = IR[~prune_in], PB[~prune_in]
-    ra, la, pb = RA[IR], lens[RA[IR]], PB[:, None]
+    ra, la, pb, k = RA[IR], lens[RA[IR]], PB[:, None], KR[IR][:, None]
     cols = np.arange(la.max(initial=1))
     m = np.where(cols < pb, cols, cols - k)  # position without the block
     m = np.where(m < PA[IR][:, None], m, m + k)  # position in the route
@@ -707,47 +936,75 @@ def _ins_sweep(ctx, state, kind, lam, counters):
     first = off[ra] - ra  # index of the route's first task in code_a
     cand = CODE[np.where(kept, first[:, None] + m, 0)]
     cand = np.where(cols == pb, N1[IR][:, None], cand)
-    if pair:
-        cand = np.where(cols == pb + 1, NL[IR][:, None], cand)
+    cand = np.where((cols == pb + 1) & RP[IR][:, None], NL[IR][:, None],
+                    cand)
     cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[ra])
-    counters.sc_evaluations += int(la.sum())
+    counts[2] += np.bincount(e_in, la, nk * ne)
     d_in = cost - state.cost_a[ra]
-    ok_in = ~((load > Q) | (end > PT + _H_EPS))
+    c_in = ~((load > Q) | (end > PT + _H_EPS)) & (d_in < -_EPS)
 
-    got = _pick(np.concatenate([d_cross, d_in]),
-                np.concatenate([ok_cross, ok_in]),
-                np.concatenate([R * (fresh + 1) + S,
-                                IR * (fresh + 1) + off[ra] + PB]))
-    if got is None:
-        return -_EPS, None
-    best, x = got
-    if x < len(R):
-        r, sl = R[x], S[x]
+    e = np.concatenate([e[c_cross], e_in[c_in]])
+    delta = np.concatenate([d_cross[c_cross], d_in[c_in]])
+    row = np.concatenate([R[c_cross], IR[c_in]])
+    key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
+        [S[c_cross], off[ra[c_in]] + PB[c_in]])
+    out = []
+    for q, (kind, ent) in enumerate(zip(kinds, ents)):
+        mine = (e >= q * ne) & (e < (q + 1) * ne)
+        got = ent.settle(
+            counts[:, q * ne:(q + 1) * ne],
+            (e[mine] - q * ne, delta[mine], key[mine]), reuse[q],
+            np.searchsorted(RA[R0[q]:R0[q + 1]], np.arange(nroutes + 1)),
+            off, fresh + 1, counters)
+        if got is None:
+            out.append((-_EPS, None))
+            continue
+        best, key_q = got
+        r, sl = divmod(key_q, fresh + 1)
+        r += int(R0[q])
         rb = int(state.slot_route_a[sl])
         dst = (NEW_ROUTE, 0) if rb == nroutes else (rb, int(sl - off[rb]))
-    else:
-        x -= len(R)
-        r = IR[x]
-        dst = (int(ra[x]), int(PB[x]))
-    flips = tuple(bool(bits[t][F[r]]) for t in range(k))
-    return best, Move(kind, _ins_src(int(RA[r]), int(PA[r]), k), dst, flips)
+        flips = (bool(flip1[r]), bool(flipl[r]))[:ks[q]]
+        out.append((best, Move(kind, _ins_src(int(RA[r]), int(PA[r]),
+                                              ks[q]), dst, flips)))
+    return out
 
 
-def _sw_sweep(ctx, state, lam, counters):
+def _sw_sweep(ctx, state, lam, counters, memo):
     """Swap of every two tasks, in enumerate_moves order.
 
-    Criterion 1 screens every (spot i, later spot j, orientation of i's
-    task, orientation of j's task) at once, in C order, which is the
-    enumeration order.  The survivors get their exact deltas in one batch
-    of each kind: the swaps between two routes from the shifted route
-    suffixes, those within one route by re-simulating it."""
+    Entry (a, b), a <= b, holds the swaps of a task of route a with a later
+    task of route b.  For the entries it computes, criterion 1 screens
+    the (spot i, later spot j, orientation of i's task, orientation of
+    j's task) cells in two rectangles.  The survivors get their exact
+    deltas in one batch of each kind: the swaps between two routes from
+    the shifted route suffixes, those within one route by re-simulating
+    it.  A move's enumeration key is the C order of (i, j, orientation of
+    i's task, orientation of j's task).  A delta between two routes adds
+    the terms of the earlier route first, so the entry of two routes whose
+    order flipped since the memo's plan is computed anew."""
     sptT, spc_a = ctx.sptT, ctx.spc_a
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
     Q, PT = ctx.capacity, ctx.horizon
     off = state.slot_off
-    lens = np.diff(off) - 1  # route lengths
+    nroutes = len(state.routes)
+    lens = off[1:] - off[:-1] - 1  # route lengths
     n = len(state.code_a)
+    ROUTES = np.arange(nroutes)
+    first = off[:-1] - ROUTES  # each route's first spot
+    # entries: (a, b), a <= b, at a * nroutes + b.  Those among the routes
+    # the memo knows in the same order are taken from it
+    ent = _Entries(memo, SWAP, state.routes, nroutes)
+    dirty = ~_in_order(ent.old)
+    kept = (~dirty).nonzero()[0]
+    reuse = ent.among(kept)
+    if len(kept):
+        upper = reuse[0] % nroutes >= reuse[0] // nroutes  # a <= b
+        reuse = reuse[0][upper], reuse[1][upper]
+    memo.reused += len(reuse[0])
+    memo.computed += nroutes * (nroutes + 1) // 2 - len(reuse[0])
+    ne = nroutes * nroutes
     # per spot (a task position, in code_a order): route, slot, prefix end
     # and head, the tail of each orientation of its task, which
     # orientations exist, interval, demand, gap, route load
@@ -757,54 +1014,88 @@ def _sw_sweep(ctx, state, lam, counters):
     PH = state.slot_head_a[SLOT]
     CODE = state.code_a
     TI = CODE >> 1
-    OT = otail_a[2 * TI[:, None] + np.arange(2)]
     OK = np.ones((n, 2), dtype=bool)
     OK[:, 1] = ctx.flip_a[TI]
+    # an orientation a task lacks leaves from a vertex beyond the last,
+    # infinitely far from everywhere, so that criterion 1 prunes it
+    OT = np.where(OK, otail_a[2 * TI[:, None] + np.arange(2)], len(sptT))
+    sptX = np.concatenate((sptT, np.full((1, len(sptT)), np.inf)))
     BT, ET, DEM = bt_a[TI], et_a[TI], ctx.dem_a[TI]
     GAP = state.gap_a
     LOAD = state.slot_load_a[SLOT]
-    # task a of spot i begins at TA[i, j, fa] at spot j, task b of spot j
-    # at TB[i, j, fb] at spot i
-    TA = PE[None, :, None] + sptT[OT[:, None, :], PH[None, :, None]]
-    TB = PE[:, None, None] + sptT[OT[None, :, :], PH[:, None, None]]
-    G = (_gaps(TA, BT[:, None, None], ET[:, None, None])[:, :, :, None]
-         + _gaps(TB, BT[None, :, None], ET[None, :, None])[:, :, None, :])
-    g_before = GAP[:, None] + GAP[None, :]
-    prune = G - (lam * g_before)[:, :, None, None] > 0.0
-    valid = (np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None]
-             & OK[:, None, :, None] & OK[None, :, None, :])
-    n_moves = int(np.count_nonzero(valid))
-    n_pruned = int(np.count_nonzero(prune & valid))
-    counters.moves_enumerated += n_moves
-    counters.pruned_by_criterion1 += n_pruned
-    counters.criterion2_evaluations += n_moves - n_pruned
-    # an exact delta for survivors within one route, or on two routes that
-    # both stay within capacity
     rest = LOAD - DEM  # route load without the spot's task
-    cap = ((rest[:, None] + DEM[None, :] <= Q)
-           & (rest[None, :] + DEM[:, None] <= Q))
-    cap |= ROUTE[:, None] == ROUTE[None, :]
-    surv = np.flatnonzero(valid & ~prune & cap[:, :, None, None])
-    ij, fab = np.divmod(surv, 4)
-    I, J = np.divmod(ij, n)
+    # moves per entry: each pair of orientations of two tasks
+    w = 1 + OK[:, 1]  # orientations of each task
+    W = np.bincount(ROUTE, w, nroutes)
+    moves = W[:, None] * W * (ROUTES[:, None] < ROUTES)
+    moves.flat[::nroutes + 1] = (W * W - np.bincount(ROUTE, w * w,
+                                                     nroutes)) / 2
+    counts = np.zeros((3, ne))
+    counts[0] = moves.ravel()
+    # criterion 1 on the two rectangles of computed moves: spots of dirty
+    # routes by every spot, spots of the other routes by the spots of dirty
+    # routes, each (i, j, orientation of i's task, orientation of j's
+    # task) with i < j.  Task a of spot i begins at TA[i, j, fa] at spot
+    # j, task b of spot j at TB[i, j, fb] at spot i
+    I, J, fab = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
+        [np.empty(0, np.intp)]
+    passed = np.zeros(ne)  # moves that criterion 1 keeps
+    filled = lens > 0
+    for rows, dst in ((dirty, filled), (~dirty, dirty & filled)):
+        i, dst = rows[ROUTE].nonzero()[0], dst.nonzero()[0]
+        if not (len(i) and len(dst)):
+            continue
+        # the spots of the routes dst, each route's first at ``at``
+        at = np.cumsum(lens[dst]) - lens[dst]
+        j = np.repeat(first[dst] - at, lens[dst]) + np.arange(
+            at[-1] + lens[dst[-1]])
+        TA = np.add(PE[j][None, :, None],
+                    sptX[:, PH[j]][OT[i]].transpose(0, 2, 1), order="C")
+        TB = np.add(PE[i][:, None, None],
+                    sptX[:, PH[i]][OT[j]].transpose(2, 0, 1), order="C")
+        G = (_gaps(TA, BT[i][:, None, None], ET[i][:, None, None])[..., None]
+             + _gaps(TB, BT[j][None, :, None], ET[j][None, :, None])[
+                 :, :, None, :])
+        g_before = GAP[i][:, None] + GAP[j]
+        # a difference of two floats is positive exactly when the first
+        # is greater
+        keep = G <= (lam * g_before)[:, :, None, None]
+        keep &= (j > i[:, None])[:, :, None, None]
+        ra = ROUTE[i]
+        passed += np.bincount(
+            (ra[:, None] * nroutes + dst).ravel(),
+            _group_sums(keep.reshape(len(i), -1), 4 * at).ravel(), ne)
+        # an exact delta for survivors within one route, or on two routes
+        # that both stay within capacity
+        keep &= (((rest[i][:, None] + DEM[j] <= Q)
+                  & (rest[j] + DEM[i][:, None] <= Q))
+                 | (ra[:, None] == ROUTE[j]))[:, :, None, None]
+        x, f = np.divmod(keep.ravel().nonzero()[0], 4)
+        r, c = np.divmod(x, len(j))
+        I.append(i[r])
+        J.append(j[c])
+        fab.append(f)
+    I, J, fab = np.concatenate(I), np.concatenate(J), np.concatenate(fab)
+    e = ROUTE[I] * nroutes + ROUTE[J]
+    counts[1] = counts[0] - passed
     FA, FB = np.divmod(fab, 2)
     NA = 2 * TI[I] + FA  # task of spot i, placed at spot j
     NB = 2 * TI[J] + FB  # task of spot j, placed at spot i
     same = ROUTE[I] == ROUTE[J]
-    delta = np.empty(len(surv))
-    ok = np.empty(len(surv), dtype=bool)
+    delta = np.empty(len(I))
+    ok = np.empty(len(I), dtype=bool)
 
     # within one route: re-simulate it with the two tasks exchanged
     s = np.flatnonzero(same)
     r = ROUTE[I[s]]
     la = lens[r]
     cols = np.arange(la.max(initial=1))
-    pos = (off[r] - r)[:, None] + cols
+    pos = first[r][:, None] + cols
     cand = CODE[np.where(cols < la[:, None], pos, 0)]
     cand = np.where(pos == I[s][:, None], NB[s][:, None], cand)
     cand = np.where(pos == J[s][:, None], NA[s][:, None], cand)
     cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[r])
-    counters.sc_evaluations += int(la.sum())
+    counts[2] += np.bincount(e[s], la, ne)
     delta[s] = cost - state.cost_a[r]
     ok[s] = ~((load > Q) | (end > PT + _H_EPS))
 
@@ -817,8 +1108,8 @@ def _sw_sweep(ctx, state, lam, counters):
     REND = state.slot_rend_a[SLOT]
     SC = minsc_a[TI] + GAP * slope_a[TI]
     LINKS = spc_a[PH, otail_a[CODE]] + spc_a[ohead_a[CODE], NXT]
-    x = np.flatnonzero(~same)
-    i, j, na, nb = I[x], J[x], NA[x], NB[x]
+    c = np.flatnonzero(~same)
+    i, j, na, nb = I[c], J[c], NA[c], NB[c]
     tai, tbi = TI[i], TI[j]
     t_b_at_a = PE[i] + sptT[otail_a[nb], PH[i]]
     t_a_at_b = PE[j] + sptT[otail_a[na], PH[j]]
@@ -840,20 +1131,24 @@ def _sw_sweep(ctx, state, lam, counters):
     dB = arrive - NBEG[j]
     endB = np.where(REST[j] > 0, REND[j] + dB, arrive)
     dscB, n_b = _shift_sums(ctx, state, j + 1, np.where(okA, REST[j], 0), dB)
-    counters.sc_evaluations += n_a + 2 * int(np.count_nonzero(okA)) + n_b
-    delta[x] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
+    counts[2] += np.bincount(e[c], n_a + 2 * okA + n_b, ne)
+    delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
                 + (sc_a_new - SC[j]))
-    ok[x] = okA & ~(endB > PT + _H_EPS)
+    ok[c] = okA & ~(endB > PT + _H_EPS)
 
-    got = _pick(delta, ok, np.arange(len(surv)))
+    ok &= delta < -_EPS
+    got = ent.settle(counts,
+                     (e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]),
+                     reuse, first, 4 * first, 4 * n, counters)
     if got is None:
         return -_EPS, None
-    best, f = got
-    i, j = int(I[f]), int(J[f])
+    best, key = got
+    i, f = divmod(key, 4 * n)
+    j, f = divmod(f, 4)
     ra, rb = int(ROUTE[i]), int(ROUTE[j])
     return best, Move(SWAP, (ra, int(SLOT[i] - off[ra])),
                       (rb, int(SLOT[j] - off[rb])),
-                      (bool(FA[f]), bool(FB[f])))
+                      (bool(f >> 1), bool(f & 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -886,23 +1181,24 @@ def traditional_operator(inst, sp, sol: Solution, kind: str,
     return _operator(inst, sp, sol, kind, 0.0, counters, _traditional_sweep)
 
 
-def _best_move(ctx, state, lam, counters, sweep):
+def _best_move(ctx, state, lam, counters, sweeps, memo=None):
     """The best move of one sweep of each kind (SI, then DI, then SW on
     ties), or None."""
     best_delta, best_move = None, None
-    for kind in MOVE_KINDS:
-        delta, move = sweep(ctx, state, kind, lam, counters)
+    for delta, move in sweeps(ctx, state, lam, counters, memo):
         if move is not None and (best_delta is None or delta < best_delta):
             best_delta, best_move = delta, move
     return best_move
 
 
-def _kgslss_state(ctx, plan, lam, counters, sweep=_kg_sweep):
+def _kgslss_state(ctx, plan, lam, counters, sweeps=_kg_sweeps, memo=None):
     """One small-step sweep of all three kinds on an encoded stage-1 plan
     (every route departing at 0); returns (plan, changed).  The moved plan
-    is returned as codes, without the tables of a ``SolState``."""
+    is returned as codes, without the tables of a ``SolState``.  ``memo``,
+    a ``SweepMemo`` kept across the calls of one run, holds what the
+    knowledge-guided sweeps found on the last plan they swept."""
     move = _best_move(ctx, SolState(ctx, plan, [0.0] * len(plan)), lam,
-                      counters, sweep)
+                      counters, sweeps, memo)
     if move is None:
         return plan, False
     return tuple(tuple(c) for c in moved_route_codes(ctx, plan, move)
@@ -917,7 +1213,7 @@ def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
     if counters is None:
         counters = SearchCounters()
     move = _best_move(ctx, SolState.from_solution(ctx, sol), lam, counters,
-                      _kg_sweep)
+                      _kg_sweeps)
     if move is None:
         return sol
     return apply_move(inst, sp, sol, move)

@@ -30,7 +30,7 @@ from .evaluation import CoverageError, get_context
 # module attribute because perfbench/spans.py wraps it by this name
 from .evaluation import evaluate_solution  # noqa: F401
 from .initialization import InitConfig, KGIS, kgis_population
-from .localsearch import SWEEPS, SearchCounters, _kgslss_state
+from .localsearch import SWEEPS, SearchCounters, SweepMemo, _kgslss_state
 from .mergesplit import merge_split
 
 
@@ -75,6 +75,9 @@ class StopRule:
                 "StopRule needs generations or wallclock_seconds: with "
                 "neither bound a run that never reaches its target does "
                 "not end")
+        for name in ("generations", "wallclock_seconds"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -277,13 +280,13 @@ def stochastic_rank(pop, pf: float, rng: random.Random):
 # Main loop
 # ---------------------------------------------------------------------------
 
-def _pipeline(ctx, plan, params, rng, counters):
+def _pipeline(ctx, plan, params, rng, counters, memo):
     """KGSLSS, then merge-split, then KGSLSS (one sweep each), with the
-    sweep of ``params.operator_mode``."""
+    sweep of ``params.operator_mode`` and the run's ``SweepMemo``."""
     sweep = SWEEPS[params.operator_mode]
-    plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep)
+    plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
     plan = merge_split(ctx, plan, params.ms_routes, rng)
-    plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep)
+    plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
     return plan
 
 
@@ -301,9 +304,12 @@ def kgma_run(inst, sp, params: MemeticParams,
 
     The trace holds one dict per generation (including generation 0 for
     the initial population) with best/mean cost, feasible count, and the
-    local-search work counters accumulated during that generation.  The
-    generation-0 row also carries ``init_duplicates``: how many initial
-    individuals repeat an earlier one after the initializer's retries.
+    local-search work counters accumulated during that generation, and
+    ``memo_reused``/``memo_computed``: the routes and route pairs whose
+    sweep results that generation's sweeps took from the run's
+    ``SweepMemo`` and those they computed.  The generation-0 row also
+    carries ``init_duplicates``: how many initial individuals repeat an
+    earlier one after the initializer's retries.
     """
     if rng is None:
         rng = random.Random(params.seed)
@@ -316,6 +322,7 @@ def kgma_run(inst, sp, params: MemeticParams,
     plans, duplicates = kgis_population(ctx, init_cfg, rng)
     pop = [evaluate_plan(ctx, plan) for plan in plans]
     best = _best_feasible(pop)
+    memo = SweepMemo()
     trace = []
 
     def record(gen, counters):
@@ -327,6 +334,8 @@ def kgma_run(inst, sp, params: MemeticParams,
             "feasible_count": sum(1 for ind in pop if ind.violation == 0.0),
         }
         row.update(counters.as_dict())
+        row["memo_reused"] = memo.reused
+        row["memo_computed"] = memo.computed
         trace.append(row)
 
     record(0, SearchCounters())
@@ -342,12 +351,13 @@ def kgma_run(inst, sp, params: MemeticParams,
             break
         gen += 1
         counters = SearchCounters()
+        memo.reused = memo.computed = 0
         keys = {ind.plan for ind in pop}
         for _ in range(params.osnum):
             i, j = rng.sample(range(len(pop)), 2)
             child = sbx_crossover(ctx, pop[i].plan, pop[j].plan, rng)
             if rng.random() < params.pls:
-                child = _pipeline(ctx, child, params, rng, counters)
+                child = _pipeline(ctx, child, params, rng, counters, memo)
             if child in keys:
                 continue
             keys.add(child)

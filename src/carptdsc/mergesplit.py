@@ -19,7 +19,7 @@ from typing import Optional
 _RULES = (1, 2, 3, 4, 5)
 
 
-def _path_scan_order(ctx, pool, rule, rng):
+def _path_scan_order(ctx, pool, rule):
     """Order the pooled tasks greedily from the depot under one rule.
 
     pool holds dense task indices; returns a list of oriented codes.
@@ -27,7 +27,7 @@ def _path_scan_order(ctx, pool, rule, rng):
     """
     spc = ctx.spc
     otail, ohead = ctx.otail, ctx.ohead
-    dem, minsc = ctx.demand, ctx.minsc
+    dem = ctx.demand
     Q, depot = ctx.capacity, ctx.depot
     unserved = set(pool)
     order = []
@@ -161,7 +161,7 @@ def merge_split(ctx, plan, p: int = 2,
     best_routes = None
     best_cost = old_cost
     for rule in _RULES:
-        order = _path_scan_order(ctx, pool, rule, rng)
+        order = _path_scan_order(ctx, pool, rule)
         segs, cost = split_giant_tour(ctx, order)
         if segs is not None and cost < best_cost:
             best_cost = cost

@@ -57,9 +57,8 @@ references = gdb1:316, micro-A:76
         inst, sp = micro_a
         p = tmp_path / "cfg.txt"
         p.write_text("operator_mode = tradtional\ngenerations = 1\n")
-        cfg = parse_config(p)
         with pytest.raises(ValueError, match="operator mode"):
-            solve_once(inst, sp, cfg, 3)
+            solve_once(inst, sp, parse_config(p), 3)
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -86,6 +85,23 @@ references = gdb1:316, micro-A:76
     def test_out_of_range_value_names_file_and_line(self, tmp_path, entry):
         p = tmp_path / "bad.txt"
         p.write_text(f"# setup\ngenerations = 2\n{entry}\npsize = 4\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
+            parse_config(p)
+
+    @pytest.mark.parametrize("entry", [
+        "psize = 1",
+        "pls = 1.5",
+        "pf = -0.1",
+        "operator_mode = tradtional",
+        "init_mode = kgsi",
+        "generations = -3",
+        "wallclock_seconds = -1",
+    ])
+    def test_solver_rule_names_file_and_line(self, tmp_path, entry):
+        # values the solver's own parameter classes reject fail at parse
+        # time, not inside the run
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# setup\nrepetitions = 2\n{entry}\nlam = 0.5\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
             parse_config(p)
 

@@ -29,10 +29,20 @@ from carptdsc import (
     kgis_individual,
     kgslss,
     merge_split,
+    random_classic_instance,
     traditional_operator,
 )
 from carptdsc.evaluation import EvalContext, get_context
-from carptdsc.localsearch import SolState, _gaps, _kg_sweep, _row_sums
+from carptdsc.localsearch import (
+    MOVE_KINDS,
+    SolState,
+    SweepMemo,
+    _gaps,
+    _kg_sweep,
+    _kg_sweeps,
+    _row_sums,
+    moved_route_codes,
+)
 from carptdsc.oracle import exhaustive_neighborhood
 
 from util import (
@@ -40,6 +50,7 @@ from util import (
     _load,
     decode_plan,
     encode_plan,
+    fractional,
     make_random_instance,
     random_feasible_solution,
     sample_moves,
@@ -448,6 +459,140 @@ class TestSweepDelta:
                         assert delta == pytest.approx(ref, rel=1e-9), where
                     checked += 1
         assert checked >= 20
+
+
+def _fractional_cases():
+    """(name, inst, sp, plan seeds): seeded 2LP/3LP instances with times,
+    costs and intervals in thirds and slope 0.3 (``util.fractional``)."""
+    for seed in range(3):
+        for itype in ("3LP", "2LP"):
+            inst = fractional(make_random_instance(seed, itype, 1.0,
+                                                   n_vertices=7, n_edges=11))
+            yield (f"{itype}-thirds-s{seed}", inst,
+                   all_pairs_shortest_paths(inst), (seed, seed + 3))
+
+
+class TestSweepDeltaFractional:
+    """TestSweepDelta's check on the fractional cases, under its
+    non-integral tolerance."""
+
+    @pytest.mark.parametrize("kind",
+                             [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+    def test_returned_delta_equals_criterion2_delta(self, kind):
+        checked = 0
+        for name, inst, sp, plan_seeds in _fractional_cases():
+            ctx = get_context(inst, sp)
+            assert not _integral_data(ctx)
+            for plan_seed in plan_seeds:
+                sol = random_feasible_solution(inst, sp,
+                                               random.Random(plan_seed))
+                state = SolState.from_solution(ctx, sol)
+                for lam in (1.0, 0.5):
+                    delta, move = _kg_sweep(ctx, state, kind, lam,
+                                            SearchCounters())
+                    if move is None:
+                        continue
+                    ok, ref = criterion2_successful(inst, sp, sol, move)
+                    where = (name, plan_seed, lam, move)
+                    assert ok, where
+                    assert delta == pytest.approx(ref, rel=1e-9), where
+                    checked += 1
+        assert checked >= 10
+
+
+def _tight(inst, sp, plan):
+    """``inst`` with its horizon cut to the end of the latest route of the
+    encoded ``plan`` (or of the latest service interval)."""
+    ctx = get_context(inst, sp)
+    ends = [ctx.sim(route, 0.0)[5] for route in plan]
+    tight = replace(inst, planning_horizon=max(max(ctx.et), max(ends)))
+    return tight, all_pairs_shortest_paths(tight)
+
+
+def _warm_cases():
+    """(name, inst, sp, start plans): the micro fixtures, seeded medium and
+    large 2LP/3LP bases and their tight-horizon variants, and the
+    fractional cases; each with two random start plans."""
+    def plans(inst, sp, seeds):
+        ctx = get_context(inst, sp)
+        return [encode_plan(ctx, random_feasible_solution(
+            inst, sp, random.Random(s))) for s in seeds]
+
+    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES + ("micro_oneway",):
+        inst, sp = _load(name)
+        yield name, inst, sp, plans(inst, sp, (0, 1))
+    for size, n_vertices, n_edges, capacity in (("medium", 20, 40, 20),
+                                                ("large", 40, 100, 30)):
+        base = random_classic_instance(n_vertices, n_edges, capacity, 2000)
+        for itype, slope in (("3LP", 2.0), ("2LP", 1.0)):
+            inst = generate_td_parameters(base, itype, slope, seed=2000)
+            sp = all_pairs_shortest_paths(inst)
+            start = plans(inst, sp, (0, 1))
+            yield f"{size}-{itype}", inst, sp, start
+            tight, tsp = _tight(inst, sp, start[0])
+            yield f"{size}-{itype}-tight", tight, tsp, start[:1]
+    for name, inst, sp, seeds in _fractional_cases():
+        yield name, inst, sp, plans(inst, sp, seeds)
+
+
+class TestWarmSweeps:
+    """A sweep that takes entries from the memo of the plan swept before it
+    equals a cold sweep of the same plan: ``repr`` of the delta, the move
+    and all five counters, for every move kind, swept one kind at a time
+    or all kinds at once.  The plans come in the
+    order a run's pipeline sweeps them (sweep, apply the best move,
+    merge-split, sweep), then with their routes in reverse order (every
+    swap pair flipped), then a start plan that shares no route with the
+    plan before it."""
+
+    @staticmethod
+    def _sweep(ctx, plan, memos, lam):
+        """Each kind's cold sweep against its warm sweep with ``memos[0]``,
+        and against the warm sweep of all kinds at once with ``memos[1]``,
+        which is the one a run makes; returns the best move."""
+        state = SolState(ctx, plan, [0.0] * len(plan))
+        both = SearchCounters()
+        together = _kg_sweeps(ctx, state, lam, both, memos[1])
+        best = None
+        total = SearchCounters()
+        for kind, (t_delta, t_move) in zip(MOVE_KINDS, together):
+            warm, cold = SearchCounters(), SearchCounters()
+            w_delta, w_move = _kg_sweep(ctx, state, kind, lam, warm,
+                                        memos[0])
+            c_delta, c_move = _kg_sweep(ctx, state, kind, lam, cold)
+            assert (repr(w_delta), w_move, warm) == \
+                (repr(c_delta), c_move, cold), (kind, plan)
+            assert (repr(t_delta), t_move) == (repr(c_delta), c_move), \
+                (kind, plan)
+            total.add(cold)
+            if c_move is not None and (best is None or c_delta < best[0]):
+                best = c_delta, c_move
+        assert both == total, plan
+        return None if best is None else best[1]
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_warm_sweep_equals_cold_sweep(self, lam):
+        total = flipped = disjoint = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            rng = random.Random(7)
+            memos = SweepMemo(), SweepMemo()
+            last = None
+            for plan in starts:
+                if last is not None and not set(plan) & set(last):
+                    disjoint += 1
+                for _ in range(2):
+                    move = self._sweep(ctx, plan, memos, lam)
+                    if move is not None:
+                        plan = tuple(tuple(r) for r in moved_route_codes(
+                            ctx, plan, move) if r)
+                    plan = merge_split(ctx, plan, 2, rng)
+                    self._sweep(ctx, plan, memos, lam)
+                self._sweep(ctx, plan[::-1], memos, lam)
+                flipped += len(plan) >= 2
+                last = plan[::-1]
+            total += memos[0].reused + memos[1].reused
+        assert total > 0 and flipped > 0 and disjoint > 0
 
 
 class TestKgslss:

@@ -161,6 +161,12 @@ class TestKgmaRun:
                            match="generations or wallclock_seconds"):
             StopRule(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"generations": -3},
+                                        {"wallclock_seconds": -1.0}])
+    def test_stop_rule_negative_bound_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            StopRule(**kwargs)
+
     def test_wallclock_stop(self, micro_b):
         inst, sp = micro_b
         _, trace = kgma_run(inst, sp, MemeticParams(seed=0),
@@ -175,6 +181,19 @@ class TestKgmaRun:
         for row in trace:
             assert row["pruned_by_criterion1"] \
                 + row["criterion2_evaluations"] == row["moves_enumerated"]
+
+    def test_trace_reports_memo_reuse(self):
+        base = random_classic_instance(20, 40, 20, 4)
+        inst = generate_td_parameters(base, "3LP", 2.0, seed=4)
+        sp = all_pairs_shortest_paths(inst)
+        _, trace = kgma_run(inst, sp, MemeticParams(seed=1, pls=1.0,
+                                                    osnum=10),
+                            stop=StopRule(generations=2))
+        # generation 0 is the initial population: no local search yet
+        assert trace[0]["memo_reused"] == trace[0]["memo_computed"] == 0
+        assert trace[0]["moves_enumerated"] == 0
+        assert any(row["memo_reused"] > 0 for row in trace[1:])
+        assert all(row["memo_computed"] > 0 for row in trace[1:])
 
     def test_traditional_mode_counts_full_evaluations(self, micro_b):
         inst, sp = micro_b

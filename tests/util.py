@@ -2,6 +2,7 @@
 feasible plans and move sampling."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from carptdsc import (
@@ -30,6 +31,25 @@ def make_random_instance(seed, itype="3LP", slope=1.0, n_vertices=6,
     base = random_classic_instance(n_vertices, n_edges, capacity, seed,
                                    required_frac=required_frac)
     return generate_td_parameters(base, itype, slope, seed=seed)
+
+
+def fractional(inst, slope=0.3):
+    """``inst`` with every travel time and cost, service time, interval
+    bound, minimum service cost and the horizon divided by 3, and every
+    slope set to ``slope``: none of them is then a binary fraction, so a
+    changed order of additions can show in a delta's last bits."""
+    arcs = []
+    for a in inst.arcs:
+        fn = a.cost_fn
+        if fn is not None:
+            fn = replace(fn, bt=fn.bt / 3, et=fn.et / 3, min_sc=fn.min_sc / 3,
+                         slope_abs=slope)
+        arcs.append(replace(a, travel_time=a.travel_time / 3,
+                            travel_cost=a.travel_cost / 3,
+                            service_time=a.service_time / 3, cost_fn=fn))
+    return replace(inst, arcs=tuple(arcs),
+                   planning_horizon=inst.planning_horizon / 3,
+                   global_slope_abs=slope)
 
 
 def encode_plan(ctx, sol):
