@@ -30,7 +30,6 @@ from .evaluation import (
     Solution,
     SolutionEvaluation,
     check_coverage,
-    delta_evaluate,
     evaluate_route,
     evaluate_solution,
     is_feasible,

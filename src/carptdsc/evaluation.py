@@ -3,8 +3,8 @@
 Evaluation is a forward time simulation: a vehicle leaves the depot at
 the route's departure time, deadheads along shortest paths between
 consecutive serviced tasks, and accrues the service cost of each task at
-its service beginning time.  ``delta_evaluate`` gives the exact cost
-change of a neighborhood move from the involved routes alone.
+its service beginning time.  The exact cost change of a neighborhood
+move is ``localsearch.criterion2_successful``'s delta.
 
 Internally a compiled context (dense per-task arrays plus shortest-path
 rows as plain lists) backs both the public functions and the local
@@ -48,9 +48,6 @@ class Route:
 @dataclass(frozen=True)
 class Solution:
     routes: tuple
-
-    def task_multiset(self):
-        return [t for r in self.routes for t, _ in r.task_seq]
 
 
 @dataclass(frozen=True)
@@ -290,30 +287,3 @@ def is_feasible(inst, sp, sol: Solution):
         if not rev.feasible_horizon:
             diagnostics.append(f"route {k}: service exceeds planning horizon")
     return not diagnostics, diagnostics
-
-
-def delta_evaluate(inst, sp, sol: Solution, move):
-    """Exact cost change of ``move`` from the involved routes alone.
-
-    Returns (delta_sc, delta_dc); their sum equals the total-cost change
-    of applying the move whenever both solutions are horizon-feasible.
-    """
-    from .localsearch import involved_routes, moved_route_codes
-
-    ctx = get_context(inst, sp)
-    routes = [ctx.encode_route(r) for r in sol.routes]
-    departures = [r.departure_time for r in sol.routes]
-    new_routes = moved_route_codes(ctx, routes, move)
-    d_sc = 0.0
-    d_dc = 0.0
-    for ri in involved_routes(routes, move):
-        t0 = departures[ri] if ri < len(departures) else 0.0
-        if ri < len(routes):
-            sc_old, dc_old, *_ = ctx.sim(routes[ri], t0)
-        else:
-            sc_old = dc_old = 0.0
-        sc_new, dc_new, *_ = ctx.sim(new_routes[ri], t0) if ri < len(new_routes) \
-            else (0.0, 0.0, None, None, None, None)
-        d_sc += sc_new - sc_old
-        d_dc += dc_new - dc_old
-    return d_sc, d_dc

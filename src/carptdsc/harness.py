@@ -111,10 +111,6 @@ def _write_csv(path, dicts):
         w.writerows(dicts)
 
 
-def write_trace_csv(path, trace):
-    _write_csv(path, trace)
-
-
 def dump_solution(sol, times=None):
     """One route per line: `t_k : arc+, arc-, ...` (sign is orientation)."""
     lines = []
@@ -134,15 +130,14 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
                stop: Optional[StopRule] = None):
     """One two-stage run.  Returns a dict with cost, times, and counters."""
     params = MemeticParams(
-        psize=cfg.psize, osnum=cfg.osnum, gnum=cfg.generations,
-        pls=cfg.pls, lam=cfg.lam, pf=cfg.pf, seed=seed,
-        init_mode=cfg.init_mode, operator_mode=cfg.operator_mode)
+        psize=cfg.psize, osnum=cfg.osnum, pls=cfg.pls, lam=cfg.lam,
+        pf=cfg.pf, seed=seed, init_mode=cfg.init_mode,
+        operator_mode=cfg.operator_mode)
     if stop is None:
         stop = StopRule(generations=cfg.generations,
                         wallclock_seconds=cfg.wallclock_seconds)
-    rng = random.Random(seed)
     t0 = time.perf_counter()
-    sol, trace = kgma_run(inst, sp, params, rng, stop)
+    sol, trace = kgma_run(inst, sp, params, stop)
     dep = stage2(inst, sp, sol)
     elapsed = time.perf_counter() - t0
     totals = {f.name: sum(row[f.name] for row in trace)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -52,11 +52,16 @@ class ServiceCostFunction:
     def __post_init__(self):
         if self.kind not in (TWO_SEGMENT, THREE_SEGMENT):
             raise InstanceError(f"unknown cost function kind {self.kind!r}")
-        if self.bt < 0 or self.et < self.bt:
+        for name in ("bt", "et", "min_sc", "slope_abs"):
+            if not math.isfinite(getattr(self, name)):
+                raise InstanceError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        # written so that NaN fails them too
+        if not (0 <= self.bt <= self.et):
             raise InstanceError(f"interval inverted: [{self.bt}, {self.et}]")
         if self.kind == TWO_SEGMENT and self.bt != 0:
             raise InstanceError("two-segment functions must have bt = 0")
-        if self.min_sc < 0 or self.slope_abs < 0:
+        if not (self.min_sc >= 0 and self.slope_abs >= 0):
             raise InstanceError("min_sc and slope_abs must be nonnegative")
 
 
@@ -108,24 +113,31 @@ class Instance:
     instance_type: str  # "2LP" | "3LP"
     global_slope_abs: float
     depot: int = 0
-    fleet_bound: Optional[int] = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    def arc(self, arc_id: int) -> Arc:
-        return self.arcs[arc_id]
 
     def validate(self) -> None:
+        # every range test below is written so that NaN fails it too
+        for name in ("capacity", "planning_horizon"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise InstanceError(
+                    f"{name} must be finite and positive, got {value}")
+        if not (0 <= self.global_slope_abs < math.inf):
+            raise InstanceError(f"slope must be finite and nonnegative, got "
+                                f"{self.global_slope_abs}")
         n = self.n_vertices
         for a in self.arcs:
             if a.tail == a.head:
                 raise InstanceError(f"arc {a.id}: self-loop at vertex {a.tail}")
             if not (0 <= a.tail < n and 0 <= a.head < n):
                 raise InstanceError(f"arc {a.id}: vertex out of range")
+            for name in ("length", "travel_time", "travel_cost",
+                         "service_time"):
+                value = getattr(a, name)
+                if not (0 <= value < math.inf):
+                    raise InstanceError(f"arc {a.id}: {name} must be finite "
+                                        f"and nonnegative, got {value}")
             if a.required:
-                if a.demand <= 0:
+                if not (0 < a.demand < math.inf):
                     raise InstanceError(f"required arc {a.id} has demand {a.demand}")
                 if a.cost_fn is None:
                     raise InstanceError(f"required arc {a.id} lacks a cost function")
@@ -157,23 +169,10 @@ class ShortestPathMatrix:
 
     sp_cost: tuple  # |V| x |V| tuples
     sp_time: tuple
-    pred: tuple  # pred[s][v]: predecessor vertex on a cheapest s->v path
-
-    def reconstruct_path(self, s: int, v: int) -> list:
-        """Vertex sequence of one cheapest path from s to v."""
-        if self.sp_cost[s][v] == math.inf:
-            raise InstanceError(f"no path from {s} to {v}")
-        path = [v]
-        while v != s:
-            v = self.pred[s][v]
-            path.append(v)
-        path.reverse()
-        return path
 
 
 def _dijkstra(n: int, adj: Sequence[Sequence[tuple]], src: int):
     dist = [math.inf] * n
-    pred = [-1] * n
     dist[src] = 0.0
     heap = [(0.0, src)]
     while heap:
@@ -184,35 +183,46 @@ def _dijkstra(n: int, adj: Sequence[Sequence[tuple]], src: int):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
                 heapq.heappush(heap, (nd, v))
-    return dist, pred
+    return dist
+
+
+def _distance_table(n, arcs, weights, shared):
+    """Rows of shortest-path distances from every vertex, arc i weighing
+    ``weights[i]``; each distance is taken from ``shared``."""
+    adj = [[] for _ in range(n)]
+    for a, w in zip(arcs, weights):
+        adj[a.tail].append((a.head, w))
+    return tuple(tuple([shared.setdefault(d, d) for d in _dijkstra(n, adj, s)])
+                 for s in range(n))
 
 
 def all_pairs_shortest_paths(inst: Instance) -> ShortestPathMatrix:
     """Dijkstra from every vertex, on travel-cost and travel-time weights.
 
-    Raises InstanceError when some task endpoint cannot reach, or be
+    Equal weights are searched once and share one table.  Raises
+    InstanceError on a negative or non-finite weight (Dijkstra needs
+    neither; an instance built with ``dataclasses.replace`` skips
+    ``Instance.validate``), and when some task endpoint cannot reach, or be
     reached from, the depot.
     """
     n = inst.n_vertices
-    adj_cost = [[] for _ in range(n)]
-    adj_time = [[] for _ in range(n)]
-    for a in inst.arcs:
-        adj_cost[a.tail].append((a.head, a.travel_cost))
-        adj_time[a.tail].append((a.head, a.travel_time))
     # equal distances share one float object: a float costs 24 bytes
     # besides its tuple slot, and the tables hold few distinct values (43
     # in the generated medium and large instances) against 2|V|^2 entries
     shared = {}
-    cost_rows, pred_rows, time_rows = [], [], []
-    for s in range(n):
-        dist, pred = _dijkstra(n, adj_cost, s)
-        cost_rows.append(tuple([shared.setdefault(d, d) for d in dist]))
-        pred_rows.append(tuple(pred))
-        tdist, _ = _dijkstra(n, adj_time, s)
-        time_rows.append(tuple([shared.setdefault(d, d) for d in tdist]))
-    sp = ShortestPathMatrix(tuple(cost_rows), tuple(time_rows), tuple(pred_rows))
+    tables = {}  # weights -> distance table
+    rows = []
+    for name in ("travel_cost", "travel_time"):
+        weights = tuple(getattr(a, name) for a in inst.arcs)
+        for a, w in zip(inst.arcs, weights):
+            if not (0 <= w < math.inf):
+                raise InstanceError(f"arc {a.id}: {name} must be finite and "
+                                    f"nonnegative, got {w}")
+        if weights not in tables:
+            tables[weights] = _distance_table(n, inst.arcs, weights, shared)
+        rows.append(tables[weights])
+    sp = ShortestPathMatrix(*rows)
     touched = {inst.depot}
     for t in inst.tasks:
         touched.add(inst.arcs[t].tail)
@@ -464,6 +474,9 @@ def parse_classic_dat(path) -> ClassicInstance:
                 demand = float(toks[3]) if len(toks) == 4 else 0.0
             except ValueError:
                 raise ParseError(f"non-numeric edge field in {line!r}", line_no)
+            if not (0 <= cost < math.inf and 0 <= demand < math.inf):
+                raise ParseError(f"edge cost and demand must be finite and "
+                                 f"nonnegative in {line!r}", line_no)
             edges.append(ClassicEdge(u, v, cost, demand))
     missing = [part for part, absent in (("VERTICES", n_vertices is None),
                                          ("CAPACITY", capacity is None),
@@ -504,8 +517,8 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
     total_time = sum(2 * e.cost for e in base.edges) + sum(
         e.cost for e in base.edges if e.demand > 0)
     pt = interval_policy.horizon_factor * total_time
-    if pt <= 0:
-        raise InstanceError("horizon too small to contain any interval")
+    if not (0 < pt < math.inf):
+        raise InstanceError(f"horizon {pt} must be finite and positive")
 
     arcs = []
     tasks = []

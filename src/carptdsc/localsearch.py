@@ -46,9 +46,16 @@ adds the earlier route's terms first and enumerates its tasks first, so an
 entry is copied only if its two routes keep their order; the known routes
 outside a longest run that keeps it are computed as new.  The public
 operators start from an empty memo, since their departures need not be 0.
-``c1_gap_sums``, ``criterion1_failed``, ``criterion2_successful`` and
-``_traditional_sweep`` stay scalar as the tests' independent reference,
-and the traditional sweep reuses nothing.
+
+The per-move reference (``c1_gap_sums``, ``criterion1_failed``,
+``criterion2_successful``) is scalar and shares no code with the
+knowledge-guided sweeps: it reads a ``Solution``'s encoded routes,
+departures and ``EvalContext.sim`` results, never a ``SolState``, and the
+tests check every sweep against it.  Outside the sweeps' batches,
+``_full_move_delta`` is the only routine that re-simulates a move's
+involved routes; criterion 2 and the traditional sweep both call it.
+The traditional sweep simulates each route of the plan once per sweep
+and reuses nothing else.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -115,9 +122,9 @@ class SearchCounters:
 
 
 class SolState:
-    """Encoded routes with cached begin times, gaps and costs.
+    """Encoded routes and the numpy tables of the knowledge-guided sweeps.
 
-    It also holds the numpy tables of the knowledge-guided sweeps.  There
+    The per-move reference reads none of them.  There
     is one insertion slot for every position of every route (before its
     first task, between tasks, after its last task), then one fresh-route
     slot; route r's slots start at ``slot_off[r]`` and the fresh-route slot
@@ -134,28 +141,22 @@ class SolState:
     cost.
     """
 
-    __slots__ = ("routes", "t0s", "begins", "gaps", "scs", "dcs",
-                 "slot_off", "slot_end_a", "slot_head_a", "slot_load_a",
-                 "slot_route_a", "slot_rest_a", "slot_next_a", "slot_begin_a",
-                 "slot_rend_a", "code_a", "route_a", "begin_a", "gap_a",
-                 "t0_a", "cost_a")
+    __slots__ = ("routes", "slot_off", "slot_end_a", "slot_head_a",
+                 "slot_load_a", "slot_route_a", "slot_rest_a", "slot_next_a",
+                 "slot_begin_a", "slot_rend_a", "code_a", "route_a",
+                 "begin_a", "gap_a", "t0_a", "cost_a")
 
     def __init__(self, ctx: EvalContext, routes, t0s):
         self.routes = routes
-        self.t0s = t0s
-        self.begins = []
-        self.gaps = []
-        self.scs = []
-        self.dcs = []
         dur, otail, ohead, depot = ctx.dur, ctx.otail, ctx.ohead, ctx.depot
         off, s_end, s_head, s_load = [], [], [], []
         s_route, s_rest, s_next, s_begin, s_rend = [], [], [], [], []
+        all_begins, all_gaps, costs = [], [], []
         for r, (codes, t0) in enumerate(zip(routes, t0s)):
             sc, dc, load, begins, gaps, end = ctx.sim(codes, t0)
-            self.begins.append(begins)
-            self.gaps.append(gaps)
-            self.scs.append(sc)
-            self.dcs.append(dc)
+            all_begins += begins
+            all_gaps += gaps
+            costs.append(sc + dc)
             n = len(codes)
             off.append(len(s_end))
             s_end.append(t0)
@@ -191,17 +192,10 @@ class SolState:
         self.code_a = np.array([c for codes in routes for c in codes],
                                dtype=np.intp)
         self.route_a = np.repeat(np.arange(len(routes)), np.diff(off) - 1)
-        self.begin_a = np.array([b for bs in self.begins for b in bs],
-                                dtype=float)
-        self.gap_a = np.array([g for gs in self.gaps for g in gs],
-                              dtype=float)
+        self.begin_a = np.array(all_begins, dtype=float)
+        self.gap_a = np.array(all_gaps, dtype=float)
         self.t0_a = np.array(t0s, dtype=float)
-        self.cost_a = np.array(self.scs, dtype=float) \
-            + np.array(self.dcs, dtype=float)
-
-    @property
-    def cost(self):
-        return sum(self.scs) + sum(self.dcs)
+        self.cost_a = np.array(costs, dtype=float)
 
     @classmethod
     def from_solution(cls, ctx: EvalContext, sol: Solution) -> "SolState":
@@ -345,35 +339,146 @@ def _enum_sw(ctx, routes):
 
 
 # ---------------------------------------------------------------------------
-# Per-move analysis helpers
+# Per-move reference
 #
-# Service durations are static, so a move shifts every later begin time of
-# a route by one constant; the incremental formulas rest on that.
+# Scalar, one move at a time, and sharing no code with the knowledge-guided
+# sweeps: the tests check every sweep against it.  Service durations are
+# static, so a move shifts every later begin time of a route by one
+# constant; the incremental formulas rest on that.
 # ---------------------------------------------------------------------------
 
-def _prefix(ctx, state, r, pos):
+class _Plan(NamedTuple):
+    """A plan as the reference reads it: encoded routes, their departures
+    and each route's ``EvalContext.sim`` result (service cost, deadhead
+    cost, load, begin times, gaps, end time)."""
+
+    routes: list
+    t0s: list
+    sims: list
+
+
+def _plan(ctx, routes, t0s) -> _Plan:
+    return _Plan(routes, t0s, [ctx.sim(c, t0) for c, t0 in zip(routes, t0s)])
+
+
+def _solution_plan(ctx, sol: Solution) -> _Plan:
+    return _plan(ctx, [ctx.encode_route(r) for r in sol.routes],
+                 [r.departure_time for r in sol.routes])
+
+
+def _prefix(ctx, plan, r, pos):
     """(end-of-service time, head vertex) just before position ``pos``."""
     if pos == 0:
-        return state.t0s[r], ctx.depot
-    c = state.routes[r][pos - 1]
-    return state.begins[r][pos - 1] + ctx.dur[c >> 1], ctx.ohead[c]
+        return plan.t0s[r], ctx.depot
+    c = plan.routes[r][pos - 1]
+    return plan.sims[r][3][pos - 1] + ctx.dur[c >> 1], ctx.ohead[c]
 
 
-def _prefix_after_removal(ctx, state, r, pa, count, pb):
+def _prefix_after_removal(ctx, plan, r, pa, count, pb):
     """Prefix at post-removal insert position pb of route r, after the
     ``count`` tasks at pa were taken out."""
     if pb == 0:
-        return state.t0s[r], ctx.depot
+        return plan.t0s[r], ctx.depot
     if pb - 1 < pa:
-        return _prefix(ctx, state, r, pb)
-    kept = state.routes[r][:pa] + state.routes[r][pa + count:]
-    t, ph = _prefix(ctx, state, r, pa)
+        return _prefix(ctx, plan, r, pb)
+    kept = plan.routes[r][:pa] + plan.routes[r][pa + count:]
+    t, ph = _prefix(ctx, plan, r, pa)
     for k in range(pa, pb):
         ck = kept[k]
         t += ctx.spt[ph][ctx.otail[ck]] + ctx.dur[ck >> 1]
         ph = ctx.ohead[ck]
     return t, ph
 
+
+def _full_move_delta(ctx, plan, move: Move,
+                     counters: Optional[SearchCounters] = None):
+    """(feasible, delta_sc, delta_dc) by re-simulating the involved
+    routes."""
+    new = moved_route_codes(ctx, plan.routes, move)
+    d_sc = 0.0
+    d_dc = 0.0
+    feasible = True
+    for ri in involved_routes(plan.routes, move):
+        t0 = plan.t0s[ri] if ri < len(plan.t0s) else 0.0
+        sc, dc, load, _, _, end = ctx.sim(new[ri], t0)
+        if load > ctx.capacity or end > ctx.horizon + _H_EPS:
+            feasible = False
+        old_sc, old_dc = plan.sims[ri][:2] if ri < len(plan.routes) \
+            else (0.0, 0.0)
+        d_sc += sc - old_sc
+        d_dc += dc - old_dc
+        if counters is not None:
+            counters.sc_evaluations += len(new[ri])
+    return feasible, d_sc, d_dc
+
+
+def _c1_new_begins(ctx, plan, move: Move):
+    """Tentative begin times of the move's directly-affected tasks."""
+    spt, otail, ohead, dur = ctx.spt, ctx.otail, ctx.ohead, ctx.dur
+    if move.kind != SWAP:
+        ra, pa, k, codes = _moved_block(ctx, plan.routes, move)
+        rb, pb = move.dst
+        if rb is NEW_ROUTE:
+            p_end, ph = 0.0, ctx.depot
+        elif rb == ra:
+            p_end, ph = _prefix_after_removal(ctx, plan, ra, pa, k, pb)
+        else:
+            p_end, ph = _prefix(ctx, plan, rb, pb)
+        t = p_end + spt[ph][otail[codes[0]]]
+        out = [t]
+        for prev, nc in zip(codes, codes[1:]):
+            t = t + dur[prev >> 1] + spt[ohead[prev]][otail[nc]]
+            out.append(t)
+        return tuple(out)
+    ra, pa = move.src
+    rb, pb = move.dst
+    na = _oriented(ctx, plan.routes[ra][pa], move.orientations[0])
+    nb = _oriented(ctx, plan.routes[rb][pb], move.orientations[1])
+    pb_end, pbh = _prefix(ctx, plan, rb, pb)
+    pa_end, pah = _prefix(ctx, plan, ra, pa)
+    return (pb_end + spt[pbh][otail[na]],
+            pa_end + spt[pah][otail[nb]])
+
+
+def _relevant_tasks(move: Move):
+    if move.kind == SWAP:
+        return (move.src, move.dst)
+    ra, pa = move.src[0], move.src[1]
+    return tuple((ra, pa + i) for i in range(_block_len(move.kind)))
+
+
+def c1_gap_sums(inst, sp, sol: Solution, move: Move):
+    """(gap sum before, gap sum after) over the move's relevant tasks."""
+    ctx = get_context(inst, sp)
+    plan = _solution_plan(ctx, sol)
+    spots = _relevant_tasks(move)
+    before = sum(plan.sims[r][4][p] for r, p in spots)
+    after = sum(ctx.gap(plan.routes[r][p] >> 1, t)
+                for (r, p), t in zip(spots, _c1_new_begins(ctx, plan, move)))
+    return before, after
+
+
+def criterion1_failed(inst, sp, sol: Solution, move: Move, lam: float) -> bool:
+    """True when the relevant tasks' total time gap would grow beyond
+    ``lam`` times its previous value: the move is failed without further
+    evaluation."""
+    before, after = c1_gap_sums(inst, sp, sol, move)
+    return after - lam * before > 0.0
+
+
+def criterion2_successful(inst, sp, sol: Solution, move: Move):
+    """(successful, delta): successful iff the exact involved-route cost
+    delta is negative and the involved routes stay feasible."""
+    ctx = get_context(inst, sp)
+    feasible, d_sc, d_dc = _full_move_delta(ctx, _solution_plan(ctx, sol),
+                                            move)
+    delta = d_sc + d_dc
+    return (feasible and delta < 0.0), delta
+
+
+# ---------------------------------------------------------------------------
+# Knowledge-guided sweep helpers
+# ---------------------------------------------------------------------------
 
 def _gaps(t, b, e):
     """EvalContext.gap over numpy arrays: the time gap of begin times ``t``
@@ -573,90 +678,6 @@ class _Entries:
         return float(best[at[0]]), int((base[at] + rel[at]).min())
 
 
-def _full_move_delta(ctx, state, move: Move, counters: Optional[SearchCounters] = None):
-    """(feasible, delta_sc, delta_dc) by re-simulating the involved routes."""
-    new = moved_route_codes(ctx, state.routes, move)
-    d_sc = 0.0
-    d_dc = 0.0
-    feasible = True
-    for ri in involved_routes(state.routes, move):
-        t0 = state.t0s[ri] if ri < len(state.t0s) else 0.0
-        sc, dc, load, _, _, end = ctx.sim(new[ri], t0)
-        if load > ctx.capacity or end > ctx.horizon + _H_EPS:
-            feasible = False
-        old_sc = state.scs[ri] if ri < len(state.routes) else 0.0
-        old_dc = state.dcs[ri] if ri < len(state.routes) else 0.0
-        d_sc += sc - old_sc
-        d_dc += dc - old_dc
-        if counters is not None:
-            counters.sc_evaluations += len(new[ri])
-    return feasible, d_sc, d_dc
-
-
-def _c1_new_begins(ctx, state, move: Move):
-    """Tentative begin times of the move's directly-affected tasks."""
-    spt, otail, ohead, dur = ctx.spt, ctx.otail, ctx.ohead, ctx.dur
-    if move.kind != SWAP:
-        ra, pa, k, codes = _moved_block(ctx, state.routes, move)
-        rb, pb = move.dst
-        if rb is NEW_ROUTE:
-            p_end, ph = 0.0, ctx.depot
-        elif rb == ra:
-            p_end, ph = _prefix_after_removal(ctx, state, ra, pa, k, pb)
-        else:
-            p_end, ph = _prefix(ctx, state, rb, pb)
-        t = p_end + spt[ph][otail[codes[0]]]
-        out = [t]
-        for prev, nc in zip(codes, codes[1:]):
-            t = t + dur[prev >> 1] + spt[ohead[prev]][otail[nc]]
-            out.append(t)
-        return tuple(out)
-    ra, pa = move.src
-    rb, pb = move.dst
-    na = _oriented(ctx, state.routes[ra][pa], move.orientations[0])
-    nb = _oriented(ctx, state.routes[rb][pb], move.orientations[1])
-    pb_end, pbh = _prefix(ctx, state, rb, pb)
-    pa_end, pah = _prefix(ctx, state, ra, pa)
-    return (pb_end + spt[pbh][otail[na]],
-            pa_end + spt[pah][otail[nb]])
-
-
-def _relevant_tasks(move: Move):
-    if move.kind == SWAP:
-        return (move.src, move.dst)
-    ra, pa = move.src[0], move.src[1]
-    return tuple((ra, pa + i) for i in range(_block_len(move.kind)))
-
-
-def c1_gap_sums(inst, sp, sol, move: Move):
-    """(gap sum before, gap sum after) over the move's relevant tasks."""
-    ctx = get_context(inst, sp)
-    state = sol if isinstance(sol, SolState) else SolState.from_solution(ctx, sol)
-    spots = _relevant_tasks(move)
-    before = sum(state.gaps[r][p] for r, p in spots)
-    after = sum(ctx.gap(state.routes[r][p] >> 1, t)
-                for (r, p), t in zip(spots, _c1_new_begins(ctx, state, move)))
-    return before, after
-
-
-def criterion1_failed(inst, sp, sol, move: Move, lam: float) -> bool:
-    """True when the relevant tasks' total time gap would grow beyond
-    ``lam`` times its previous value: the move is failed without further
-    evaluation."""
-    before, after = c1_gap_sums(inst, sp, sol, move)
-    return after - lam * before > 0.0
-
-
-def criterion2_successful(inst, sp, sol: Solution, move: Move):
-    """(successful, delta): successful iff the exact involved-route cost
-    delta is negative and the involved routes stay feasible."""
-    ctx = get_context(inst, sp)
-    state = SolState.from_solution(ctx, sol)
-    feasible, d_sc, d_dc = _full_move_delta(ctx, state, move)
-    delta = d_sc + d_dc
-    return (feasible and delta < 0.0), delta
-
-
 # ---------------------------------------------------------------------------
 # Best-improvement sweeps:
 # (ctx, state, kind, lam, counters, memo) -> (delta, move), and for all kinds
@@ -668,8 +689,9 @@ def criterion2_successful(inst, sp, sol: Solution, move: Move):
 # incremental delta.  _kg_sweeps sweeps both insertion kinds at once.  Both
 # take the entries of the routes and route pairs that ``memo`` holds from
 # the last plan swept, and compute the others.  _traditional_sweep is the
-# traditional operator: every enumerated move is re-simulated in full, and
-# lam is ignored; _traditional_sweeps reuses nothing.  All return the
+# traditional operator: every enumerated move's involved routes are
+# re-simulated in full by _full_move_delta, and lam is ignored;
+# _traditional_sweeps reuses nothing across sweeps.  All return the
 # first-enumerated best move on ties, in enumerate_moves order.
 # ---------------------------------------------------------------------------
 
@@ -694,10 +716,11 @@ def _kg_sweeps(ctx, state, lam, counters, memo=None):
 def _traditional_sweep(ctx, state, kind, lam, counters):
     best = -_EPS
     best_move = None
-    for move in _enum(ctx, state.routes, kind):
+    plan = _plan(ctx, state.routes, state.t0_a.tolist())
+    for move in _enum(ctx, plan.routes, kind):
         counters.moves_enumerated += 1
         counters.full_route_evaluations += 1
-        feasible, d_sc, d_dc = _full_move_delta(ctx, state, move, counters)
+        feasible, d_sc, d_dc = _full_move_delta(ctx, plan, move, counters)
         delta = d_sc + d_dc
         if feasible and delta < best:
             best, best_move = delta, move

@@ -38,12 +38,10 @@ from .mergesplit import merge_split
 class MemeticParams:
     psize: int = 10
     osnum: int = 60
-    gnum: int = 50
     pls: float = 0.1
     lam: float = 1.0
     pf: float = 0.45
     seed: int = 0
-    ms_routes: int = 2
     init_mode: str = KGIS
     operator_mode: str = "kg"  # "kg" or "traditional", for ablations
 
@@ -285,7 +283,7 @@ def _pipeline(ctx, plan, params, rng, counters, memo):
     sweep of ``params.operator_mode`` and the run's ``SweepMemo``."""
     sweep = SWEEPS[params.operator_mode]
     plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
-    plan = merge_split(ctx, plan, params.ms_routes, rng)
+    plan = merge_split(ctx, plan, rng=rng)
     plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
     return plan
 
@@ -297,10 +295,9 @@ def _best_feasible(pop):
     return min(feas, key=lambda ind: (ind.tc, len(ind.plan)))
 
 
-def kgma_run(inst, sp, params: MemeticParams,
-             rng: Optional[random.Random] = None,
-             stop: Optional[StopRule] = None):
-    """Evolve routing plans; returns (best feasible Solution, trace).
+def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
+    """Evolve routing plans from the seed ``params.seed`` until ``stop``
+    says so; returns (best feasible Solution, trace).
 
     The trace holds one dict per generation (including generation 0 for
     the initial population) with best/mean cost, feasible count, and the
@@ -311,10 +308,7 @@ def kgma_run(inst, sp, params: MemeticParams,
     carries ``init_duplicates``: how many initial individuals repeat an
     earlier one after the initializer's retries.
     """
-    if rng is None:
-        rng = random.Random(params.seed)
-    if stop is None:
-        stop = StopRule(generations=params.gnum)
+    rng = random.Random(params.seed)
     ctx = get_context(inst, sp)
     t_start = time.perf_counter()
 

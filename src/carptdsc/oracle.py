@@ -55,14 +55,12 @@ def floyd_warshall(inst: Instance) -> ShortestPathMatrix:
 
     def run(weight):
         dist = [[INF] * n for _ in range(n)]
-        pred = [[-1] * n for _ in range(n)]
         for v in range(n):
             dist[v][v] = 0.0
         for a in inst.arcs:
             w = weight(a)
             if w < dist[a.tail][a.head]:
                 dist[a.tail][a.head] = w
-                pred[a.tail][a.head] = a.tail
         for k in range(n):
             dk = dist[k]
             for i in range(n):
@@ -70,21 +68,14 @@ def floyd_warshall(inst: Instance) -> ShortestPathMatrix:
                 if dik == INF:
                     continue
                 di = dist[i]
-                pi = pred[i]
                 for j in range(n):
                     nd = dik + dk[j]
                     if nd < di[j]:
                         di[j] = nd
-                        pi[j] = pred[k][j]
-        return dist, pred
+        return tuple(tuple(r) for r in dist)
 
-    cost, pred = run(lambda a: a.travel_cost)
-    time, _ = run(lambda a: a.travel_time)
-    return ShortestPathMatrix(
-        tuple(tuple(r) for r in cost),
-        tuple(tuple(r) for r in time),
-        tuple(tuple(r) for r in pred),
-    )
+    return ShortestPathMatrix(run(lambda a: a.travel_cost),
+                              run(lambda a: a.travel_time))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from carptdsc import (
     apply_move,
     criterion1_failed,
     criterion2_successful,
-    delta_evaluate,
     eval_service_cost,
     evaluate_solution,
     exact_solve,
@@ -87,7 +86,7 @@ def classic_reduction_costs():
     sp = all_pairs_shortest_paths(inst)
     costs = []
     for seed in range(20):
-        params = MemeticParams(psize=10, pls=0.1, gnum=50, seed=seed)
+        params = MemeticParams(psize=10, pls=0.1, seed=seed)
         sol, _ = kgma_run(inst, sp, params, stop=StopRule(generations=50))
         costs.append(stage2(inst, sp, sol).total)
     return costs
@@ -117,8 +116,8 @@ MIN_CORPUS_MOVES = 10 ** 4
 def move_corpus():
     """>= 10^4 random feasible moves over 12 seeded instances, both kinds.
 
-    Each record carries the incremental delta, the full re-evaluation
-    difference, and the classifier verdict for one move.
+    Each record carries the full re-evaluation difference, the classifier
+    verdict and criterion 2's delta for one move.
     """
     records = []
     for seed in range(6):
@@ -137,10 +136,9 @@ def move_corpus():
                     neighbor = apply_move(inst, sp, sol, move)
                     if not is_feasible(inst, sp, neighbor)[0]:
                         continue
-                    d_sc, d_dc = delta_evaluate(inst, sp, sol, move)
                     full = evaluate_solution(inst, sp, neighbor).tc - base
                     ok, c2_delta = criterion2_successful(inst, sp, sol, move)
-                    records.append((d_sc + d_dc, full, ok, c2_delta))
+                    records.append((full, ok, c2_delta))
                     taken += 1
     assert len(records) >= MIN_CORPUS_MOVES
     return records
@@ -148,16 +146,16 @@ def move_corpus():
 
 class TestMoveCorpus:
     def test_deltas_match_full_reevaluation(self, move_corpus):
-        worst = max(abs(delta - full) for delta, full, _, _ in move_corpus)
+        worst = max(abs(delta - full) for full, _, delta in move_corpus)
         assert worst <= 1e-9
 
     def test_successful_moves_strictly_improve(self, move_corpus):
-        violations = [(delta, full) for delta, full, ok, _ in move_corpus
+        violations = [(delta, full) for full, ok, delta in move_corpus
                       if ok and not full < 0.0]
         assert violations == []
 
     def test_successful_delta_agrees_with_classifier(self, move_corpus):
-        for _, full, ok, c2_delta in move_corpus:
+        for full, ok, c2_delta in move_corpus:
             if ok:
                 assert c2_delta == pytest.approx(full, abs=1e-9)
 

@@ -11,7 +11,7 @@ from carptdsc import (
     Solution,
     all_pairs_shortest_paths,
     apply_move,
-    delta_evaluate,
+    criterion2_successful,
     evaluate_route,
     evaluate_solution,
     generate_td_parameters,
@@ -205,14 +205,17 @@ END
 
 
 class TestDeltaEvaluate:
+    """Criterion 2's delta, the exact cost change of a move from its
+    involved routes alone."""
+
     def test_identity_move_is_zero(self, micro_a):
         from carptdsc import Move, SINGLE_INSERTION
         inst, sp = micro_a
         sol = random_feasible_solution(inst, sp, random.Random(2))
         seq = sol.routes[0].task_seq
         move = Move(SINGLE_INSERTION, (0, 0), (0, 0), (seq[0][1],))
-        d_sc, d_dc = delta_evaluate(inst, sp, sol, move)
-        assert d_sc == 0.0 and d_dc == 0.0
+        _, delta = criterion2_successful(inst, sp, sol, move)
+        assert delta == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exactness_against_full_reevaluation(self, seed):
@@ -225,6 +228,6 @@ class TestDeltaEvaluate:
             neighbor = apply_move(inst, sp, sol, move)
             if not is_feasible(inst, sp, neighbor)[0]:
                 continue
-            d_sc, d_dc = delta_evaluate(inst, sp, sol, move)
+            _, delta = criterion2_successful(inst, sp, sol, move)
             full = evaluate_solution(inst, sp, neighbor).tc - base
-            assert d_sc + d_dc == pytest.approx(full, abs=1e-9)
+            assert delta == pytest.approx(full, abs=1e-9)

@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,32 @@ class TestParsing:
         assert err.value.line_no == 5
         assert "4LP" in str(err.value)
 
+    # a non-finite or out-of-range number in each field, and the name the
+    # error gives
+    @pytest.mark.parametrize("old, new, named", [
+        ("CAPACITY 5", "CAPACITY nan", "capacity"),
+        ("CAPACITY 5", "CAPACITY -5", "capacity"),
+        ("HORIZON 100", "HORIZON nan", "planning_horizon"),
+        ("HORIZON 100", "HORIZON inf", "planning_horizon"),
+        ("SLOPE 1", "SLOPE nan", "slope_abs"),
+        ("REQ 1 3 3 0 100", "REQ nan 3 3 0 100", "demand"),
+        ("REQ 1 3 3 0 100", "REQ -1 3 3 0 100", "demand"),
+        ("REQ 1 3 3 0 100", "REQ 1 nan 3 0 100", "service_time"),
+        ("REQ 1 3 3 0 100", "REQ 1 3 nan 0 100", "min_sc"),
+        ("REQ 1 3 3 0 100", "REQ 1 3 3 nan 100", "bt"),
+        ("REQ 1 3 3 0 100", "REQ 1 3 3 0 nan", "et"),
+        ("0 1 3 3 3 REQ", "0 1 nan 3 3 REQ", "length"),
+        ("0 1 3 3 3 REQ", "0 1 3 nan 3 REQ", "travel_time"),
+        ("0 1 3 3 3 REQ", "0 1 3 3 -3 REQ", "travel_cost"),
+        ("1 0 3 3 3", "1 0 3 inf 3", "travel_time"),
+    ])
+    def test_bad_number_is_parse_error_naming_its_field(self, tmp_path, old,
+                                                        new, named):
+        p = tmp_path / "bad.dat"
+        p.write_text(MINIMAL.replace(old, new))
+        with pytest.raises(ParseError, match=named):
+            parse_instance(p)
+
     def test_classic_minimal_file(self, tmp_path):
         p = tmp_path / "tiny.dat"
         p.write_text(CLASSIC_MINIMAL)
@@ -170,6 +198,22 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_classic_dat(p)
         assert err.value.line_no == 6
+
+    @pytest.mark.parametrize("edge", ["1 2 nan 1", "1 2 3 nan", "1 2 -3 1",
+                                      "1 2 3 -1"])
+    def test_classic_bad_edge_number_is_parse_error(self, tmp_path, edge):
+        p = tmp_path / "bad.dat"
+        p.write_text(CLASSIC_MINIMAL.replace("1 2 3 1", edge))
+        with pytest.raises(ParseError, match="finite and nonnegative") as err:
+            parse_classic_dat(p)
+        assert err.value.line_no == 6
+
+    def test_classic_nan_capacity_rejected_on_conversion(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text(CLASSIC_MINIMAL.replace("CAPACITY : 5", "CAPACITY : nan"))
+        base = parse_classic_dat(p)
+        with pytest.raises(InstanceError, match="capacity"):
+            generate_td_parameters(base, "3LP", 1.0)
 
     @pytest.mark.parametrize("part, drop", [
         ("VERTICES", "VERTICES : 3\n"),
@@ -306,8 +350,63 @@ END
         assert sp.sp_cost == fw.sp_cost
         assert sp.sp_time == fw.sp_time
 
-    def test_reconstruct_path_endpoints(self, micro_b):
-        inst, sp = micro_b
-        path = sp.reconstruct_path(0, inst.arcs[inst.tasks[0]].head)
-        assert path[0] == 0
-        assert path[-1] == inst.arcs[inst.tasks[0]].head
+    def test_time_unlike_cost_matches_floyd_warshall(self):
+        inst = make_random_instance(5, n_vertices=20, n_edges=40)
+        arcs = tuple(replace(a, travel_time=float(a.id * 7 % 11 + 1))
+                     for a in inst.arcs)
+        inst = replace(inst, arcs=arcs)
+        sp = all_pairs_shortest_paths(inst)
+        fw = floyd_warshall(inst)
+        assert sp.sp_time != sp.sp_cost
+        assert sp.sp_cost == fw.sp_cost
+        assert sp.sp_time == fw.sp_time
+
+    def test_equal_weights_share_one_table(self, micro_a):
+        _, sp = micro_a
+        assert sp.sp_time is sp.sp_cost
+
+    def test_negative_cycle_rejected_without_hanging(self):
+        # micro_a's arcs 1 -> 4 and 4 -> 1 at weight -2 form a negative
+        # cycle, on which Dijkstra never ends: the parser must refuse the
+        # file, and the search an instance built around the parser's checks.
+        # Run in a child process with a time and memory cap, so that a
+        # search that loops forever fails the test instead of the suite
+        child = textwrap.dedent("""\
+            import resource, sys
+            from dataclasses import replace
+            from carptdsc import (InstanceError, ParseError,
+                                  all_pairs_shortest_paths, parse_instance)
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            text = open(sys.argv[1]).read()
+            bad = text.replace("1 4 2 2 2", "1 4 2 -2 -2").replace(
+                "4 1 2 2 2", "4 1 2 -2 -2")
+            assert bad.count(" -2 -2") == 2
+            open(sys.argv[2], "w").write(bad)
+            try:
+                parse_instance(sys.argv[2])
+            except ParseError as exc:
+                print(exc)
+            inst = parse_instance(sys.argv[1])
+            arcs = tuple(replace(a, travel_cost=-2.0, travel_time=-2.0)
+                         if (a.tail, a.head) in ((1, 4), (4, 1)) else a
+                         for a in inst.arcs)
+            try:
+                all_pairs_shortest_paths(replace(inst, arcs=arcs))
+            except InstanceError as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        data = SRC.parent / "data" / "micro_a.dat"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = subprocess.run(
+                [sys.executable, "-c", child, str(data),
+                 os.path.join(tmp, "cycle.dat")],
+                capture_output=True, text=True, timeout=10,
+                env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2, out.stdout
+        assert all("must be finite and nonnegative" in x for x in lines)
+        assert lines[0].startswith("arc 4: travel_time")
+        assert lines[1].startswith("arc 4: travel_cost")

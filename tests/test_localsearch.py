@@ -20,7 +20,6 @@ from carptdsc import (
     apply_move,
     criterion1_failed,
     criterion2_successful,
-    delta_evaluate,
     enumerate_moves,
     evaluate_solution,
     generate_td_parameters,
@@ -41,6 +40,7 @@ from carptdsc.localsearch import (
     _kg_sweep,
     _kg_sweeps,
     _row_sums,
+    c1_gap_sums,
     moved_route_codes,
 )
 from carptdsc.oracle import exhaustive_neighborhood
@@ -145,7 +145,8 @@ class TestApplyMove:
         sol = random_feasible_solution(inst, sp, random.Random(4))
         for m in sample_moves(inst, sp, sol, random.Random(2), 60):
             out = apply_move(inst, sp, sol, m)
-            assert sorted(out.task_multiset()) == sorted(inst.tasks)
+            served = [t for r in out.routes for t, _ in r.task_seq]
+            assert sorted(served) == sorted(inst.tasks)
 
 
 class TestCriteria:
@@ -159,7 +160,6 @@ class TestCriteria:
     def test_huge_lambda_disables_pruning(self, micro_b):
         inst, sp = micro_b
         sol = random_feasible_solution(inst, sp, random.Random(3))
-        from carptdsc.localsearch import c1_gap_sums
         for m in sample_moves(inst, sp, sol, random.Random(1), 80):
             before, _ = c1_gap_sums(inst, sp, sol, m)
             if before > 0:
@@ -186,6 +186,43 @@ class TestCriteria:
                 out = apply_move(inst, sp, sol, m)
                 assert evaluate_solution(inst, sp, out).tc < base
                 assert is_feasible(inst, sp, out)[0]
+
+
+class _NoSolState:
+    """Stands in for ``SolState``: building one fails."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the per-move reference built a SolState")
+
+    @classmethod
+    def from_solution(cls, *args, **kwargs):
+        cls()
+
+
+class TestReferenceIndependence:
+    """The per-move reference shares no code with the sweeps: with
+    ``SolState`` replaced by a stub that cannot be built, it returns
+    exactly what it returned before, on micro_b and fractional moves."""
+
+    @staticmethod
+    def _verdicts(cases):
+        return [(c1_gap_sums(inst, sp, sol, m),
+                 criterion1_failed(inst, sp, sol, m, 1.0),
+                 criterion1_failed(inst, sp, sol, m, 0.5),
+                 criterion2_successful(inst, sp, sol, m))
+                for inst, sp, sol, moves in cases for m in moves]
+
+    def test_reference_builds_no_solstate(self, micro_b, monkeypatch):
+        cases = []
+        sources = [micro_b] + [(inst, sp) for _, inst, sp, _
+                               in list(_fractional_cases())[:2]]
+        for seed, (inst, sp) in enumerate(sources):
+            sol = random_feasible_solution(inst, sp, random.Random(seed))
+            cases.append((inst, sp, sol, sample_moves(
+                inst, sp, sol, random.Random(seed + 10), 120)))
+        expect = self._verdicts(cases)
+        monkeypatch.setattr("carptdsc.localsearch.SolState", _NoSolState)
+        assert self._verdicts(cases) == expect
 
 
 def _best_unpruned_tc(inst, sp, sol, kinds, lam=1.0):

@@ -132,7 +132,7 @@ class TestKgmaRun:
         inst = generate_td_parameters(base, "3LP", 2.0, seed=1000)
         sp = all_pairs_shortest_paths(inst)
         _, trace = kgma_run(inst, sp, MemeticParams(seed=5),
-                            random.Random(5), StopRule(generations=1))
+                            StopRule(generations=1))
         _, expect = kgis_population(get_context(inst, sp),
                                     InitConfig(psize=10), random.Random(5))
         assert expect > 0
