@@ -19,6 +19,7 @@ from carptdsc import (
     random_classic_instance,
 )
 from carptdsc.evaluation import get_context
+from carptdsc.localsearch import _full_move_delta, _solution_plan
 from carptdsc.oracle import classic_evaluate
 
 from util import make_random_instance, random_feasible_solution, sample_moves
@@ -214,8 +215,11 @@ class TestDeltaEvaluate:
         sol = random_feasible_solution(inst, sp, random.Random(2))
         seq = sol.routes[0].task_seq
         move = Move(SINGLE_INSERTION, (0, 0), (0, 0), (seq[0][1],))
-        _, delta = criterion2_successful(inst, sp, sol, move)
-        assert delta == 0.0
+        ok, delta = criterion2_successful(inst, sp, sol, move)
+        assert not ok and delta == 0.0
+        ctx = get_context(inst, sp)
+        _, d_sc, d_dc = _full_move_delta(ctx, _solution_plan(ctx, sol), move)
+        assert d_sc == 0.0 and d_dc == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exactness_against_full_reevaluation(self, seed):
