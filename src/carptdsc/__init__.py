@@ -36,7 +36,6 @@ from .evaluation import (
 )
 from .initialization import (
     BASELINE,
-    InitConfig,
     KGIS,
     baseline_individual,
     kgis_individual,

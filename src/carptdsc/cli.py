@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    ConfigError,
     ExperimentConfig,
     ablation_departure,
     ablation_timing,
@@ -25,20 +27,21 @@ from .harness import (
     _write_csv,
 )
 from .instance import (
-    FLAT_EVERYWHERE,
+    InstanceError,
     IntervalPolicy,
+    ParseError,
     generate_td_parameters,
     parse_classic_dat,
     random_classic_instance,
     write_instance,
 )
-from .oracle import OracleBudget, exact_solve
+from .oracle import OracleBudget, OracleRefusal, exact_solve
 
 
-def _add_common(p):
+def _add_common(p, generations=50):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--generations", type=int, default=50)
+    p.add_argument("--generations", type=int, default=generations)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--init", choices=("kgis", "baseline"), default="kgis")
     p.add_argument("--operators", choices=("kg", "traditional"), default="kg")
@@ -47,16 +50,28 @@ def _add_common(p):
 
 
 def _cfg_from_args(args, instances):
+    """The run's config: the --config file's, else the flags'; a config
+    file without ``out_dir`` writes to --out."""
     if getattr(args, "config", None):
         cfg = parse_config(args.config)
         if instances:
             cfg.instances = list(instances)
+        cfg.out_dir = cfg.out_dir or args.out
         return cfg
     return ExperimentConfig(
         instances=list(instances), init_mode=args.init,
         operator_mode=args.operators, lam=args.lam,
         repetitions=args.reps, generations=args.generations,
         base_seed=args.seed, out_dir=args.out, fmt=args.format)
+
+
+def _write_rows(out_dir, name, rows):
+    """Write ``rows`` to ``out_dir/name`` as CSV and print each."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / name, rows)
+    for row in rows:
+        print(row)
 
 
 # base graph sizes of the seeded experiment suite
@@ -93,13 +108,38 @@ def write_suite(out, seeds=3):
     return count
 
 
-def _policy(name):
-    if name == "flat-everywhere":
-        return FLAT_EVERYWHERE
-    return IntervalPolicy()
+def _add_td(p, itype):
+    """The flags of the time-dependent parameters and the output file."""
+    p.add_argument("--type", dest="itype", choices=("2LP", "3LP"),
+                   default=itype)
+    p.add_argument("--slope", type=float, default=1.0)
+    p.add_argument("--policy", default="default",
+                   choices=("default", "flat-everywhere"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+
+
+# the subcommands that run over an instance set, or a --config file's
+_SET_COMMANDS = {
+    "bench": "repeated runs over an instance set",
+    "ablate-init": "knowledge-guided vs baseline initialization",
+    "ablate-operators": "operator timing and evaluation-count ratios",
+    "ablate-departure": "exact departure times vs the paper's GSS/NCS",
+    "time-to-target": "wall-clock until a target cost is reached",
+}
 
 
 def main(argv=None):
+    """Run one subcommand; bad input ends it with a one-line error."""
+    try:
+        return _run(argv)
+    except (ParseError, InstanceError, ConfigError, OracleRefusal,
+            OSError) as exc:
+        print(f"carptdsc: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(argv):
     ap = argparse.ArgumentParser(prog="carptdsc")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -108,39 +148,19 @@ def main(argv=None):
     p.add_argument("--dump-solution", action="store_true")
     _add_common(p)
 
-    p = sub.add_parser("bench", help="repeated runs over an instance set")
-    p.add_argument("instances", nargs="*")
-    p.add_argument("--config")
-    _add_common(p)
-
-    p = sub.add_parser("ablate-init",
-                       help="knowledge-guided vs baseline initialization")
-    p.add_argument("instances", nargs="*")
-    p.add_argument("--config")
-    _add_common(p)
-
-    p = sub.add_parser("ablate-operators",
-                       help="operator timing and evaluation-count ratios")
-    p.add_argument("instances", nargs="*")
-    p.add_argument("--config")
-    _add_common(p)
-
-    p = sub.add_parser("ablate-departure",
-                       help="exact departure times vs the paper's GSS/NCS")
-    p.add_argument("instances", nargs="*")
-    p.add_argument("--config")
-    _add_common(p)
-
-    p = sub.add_parser("time-to-target",
-                       help="wall-clock until a target cost is reached")
-    p.add_argument("instances", nargs="*")
-    p.add_argument("--config")
-    p.add_argument("--target", type=float,
-                   help="target cost applied to every instance; compared "
-                        "with the stage-1 cost (every route departing at "
-                        "0), not the final cost")
-    _add_common(p)
-    p.set_defaults(generations=600)  # here --generations caps each run
+    for command, help_text in _SET_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("instances", nargs="*")
+        p.add_argument("--config")
+        if command == "time-to-target":
+            p.add_argument("--target", type=float,
+                           help="target cost applied to every instance; "
+                                "compared with the stage-1 cost (every route "
+                                "departing at 0), not the final cost")
+            # here --generations caps each run
+            _add_common(p, generations=600)
+        else:
+            _add_common(p)
 
     p = sub.add_parser("gen", help="generate a random instance, or with "
                        "--suite the seeded experiment suite")
@@ -153,23 +173,11 @@ def main(argv=None):
     p.add_argument("--vertices", type=int, default=12)
     p.add_argument("--edges", type=int, default=22)
     p.add_argument("--capacity", type=float, default=5)
-    p.add_argument("--type", dest="itype", choices=("2LP", "3LP"),
-                   default="3LP")
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--policy", default="default",
-                   choices=("default", "flat-everywhere"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_td(p, itype="3LP")
 
     p = sub.add_parser("convert", help="classic DAT to the extended format")
     p.add_argument("input")
-    p.add_argument("--type", dest="itype", choices=("2LP", "3LP"),
-                   default="2LP")
-    p.add_argument("--slope", type=float, default=1.0)
-    p.add_argument("--policy", default="default",
-                   choices=("default", "flat-everywhere"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_td(p, itype="2LP")
 
     p = sub.add_parser("oracle", help="exact brute-force optimum (micro only)")
     p.add_argument("instance")
@@ -194,56 +202,42 @@ def main(argv=None):
         _write_csv(out / f"{inst.name}_seed{args.seed}_trace.csv", r["trace"])
         return 0
 
-    if args.command == "bench":
+    if args.command in _SET_COMMANDS:
         cfg = _cfg_from_args(args, args.instances)
+
+    if args.command == "bench":
         report = run_experiment(cfg)
-        report.write(cfg.out_dir or args.out, cfg.fmt, prefix="bench")
+        report.write(cfg.out_dir, cfg.fmt, prefix="bench")
         for row in report.rows:
             print(row)
         return 0
 
     if args.command == "ablate-init":
-        cfg = _cfg_from_args(args, args.instances)
         cfg.init_mode = "kgis"
-        base = ExperimentConfig(**{**cfg.__dict__, "init_mode": "baseline"})
-        rep_a, rep_b = compare_experiments(cfg, base)
-        rep_a.write(cfg.out_dir or args.out, cfg.fmt, prefix="init_kgis")
-        rep_b.write(cfg.out_dir or args.out, cfg.fmt, prefix="init_baseline")
+        rep_a, rep_b = compare_experiments(
+            cfg, replace(cfg, init_mode="baseline"))
+        rep_a.write(cfg.out_dir, cfg.fmt, prefix="init_kgis")
+        rep_b.write(cfg.out_dir, cfg.fmt, prefix="init_baseline")
         print(f"w-d-l (kgis vs baseline): {rep_a.wdl}")
         return 0
 
     if args.command == "ablate-operators":
-        cfg = _cfg_from_args(args, args.instances)
-        rows = ablation_timing(cfg)
-        out = Path(cfg.out_dir or args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "operator_ablation.csv", rows)
-        for row in rows:
-            print(row)
+        _write_rows(cfg.out_dir, "operator_ablation.csv",
+                    ablation_timing(cfg))
         return 0
 
     if args.command == "ablate-departure":
-        cfg = _cfg_from_args(args, args.instances)
-        rows = ablation_departure(cfg)
-        out = Path(cfg.out_dir or args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "departure_ablation.csv", rows)
-        for row in rows:
-            print(row)
+        _write_rows(cfg.out_dir, "departure_ablation.csv",
+                    ablation_departure(cfg))
         return 0
 
     if args.command == "time-to-target":
-        cfg = _cfg_from_args(args, args.instances)
         if args.target is not None:
             for path in cfg.instances:
                 inst, _ = load_instance(path)
                 cfg.target_costs[inst.name] = args.target
-        rows = runtime_to_target(cfg, max_generations=cfg.generations)
-        out = Path(cfg.out_dir or args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "time_to_target.csv", rows)
-        for row in rows:
-            print(row)
+        _write_rows(cfg.out_dir, "time_to_target.csv",
+                    runtime_to_target(cfg))
         return 0
 
     if args.command == "gen" and args.suite:
@@ -251,34 +245,30 @@ def main(argv=None):
         print(f"wrote {count} instances to {args.out}")
         return 0
 
-    if args.command == "gen":
+    if args.command in ("gen", "convert"):
+        gen = args.command == "gen"
         base = random_classic_instance(args.vertices, args.edges,
-                                       args.capacity, args.seed)
-        inst = generate_td_parameters(base, args.itype, args.slope,
-                                      _policy(args.policy), args.seed)
+                                       args.capacity, args.seed) if gen \
+            else parse_classic_dat(args.input)
+        policy = IntervalPolicy("random" if args.policy == "default"
+                                else args.policy)
+        inst = generate_td_parameters(base, args.itype, args.slope, policy,
+                                      args.seed)
         write_instance(inst, args.out)
-        print(f"wrote {args.out}: {len(inst.tasks)} tasks, "
-              f"capacity {inst.capacity:g}, horizon {inst.planning_horizon:g}")
-        return 0
-
-    if args.command == "convert":
-        base = parse_classic_dat(args.input)
-        inst = generate_td_parameters(base, args.itype, args.slope,
-                                      _policy(args.policy), args.seed)
-        write_instance(inst, args.out)
-        print(f"wrote {args.out}: {len(inst.tasks)} tasks")
+        print(f"wrote {args.out}: {len(inst.tasks)} tasks" + (
+            f", capacity {inst.capacity:g}, horizon "
+            f"{inst.planning_horizon:g}" if gen else ""))
         return 0
 
     if args.command == "oracle":
         inst, sp = load_instance(args.instance)
         budget = OracleBudget(max_tasks=args.max_tasks)
-        tc, sol, err = exact_solve(inst, sp, budget)
+        tc, sol = exact_solve(inst, sp, budget)
         print(json.dumps({
             "tc": tc,
             "plan": [[f"{aid}{'-' if f else '+'}" for aid, f in r.task_seq]
                      for r in sol.routes],
             "Dt": [r.departure_time for r in sol.routes],
-            "grid_error_bound": err,
         }, indent=2))
         return 0
 

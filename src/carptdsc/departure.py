@@ -237,17 +237,14 @@ def stage2(inst, sp, s_bf: Solution,
 
 
 def paper_stage2(inst, sp, s_bf: Solution,
-                 ncs_params: Optional[NcsParams] = None,
-                 rng: Optional[random.Random] = None,
-                 gss_tol: Optional[float] = None) -> DepartureResult:
-    """Departure times of s_bf by the paper's GSS/NCS search."""
+                 rng: Optional[random.Random] = None) -> DepartureResult:
+    """Departure times of s_bf by the paper's GSS/NCS search: GSS to a
+    tolerance of PT * 1e-6, NCS with its default parameters and a
+    starting step of PT / 10."""
     if rng is None:
         rng = random.Random(0)
     pt = inst.planning_horizon
-    if gss_tol is None:
-        gss_tol = pt * 1e-6
-    if ncs_params is None:
-        ncs_params = NcsParams(sigma0=pt / 10.0)
+    ncs_params = NcsParams(sigma0=pt / 10.0)
 
     def search(f):
         if inst.instance_type == "2LP":
@@ -255,7 +252,7 @@ def paper_stage2(inst, sp, s_bf: Solution,
         if f.hi <= f.lo:
             return f.lo
         if inst.global_slope_abs <= 1.0:
-            t = gss(f, f.lo, f.hi, gss_tol)
+            t = gss(f, f.lo, f.hi, pt * 1e-6)
             # guard: the paper treats the landscape as only "similar"
             # unimodal
             return 0.0 if f(0.0) <= f(t) else t

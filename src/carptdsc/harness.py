@@ -14,13 +14,12 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from .departure import paper_stage2, stage2
-from .evaluation import evaluate_solution
-from .initialization import InitConfig
 from .instance import Instance, all_pairs_shortest_paths, parse_instance
 from .localsearch import SearchCounters
 from .memetic import MemeticParams, StopRule, kgma_run
@@ -28,23 +27,27 @@ from .stats import pdr, rank_sum_test, wdl
 
 
 class ConfigError(ValueError):
-    """An ExperimentConfig field holds a value out of its range."""
+    """A config entry or value the harness cannot use, named by ``key``."""
 
     def __init__(self, key, message):
         super().__init__(message)
         self.key = key
 
 
+# every MemeticParams field but the seed, which each run sets
+_SOLVER_KEYS = tuple(f.name for f in fields(MemeticParams) if f.name != "seed")
+
+
 @dataclass
 class ExperimentConfig:
     instances: list = field(default_factory=list)  # paths to extended DAT
-    init_mode: str = "kgis"
-    operator_mode: str = "kg"
-    lam: float = 1.0
-    psize: int = 10
-    osnum: int = 60
-    pls: float = 0.1
-    pf: float = 0.45
+    init_mode: str = MemeticParams.init_mode
+    operator_mode: str = MemeticParams.operator_mode
+    lam: float = MemeticParams.lam
+    psize: int = MemeticParams.psize
+    osnum: int = MemeticParams.osnum
+    pls: float = MemeticParams.pls
+    pf: float = MemeticParams.pf
     repetitions: int = 20
     generations: int = 50
     wallclock_seconds: Optional[float] = None
@@ -61,18 +64,12 @@ class ExperimentConfig:
             raise ConfigError("fmt", "format must be csv or json")
         # the solver's own rules, one key at a time, so that an error names
         # its key
-        for key, check in (
-                ("psize", lambda v: (MemeticParams(psize=v),
-                                     InitConfig(psize=v))),
-                ("pls", lambda v: MemeticParams(pls=v)),
-                ("pf", lambda v: MemeticParams(pf=v)),
-                ("operator_mode", lambda v: MemeticParams(operator_mode=v)),
-                ("init_mode", lambda v: InitConfig(mode=v)),
-                ("generations", lambda v: StopRule(generations=v)),
-                ("wallclock_seconds",
-                 lambda v: StopRule(generations=0, wallclock_seconds=v))):
+        checks = [(key, MemeticParams) for key in _SOLVER_KEYS] + [
+            ("generations", StopRule),
+            ("wallclock_seconds", partial(StopRule, generations=0))]
+        for key, check in checks:
             try:
-                check(getattr(self, key))
+                check(**{key: getattr(self, key)})
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
 
@@ -129,10 +126,8 @@ def dump_solution(sol, times=None):
 def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
                stop: Optional[StopRule] = None):
     """One two-stage run.  Returns a dict with cost, times, and counters."""
-    params = MemeticParams(
-        psize=cfg.psize, osnum=cfg.osnum, pls=cfg.pls, lam=cfg.lam,
-        pf=cfg.pf, seed=seed, init_mode=cfg.init_mode,
-        operator_mode=cfg.operator_mode)
+    params = MemeticParams(seed=seed, **{key: getattr(cfg, key)
+                                         for key in _SOLVER_KEYS})
     if stop is None:
         stop = StopRule(generations=cfg.generations,
                         wallclock_seconds=cfg.wallclock_seconds)
@@ -146,7 +141,8 @@ def solve_once(inst: Instance, sp, cfg: ExperimentConfig, seed: int,
         "instance": inst.name,
         "seed": seed,
         "cost": dep.total,
-        "stage1_cost": evaluate_solution(inst, sp, sol).tc,
+        # the returned plan's cost with every route departing at 0
+        "stage1_cost": trace[-1]["best_tc"],
         "time": elapsed,
         "generations": trace[-1]["generation"],
         "solution": sol,
@@ -227,14 +223,8 @@ def ablation_timing(cfg: ExperimentConfig) -> list:
     rows = []
     for path in cfg.instances:
         inst, sp = load_instance(path)
-        variants = {}
-        for mode in ("kg", "traditional"):
-            vcfg = ExperimentConfig(**{**cfg.__dict__, "instances": [path],
-                                       "operator_mode": mode})
-            r = solve_once(inst, sp, vcfg, cfg.base_seed)
-            variants[mode] = r
-        kg = variants["kg"]
-        tr = variants["traditional"]
+        kg, tr = (solve_once(inst, sp, replace(cfg, operator_mode=mode),
+                             cfg.base_seed) for mode in ("kg", "traditional"))
         kg_evals = kg["counters"]["criterion2_evaluations"]
         tr_evals = tr["counters"]["full_route_evaluations"]
         rows.append({
@@ -284,8 +274,9 @@ def ablation_departure(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def runtime_to_target(cfg: ExperimentConfig, max_generations: int = 600):
-    """Wall-clock until each run first reaches its target cost, or DNF.
+def runtime_to_target(cfg: ExperimentConfig):
+    """Wall-clock until each run first reaches its target cost within
+    ``cfg.generations``, or DNF.
 
     The target is a stage-1 cost: a run reaches it when its best plan,
     with every route departing at 0, costs at most the target.  The final
@@ -298,7 +289,7 @@ def runtime_to_target(cfg: ExperimentConfig, max_generations: int = 600):
             rows.append({"instance": inst.name, "error": "no target cost"})
             continue
         for i in range(cfg.repetitions):
-            stop = StopRule(generations=max_generations, target_cost=target)
+            stop = StopRule(generations=cfg.generations, target_cost=target)
             r = solve_once(inst, sp, cfg, cfg.base_seed + i, stop)
             reached = r["stage1_cost"] <= target
             rows.append({
@@ -317,35 +308,27 @@ def runtime_to_target(cfg: ExperimentConfig, max_generations: int = 600):
 # Config files: plain `key = value` lines, '#' comments
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"instances"}
-_INT_KEYS = {"psize", "osnum", "repetitions", "generations", "base_seed"}
-_FLOAT_KEYS = {"lam", "pls", "pf", "wallclock_seconds"}
-_MAP_KEYS = {"target_costs", "references"}
-
-
-def _config_value(key, val):
-    if key in _LIST_KEYS:
-        return [v.strip() for v in val.split(",") if v.strip()]
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _MAP_KEYS:
+def _config_value(kind, val):
+    """``val`` read as a value of a field annotated ``kind``."""
+    items = [v.strip() for v in val.split(",") if v.strip()]
+    if kind == "list":
+        return items
+    if kind == "dict":
         entries = {}
-        for item in val.split(","):
-            if item.strip():
-                name, sep, cost = item.partition(":")
-                if not sep:
-                    raise ValueError(f"expected name:cost, got {item.strip()!r}")
-                entries[name.strip()] = float(cost)
+        for item in items:
+            name, sep, cost = item.partition(":")
+            if not sep:
+                raise ValueError(f"expected name:cost, got {item!r}")
+            entries[name.strip()] = float(cost)
         return entries
-    return val
+    convert = {"int": int, "float": float, "Optional[float]": float}
+    return convert[kind](val) if kind in convert else val
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read ``key = value`` lines into an ExperimentConfig; a bad entry
-    raises ValueError naming the file and line."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    raises ConfigError naming the file and line."""
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     lines = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -353,17 +336,18 @@ def parse_config(path) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key = value")
+            raise ConfigError(None, f"{path}:{line_no}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in known:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key not in kinds:
+            raise ConfigError(key, f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _config_value(key, val)
+            values[key] = _config_value(kinds[key], val)
         except ValueError as exc:
-            raise ValueError(
-                f"{path}:{line_no}: bad {key} value {val!r}: {exc}") from None
+            raise ConfigError(key, f"{path}:{line_no}: bad {key} value "
+                                   f"{val!r}: {exc}") from None
         lines[key] = line_no
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:
-        raise ValueError(f"{path}:{lines[exc.key]}: {exc}") from None
+        raise ConfigError(exc.key,
+                          f"{path}:{lines[exc.key]}: {exc}") from None

@@ -18,14 +18,13 @@ build that reaches a known node only draws ``rng.choice(ties)`` where
 there is a tie: it consumes the random stream exactly as a build from
 scratch, and scores tasks only at nodes no earlier build reached.  All
 builds of one ``kgis_population`` call share one trie, which is dropped
-when the call returns; the population's duplicate retries, which repeat
-known prefixes, then cost little.
+when the call returns; the population's duplicate retries (at most
+``_MAX_RETRIES`` per plan), which repeat known prefixes, then cost little.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .evaluation import Solution, get_context
 from .instance import InstanceError
@@ -34,19 +33,7 @@ KGIS = "kgis"
 BASELINE = "baseline"
 
 _CLOSE = -1  # trie edge of a step that closes the route
-
-
-@dataclass
-class InitConfig:
-    psize: int = 10
-    max_retries: int = 50
-    mode: str = KGIS
-
-    def __post_init__(self):
-        if self.psize < 1:
-            raise ValueError("psize must be >= 1")
-        if self.mode not in (KGIS, BASELINE):
-            raise ValueError(f"unknown init mode {self.mode!r}")
+_MAX_RETRIES = 50  # rebuilds of a plan that repeats an earlier one
 
 
 def _greedy_builder(ctx, slope_abs, use_gap):
@@ -167,20 +154,21 @@ def baseline_individual(inst, sp, rng: random.Random) -> Solution:
     return _decoded(ctx, _greedy_builder(ctx, 0.0, False)(rng))
 
 
-def kgis_population(ctx, cfg: InitConfig, rng: random.Random):
-    """cfg.psize encoded plans, pairwise distinct when the retry budget
-    allows.  Returns (plans, duplicate_warnings)."""
-    if cfg.mode == BASELINE:
+def kgis_population(ctx, psize: int, mode: str, rng: random.Random):
+    """``psize`` encoded plans built by the ``mode`` builder (KGIS or
+    BASELINE), pairwise distinct when ``_MAX_RETRIES`` rebuilds allow.
+    Returns (plans, duplicate_warnings)."""
+    if mode == BASELINE:
         build = _greedy_builder(ctx, 0.0, False)
     else:
         build = _greedy_builder(ctx, ctx.global_slope_abs, True)
     pop = []
     seen = set()
     warnings = 0
-    for _ in range(cfg.psize):
+    for _ in range(psize):
         plan = build(rng)
         tries = 0
-        while plan in seen and tries < cfg.max_retries:
+        while plan in seen and tries < _MAX_RETRIES:
             plan = build(rng)
             tries += 1
         if plan in seen:

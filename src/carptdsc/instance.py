@@ -31,7 +31,13 @@ class ParseError(ValueError):
 
 
 class InstanceError(ValueError):
-    """Structurally invalid instance (unreachable task, bad interval, ...)."""
+    """Structurally invalid instance (unreachable task, bad interval, ...);
+    ``arc`` and ``field`` name the offending arc id and field, if any."""
+
+    def __init__(self, message, arc=None, field=None):
+        super().__init__(message)
+        self.arc = arc
+        self.field = field
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +61,8 @@ class ServiceCostFunction:
         for name in ("bt", "et", "min_sc", "slope_abs"):
             if not math.isfinite(getattr(self, name)):
                 raise InstanceError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+                    f"{name} must be finite, got {getattr(self, name)}",
+                    field=name)
         # written so that NaN fails them too
         if not (0 <= self.bt <= self.et):
             raise InstanceError(f"interval inverted: [{self.bt}, {self.et}]")
@@ -120,42 +127,47 @@ class Instance:
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise InstanceError(
-                    f"{name} must be finite and positive, got {value}")
+                    f"{name} must be finite and positive, got {value}",
+                    field=name)
         if not (0 <= self.global_slope_abs < math.inf):
             raise InstanceError(f"slope must be finite and nonnegative, got "
-                                f"{self.global_slope_abs}")
+                                f"{self.global_slope_abs}",
+                                field="global_slope_abs")
         n = self.n_vertices
+
+        def bad(a, problem):
+            return InstanceError(f"arc {a.id}: {problem}", arc=a.id)
+
         for a in self.arcs:
             if a.tail == a.head:
-                raise InstanceError(f"arc {a.id}: self-loop at vertex {a.tail}")
+                raise bad(a, f"self-loop at vertex {a.tail}")
             if not (0 <= a.tail < n and 0 <= a.head < n):
-                raise InstanceError(f"arc {a.id}: vertex out of range")
+                raise bad(a, "vertex out of range")
             for name in ("length", "travel_time", "travel_cost",
                          "service_time"):
                 value = getattr(a, name)
                 if not (0 <= value < math.inf):
-                    raise InstanceError(f"arc {a.id}: {name} must be finite "
-                                        f"and nonnegative, got {value}")
+                    raise bad(a, f"{name} must be finite and nonnegative, "
+                                 f"got {value}")
             if a.required:
                 if not (0 < a.demand < math.inf):
-                    raise InstanceError(f"required arc {a.id} has demand {a.demand}")
+                    raise bad(a, f"required arc has demand {a.demand}")
                 if a.cost_fn is None:
-                    raise InstanceError(f"required arc {a.id} lacks a cost function")
+                    raise bad(a, "required arc lacks a cost function")
                 if a.cost_fn.et > self.planning_horizon:
-                    raise InstanceError(
-                        f"arc {a.id}: interval end {a.cost_fn.et} beyond horizon"
-                    )
+                    raise bad(a, f"interval end {a.cost_fn.et} beyond "
+                                 f"horizon {self.planning_horizon}")
             if a.inverse_id is not None:
                 inv = self.arcs[a.inverse_id]
                 if inv.inverse_id != a.id:
-                    raise InstanceError(f"arc {a.id}: inverse pairing not symmetric")
+                    raise bad(a, "inverse pairing not symmetric")
                 if (inv.tail, inv.head) != (a.head, a.tail):
-                    raise InstanceError(f"arc {a.id}: inverse endpoints mismatch")
-        kinds = {self.arcs[t].cost_fn.kind for t in self.tasks}
-        if self.instance_type == "2LP" and kinds - {TWO_SEGMENT}:
-            raise InstanceError("2LP instance contains three-segment functions")
-        if self.instance_type == "3LP" and kinds - {THREE_SEGMENT}:
-            raise InstanceError("3LP instance contains two-segment functions")
+                    raise bad(a, "inverse endpoints mismatch")
+        other = {"2LP": THREE_SEGMENT, "3LP": TWO_SEGMENT}.get(
+            self.instance_type)
+        if any(self.arcs[t].cost_fn.kind == other for t in self.tasks):
+            raise InstanceError(f"{self.instance_type} instance contains "
+                                f"{other} functions", field="instance_type")
 
 
 @dataclass(frozen=True)
@@ -243,6 +255,10 @@ def all_pairs_shortest_paths(inst: Instance) -> ShortestPathMatrix:
 # ---------------------------------------------------------------------------
 
 _HEADER_KEYS = ("NAME", "VERTICES", "CAPACITY", "HORIZON", "TYPE", "SLOPE")
+# the header line behind each InstanceError field a parsed file can break
+_FIELD_HEADER = {"capacity": "CAPACITY", "planning_horizon": "HORIZON",
+                 "global_slope_abs": "SLOPE", "slope_abs": "SLOPE",
+                 "instance_type": "TYPE"}
 
 
 def parse_instance(path) -> Instance:
@@ -297,6 +313,14 @@ def parse_instance(path) -> Instance:
         raise ParseError(f"TYPE must be 2LP or 3LP, got {itype_raw!r}", itype_line)
     kind = TWO_SEGMENT if itype == "2LP" else THREE_SEGMENT
 
+    def error(exc, line_no=None):
+        """``exc`` on the line of its arc or header field, else line_no."""
+        if exc.arc is not None:
+            line_no = arc_rows[exc.arc][0]
+        elif exc.field in _FIELD_HEADER:
+            line_no = header[_FIELD_HEADER[exc.field]][1]
+        return ParseError(str(exc), line_no)
+
     arcs = []
     tasks = []
     for line_no, toks in arc_rows:
@@ -313,12 +337,10 @@ def parse_instance(path) -> Instance:
                 demand, stime, min_sc, bt, et = (float(x) for x in rest[1:])
             except ValueError:
                 raise ParseError("bad REQ values", line_no)
-            if et < bt:
-                raise ParseError(f"interval inverted: [{bt}, {et}]", line_no)
             try:
                 fn = ServiceCostFunction(kind, bt, et, min_sc, slope)
             except InstanceError as exc:
-                raise ParseError(str(exc), line_no)
+                raise error(exc, line_no) from None
             aid = len(arcs)
             arcs.append(Arc(aid, tail, head, length, ttime, tcost, True,
                             demand, stime, fn))
@@ -340,7 +362,7 @@ def parse_instance(path) -> Instance:
     try:
         inst.validate()
     except InstanceError as exc:
-        raise ParseError(str(exc))
+        raise error(exc) from None
     return inst
 
 
@@ -408,22 +430,28 @@ class ClassicInstance:
     edges: tuple
 
 
+# generated horizon: HORIZON_FACTOR times the time to traverse every edge
+# twice and serve every task once; a random interval's width and (3LP)
+# start are drawn as these fractions of the horizon
+HORIZON_FACTOR = 2.0
+START_FRAC = (0.0, 0.7)
+WIDTH_FRAC = (0.05, 0.2)
+
+
 @dataclass(frozen=True)
 class IntervalPolicy:
     """How the optimal service interval of each task is drawn.
 
+    ``random`` draws it at ``WIDTH_FRAC`` and ``START_FRAC``;
     ``flat-everywhere`` degenerates every function to its flat segment
     (bt = 0, et = PT), which makes the problem a classic CARP.
     """
 
     name: str = "random"
-    horizon_factor: float = 2.0
-    start_frac: tuple = (0.0, 0.7)
-    width_frac: tuple = (0.05, 0.2)
 
     def __post_init__(self):
-        if self.horizon_factor <= 0:
-            raise InstanceError("horizon_factor must be positive")
+        if self.name not in ("random", "flat-everywhere"):
+            raise InstanceError(f"unknown interval policy {self.name!r}")
 
 
 FLAT_EVERYWHERE = IntervalPolicy(name="flat-everywhere")
@@ -495,7 +523,9 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
     Each undirected edge becomes a pair of opposite arcs; required edges
     become tasks servable in either orientation.  min_sc of a task equals
     its classic serving cost, so a flat-everywhere policy reduces the
-    instance exactly to the classic problem.  Deterministic in ``seed``.
+    instance exactly to the classic problem.  The horizon and intervals
+    follow HORIZON_FACTOR, WIDTH_FRAC and START_FRAC.  Deterministic in
+    ``seed``.
     The instance is named ``{type}-k{slope}[-{policy}]-{base name}``, the
     policy named only when it is not the default one.
     """
@@ -516,7 +546,7 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
 
     total_time = sum(2 * e.cost for e in base.edges) + sum(
         e.cost for e in base.edges if e.demand > 0)
-    pt = interval_policy.horizon_factor * total_time
+    pt = HORIZON_FACTOR * total_time
     if not (0 < pt < math.inf):
         raise InstanceError(f"horizon {pt} must be finite and positive")
 
@@ -539,7 +569,7 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
                         inverse_id=fwd_id))
 
     label = f"{itype.lower()}-k{slope_abs:g}"
-    if interval_policy != IntervalPolicy():
+    if interval_policy.name != "random":
         label += f"-{interval_policy.name}"
     inst = Instance(
         name=f"{label}-{base.name}",
@@ -560,23 +590,26 @@ def _draw_interval(rng, kind, pt, policy):
     # stays exact in floating point on integral-cost base instances
     if policy.name == "flat-everywhere":
         return 0.0, pt
-    lo_w, hi_w = policy.width_frac
-    width = max(1.0, round(rng.uniform(lo_w, hi_w) * pt))
+    width = max(1.0, round(rng.uniform(*WIDTH_FRAC) * pt))
     if kind == TWO_SEGMENT:
         return 0.0, min(width, pt)
-    lo_s, hi_s = policy.start_frac
-    bt = float(round(rng.uniform(lo_s, hi_s) * pt))
+    bt = float(round(rng.uniform(*START_FRAC) * pt))
     return bt, min(bt + width, pt)
 
 
+COST_RANGE = (1, 20)  # of a random_classic_instance edge
+DEMAND_RANGE = (1, 9)  # of a required random_classic_instance edge
+
+
 def random_classic_instance(n_vertices: int, n_edges: int, capacity: float,
-                            seed: int, demand_range=(1, 9),
-                            cost_range=(1, 20), required_frac: float = 1.0,
-                            name: Optional[str] = None) -> ClassicInstance:
+                            seed: int,
+                            required_frac: float = 1.0) -> ClassicInstance:
     """Seeded random connected classic CARP base instance.
 
     Used where the original benchmark data cannot be shipped: a random
     spanning tree guarantees connectivity, remaining edges are uniform.
+    Each edge is required with probability ``required_frac``; at least one
+    is.  Costs and demands are integers drawn from the ranges above.
     """
     if n_edges < n_vertices - 1:
         raise InstanceError("need at least n_vertices - 1 edges")
@@ -594,8 +627,8 @@ def random_classic_instance(n_vertices: int, n_edges: int, capacity: float,
         if u == v or (u, v) in seen or (v, u) in seen:
             return False
         seen.add((u, v))
-        cost = rng.randint(*cost_range)
-        demand = rng.randint(*demand_range) if rng.random() < required_frac else 0.0
+        cost = rng.randint(*COST_RANGE)
+        demand = rng.randint(*DEMAND_RANGE) if rng.random() < required_frac else 0.0
         edges.append(ClassicEdge(u, v, float(cost), float(demand)))
         return True
 
@@ -604,6 +637,6 @@ def random_classic_instance(n_vertices: int, n_edges: int, capacity: float,
     while len(edges) < n_edges:
         add_edge(rng.randint(1, n_vertices), rng.randint(1, n_vertices))
     if not any(e.demand > 0 for e in edges):
-        edges[0] = replace(edges[0], demand=float(rng.randint(*demand_range)))
-    return ClassicInstance(name or f"rand-v{n_vertices}-e{n_edges}-s{seed}",
+        edges[0] = replace(edges[0], demand=float(rng.randint(*DEMAND_RANGE)))
+    return ClassicInstance(f"rand-v{n_vertices}-e{n_edges}-s{seed}",
                            n_vertices, 1, capacity, tuple(edges))

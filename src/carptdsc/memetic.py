@@ -29,13 +29,15 @@ from .evaluation import CoverageError, get_context
 # kgma_run prices plans with evaluate_plan; evaluate_solution stays a
 # module attribute because perfbench/spans.py wraps it by this name
 from .evaluation import evaluate_solution  # noqa: F401
-from .initialization import InitConfig, KGIS, kgis_population
+from .initialization import BASELINE, KGIS, kgis_population
 from .localsearch import SWEEPS, SearchCounters, SweepMemo, _kgslss_state
 from .mergesplit import merge_split
 
 
 @dataclass
 class MemeticParams:
+    """The solver's settings, and ExperimentConfig's solver keys."""
+
     psize: int = 10
     osnum: int = 60
     pls: float = 0.1
@@ -50,6 +52,8 @@ class MemeticParams:
             raise ValueError("pls and pf must lie in [0, 1]")
         if self.psize < 2:
             raise ValueError("psize must be >= 2")
+        if self.init_mode not in (KGIS, BASELINE):
+            raise ValueError(f"unknown init mode {self.init_mode!r}")
         if self.operator_mode not in SWEEPS:
             raise ValueError(f"unknown operator mode {self.operator_mode!r}")
 
@@ -283,7 +287,7 @@ def _pipeline(ctx, plan, params, rng, counters, memo):
     sweep of ``params.operator_mode`` and the run's ``SweepMemo``."""
     sweep = SWEEPS[params.operator_mode]
     plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
-    plan = merge_split(ctx, plan, rng=rng)
+    plan = merge_split(ctx, plan, rng)
     plan, _ = _kgslss_state(ctx, plan, params.lam, counters, sweep, memo)
     return plan
 
@@ -312,8 +316,8 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
     ctx = get_context(inst, sp)
     t_start = time.perf_counter()
 
-    init_cfg = InitConfig(psize=params.psize, mode=params.init_mode)
-    plans, duplicates = kgis_population(ctx, init_cfg, rng)
+    plans, duplicates = kgis_population(ctx, params.psize, params.init_mode,
+                                        rng)
     pop = [evaluate_plan(ctx, plan) for plan in plans]
     best = _best_feasible(pop)
     memo = SweepMemo()

@@ -12,7 +12,6 @@ tuples of routes of oriented task codes.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 
 # tie-breaking rules for path scanning
@@ -142,12 +141,10 @@ def split_giant_tour(ctx, order):
     return [order[i:j] for i, j in cuts], best[m]
 
 
-def merge_split(ctx, plan, p: int = 2,
-                rng: Optional[random.Random] = None):
-    """Re-plan the tasks of ``p`` random routes of an encoded stage-1 plan
-    (every route departing at 0); returns the better plan, encoded."""
-    if rng is None:
-        rng = random.Random()
+def merge_split(ctx, plan, rng: random.Random, p: int = 2):
+    """Re-plan the tasks of ``p`` routes of an encoded stage-1 plan (every
+    route departing at 0), drawn with ``rng``; returns the better plan,
+    encoded."""
     if p > len(plan) or p < 1:
         return plan
     chosen = sorted(rng.sample(range(len(plan)), p))

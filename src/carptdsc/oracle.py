@@ -1,10 +1,10 @@
 """Ground-truth reference computations at desk scale.
 
-Everything here is written independently of the solver's incremental
-machinery: brute-force enumeration, exact dynamic programming, forward
-simulation from the raw arcs, full re-evaluation, Floyd-Warshall, and
-dense grid scans.  Test suites cross-check the fast implementations
-against these.
+Everything here is written independently of the solver's evaluation:
+brute-force enumeration, exact dynamic programming, forward simulation
+from the raw arcs (``simulate_route``), Floyd-Warshall, and dense grid
+scans; nothing calls ``EvalContext.sim``.  Test suites cross-check the
+fast implementations against these.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (
-    Route,
-    Solution,
-    evaluate_solution,
-    is_feasible,
-)
+from .evaluation import Route, Solution
 from .instance import (
     Instance,
     InstanceError,
@@ -33,7 +28,6 @@ from .localsearch import apply_move, enumerate_moves
 @dataclass
 class OracleBudget:
     max_tasks: int = 7
-    grid_steps: int = 10 ** 5
 
 
 # route sequences exact_solve enumerates at most (see _sequence_count): at
@@ -157,9 +151,9 @@ def _sequence_count(inst: Instance):
 def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
     """Global optimum by brute force.
 
-    Returns (tc, Solution with optimized departure times, grid_error_bound).
-    Enumerates every partition of the task set into routes, every route
-    ordering and orientation, and optimizes each route's departure time.
+    Returns (tc, Solution with optimized departure times).  Enumerates
+    every partition of the task set into routes, every route ordering and
+    orientation, and optimizes each route's departure time.
     Refuses with OracleRefusal when the task count exceeds ``budget`` or
     the number of route sequences exceeds ``MAX_SEQUENCES``.
     """
@@ -217,27 +211,39 @@ def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
         _, seq, t = best_route[sub]
         routes.append(Route(seq, t))
         mask ^= sub
-    # documented resolution bound of an equivalent dense grid scan; the
-    # enumeration above is exact on piecewise-linear landscapes
-    err = (inst.planning_horizon * inst.global_slope_abs * max(n, 1)
-           / budget.grid_steps)
-    return dp[full], Solution(tuple(routes)), err
+    return dp[full], Solution(tuple(routes))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive neighborhood
 # ---------------------------------------------------------------------------
 
+def _simulate_plan(inst: Instance, sp, sol: Solution):
+    """(total cost, feasible) of ``sol`` by ``simulate_route``: feasible
+    when no route departs before 0, carries more than the capacity, ends
+    after the horizon or begins a service outside [0, PT]."""
+    pt, tc, feasible = inst.planning_horizon, 0.0, True
+    for r in sol.routes:
+        cost, end, begins = simulate_route(inst, sp, r.task_seq,
+                                           r.departure_time)
+        tc += cost
+        load = sum(inst.arcs[aid].demand for aid, _ in r.task_seq)
+        feasible &= (r.departure_time >= 0.0 and load <= inst.capacity
+                     and end <= pt + 1e-12
+                     and all(0.0 <= b <= pt for b in begins))
+    return tc, feasible
+
+
 def exhaustive_neighborhood(inst, sp, sol: Solution, kind: str):
-    """(best feasible neighbor, {move: record}) by full re-evaluation."""
-    base = evaluate_solution(inst, sp, sol).tc
+    """(best feasible neighbor, {move: record}) by full re-simulation of
+    every neighbour with ``simulate_route``."""
+    base, _ = _simulate_plan(inst, sp, sol)
     best = None
     best_tc = base
     record = {}
     for move in enumerate_moves(inst, sp, kind, sol):
         neighbor = apply_move(inst, sp, sol, move)
-        feasible, _ = is_feasible(inst, sp, neighbor)
-        tc = evaluate_solution(inst, sp, neighbor).tc
+        tc, feasible = _simulate_plan(inst, sp, neighbor)
         delta = tc - base
         record[move] = {
             "classified": "successful" if feasible and delta < 0 else "failed",

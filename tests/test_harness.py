@@ -105,6 +105,18 @@ references = gdb1:316, micro-A:76
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
             parse_config(p)
 
+    @pytest.mark.parametrize("entry", [
+        "repetitions 3",
+        "repetitons = 2",
+        "psize = ten",
+        "psize = 1",
+    ])
+    def test_bad_entry_is_config_error(self, tmp_path, entry):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"{entry}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:1: "):
+            parse_config(p)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
@@ -180,12 +192,10 @@ class TestRunExperiment:
 
 class TestDrivers:
     def test_runtime_to_target_reached_and_dnf(self):
-        rows = runtime_to_target(
-            tiny_cfg(target_costs={"micro-A": 1e9}), max_generations=2)
+        rows = runtime_to_target(tiny_cfg(target_costs={"micro-A": 1e9}))
         assert all(r["reached"] and not r["dnf"] for r in rows)
         rows = runtime_to_target(
-            tiny_cfg(target_costs={"micro-A": 0.0}, repetitions=1),
-            max_generations=2)
+            tiny_cfg(target_costs={"micro-A": 0.0}, repetitions=1))
         assert rows[0]["dnf"] and rows[0]["time"] is None
 
     def test_runtime_to_target_requires_target(self):
@@ -277,7 +287,31 @@ osnum = 8
         data = json.loads(capsys.readouterr().out)
         assert data["tc"] == pytest.approx(146.0)
         assert len(data["plan"]) == len(data["Dt"])
-        assert data["grid_error_bound"] > 0
+
+    @pytest.mark.parametrize("case, named", [
+        ("instance", "line 3: capacity"),
+        ("config", "bench.cfg:2: unknown key 'repetitons'"),
+        ("missing", "absent.dat"),
+    ])
+    def test_bad_input_is_one_line_error(self, tmp_path, capsys, case,
+                                         named):
+        bad = tmp_path / "bad.dat"
+        bad.write_text(open(MICRO_A).read().replace("CAPACITY 12",
+                                                    "CAPACITY nan"))
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"instances = {MICRO_A}\nrepetitons = 2\n")
+        argv = {
+            "instance": ["solve", str(bad), "--generations", "2"],
+            "config": ["bench", "--config", str(cfg)],
+            "missing": ["solve", str(tmp_path / "absent.dat")],
+        }[case]
+        rc = cli_main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("carptdsc: error: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_ablate_operators_runs_both_arms(self, tmp_path, capsys):
         rc = cli_main(["ablate-operators", MICRO_A, "--generations", "2",

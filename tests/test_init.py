@@ -12,7 +12,6 @@ from carptdsc import (
     ClassicEdge,
     ClassicInstance,
     FLAT_EVERYWHERE,
-    InitConfig,
     InstanceError,
     KGIS,
     all_pairs_shortest_paths,
@@ -27,6 +26,7 @@ from carptdsc import (
     random_classic_instance,
 )
 from carptdsc.evaluation import get_context
+from carptdsc.initialization import _MAX_RETRIES
 
 from util import decode_plan, make_random_instance
 
@@ -189,14 +189,13 @@ class TestPopulation:
     def test_psize_one(self, micro_a):
         inst, sp = micro_a
         pop, warns = kgis_population(get_context(inst, sp),
-                                     InitConfig(psize=1), random.Random(0))
+                                     1, KGIS, random.Random(0))
         assert len(pop) == 1 and warns == 0
 
     def test_ten_distinct_plans(self, gdb1_flat):
         inst, sp = gdb1_flat
         ctx = get_context(inst, sp)
-        pop, warns = kgis_population(ctx, InitConfig(psize=10),
-                                     random.Random(3))
+        pop, warns = kgis_population(ctx, 10, KGIS, random.Random(3))
         keys = {tuple(r.task_seq for r in decode_plan(ctx, p).routes)
                 for p in pop}
         assert len(keys) == 10
@@ -205,7 +204,7 @@ class TestPopulation:
     def test_one_task_instance_duplicates_warned(self, one_task):
         inst, sp = one_task
         pop, warns = kgis_population(get_context(inst, sp),
-                                     InitConfig(psize=10), random.Random(0))
+                                     10, KGIS, random.Random(0))
         assert len(pop) == 10
         assert warns == 9
 
@@ -279,17 +278,17 @@ def _scratch_build(inst, sp, slope_abs, use_gap, rng):
     return tuple(routes)
 
 
-def _scratch_population(inst, sp, cfg, rng):
+def _scratch_population(inst, sp, psize, mode, rng):
     """kgis_population's retry rule over from-scratch builds: (plans,
     duplicate count, number of builds)."""
-    gap = cfg.mode == KGIS
+    gap = mode == KGIS
     slope = inst.global_slope_abs if gap else 0.0
     pop, seen, warnings, builds = [], set(), 0, 0
-    for _ in range(cfg.psize):
+    for _ in range(psize):
         plan = _scratch_build(inst, sp, slope, gap, rng)
         builds += 1
         tries = 0
-        while plan in seen and tries < cfg.max_retries:
+        while plan in seen and tries < _MAX_RETRIES:
             plan = _scratch_build(inst, sp, slope, gap, rng)
             builds += 1
             tries += 1
@@ -330,18 +329,17 @@ class TestPopulationReference:
         retried = 0
         for name, inst, sp in _population_bases():
             ctx = get_context(inst, sp)
-            cfg = InitConfig(psize=10, mode=mode)
             for seed in (0, 1):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                plans, dups = kgis_population(ctx, cfg, rng)
+                plans, dups = kgis_population(ctx, 10, mode, rng)
                 expect, ref_dups, builds = _scratch_population(
-                    inst, sp, cfg, ref_rng)
+                    inst, sp, 10, mode, ref_rng)
                 where = (name, mode, seed)
                 assert [tuple(r.task_seq for r in decode_plan(ctx, p).routes)
                         for p in plans] == expect, where
                 assert dups == ref_dups, where
                 assert rng.getstate() == ref_rng.getstate(), where
-                retried += builds - cfg.psize
+                retried += builds - 10
         # the large 3LP base repeats whole plans, so later builds walk
         # known prefixes to their end
         assert retried > 0 or mode == BASELINE

@@ -27,7 +27,7 @@ from carptdsc import (
 from carptdsc.instance import THREE_SEGMENT, TWO_SEGMENT
 from carptdsc.oracle import floyd_warshall
 
-from util import make_random_instance
+from util import DATA, make_random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -177,6 +177,24 @@ class TestParsing:
         p.write_text(MINIMAL.replace(old, new))
         with pytest.raises(ParseError, match=named):
             parse_instance(p)
+
+    # an error that Instance.validate finds names the line of its header
+    # field or arc
+    @pytest.mark.parametrize("old, new, line_no, named", [
+        ("CAPACITY 12", "CAPACITY nan", 3, "capacity"),
+        ("1 4 2 2 2", "1 4 2 -2 -2", 12, "arc 4: travel_time"),
+        ("HORIZON 398", "HORIZON 100", 8, "beyond horizon 100"),
+        ("SLOPE 1", "SLOPE nan", 6, "slope_abs"),
+    ])
+    def test_validation_error_names_its_line(self, tmp_path, old, new,
+                                             line_no, named):
+        p = tmp_path / "bad.dat"
+        text = (DATA / "micro_a.dat").read_text()
+        assert text.count(old) == 1
+        p.write_text(text.replace(old, new))
+        with pytest.raises(ParseError, match=named) as err:
+            parse_instance(p)
+        assert err.value.line_no == line_no
 
     def test_classic_minimal_file(self, tmp_path):
         p = tmp_path / "tiny.dat"
@@ -408,5 +426,5 @@ END
         lines = out.stdout.splitlines()
         assert len(lines) == 2, out.stdout
         assert all("must be finite and nonnegative" in x for x in lines)
-        assert lines[0].startswith("arc 4: travel_time")
+        assert lines[0].startswith("line 12: arc 4: travel_time")
         assert lines[1].startswith("arc 4: travel_cost")

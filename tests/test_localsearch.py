@@ -29,6 +29,7 @@ from carptdsc import (
     kgslss,
     merge_split,
     random_classic_instance,
+    split_giant_tour,
     traditional_operator,
 )
 from carptdsc.evaluation import EvalContext, get_context
@@ -43,7 +44,8 @@ from carptdsc.localsearch import (
     c1_gap_sums,
     moved_route_codes,
 )
-from carptdsc.oracle import exhaustive_neighborhood
+from carptdsc.mergesplit import _path_scan_order
+from carptdsc.oracle import exhaustive_neighborhood, simulate_route
 
 from util import (
     MICRO3LP_NAMES,
@@ -53,6 +55,7 @@ from util import (
     fractional,
     make_random_instance,
     random_feasible_solution,
+    reference_cases,
     sample_moves,
 )
 
@@ -623,7 +626,7 @@ class TestWarmSweeps:
                     if move is not None:
                         plan = tuple(tuple(r) for r in moved_route_codes(
                             ctx, plan, move) if r)
-                    plan = merge_split(ctx, plan, 2, rng)
+                    plan = merge_split(ctx, plan, rng, 2)
                     self._sweep(ctx, plan, memos, lam)
                 self._sweep(ctx, plan[::-1], memos, lam)
                 flipped += len(plan) >= 2
@@ -667,7 +670,7 @@ class TestMergeSplit:
         ctx = get_context(inst, sp)
         plan = encode_plan(
             ctx, random_feasible_solution(inst, sp, random.Random(1)))
-        out = merge_split(ctx, plan, len(plan) + 1, random.Random(0))
+        out = merge_split(ctx, plan, random.Random(0), len(plan) + 1)
         assert out == plan
 
     def test_never_worse(self, micro_b):
@@ -677,7 +680,7 @@ class TestMergeSplit:
             rng = random.Random(seed)
             sol = random_feasible_solution(inst, sp, rng)
             out = decode_plan(ctx, merge_split(
-                ctx, encode_plan(ctx, sol), min(2, len(sol.routes)), rng))
+                ctx, encode_plan(ctx, sol), rng, min(2, len(sol.routes))))
             assert evaluate_solution(inst, sp, out).tc <= \
                 evaluate_solution(inst, sp, sol).tc + 1e-9
             assert is_feasible(inst, sp, out)[0]
@@ -689,8 +692,83 @@ class TestMergeSplit:
         ctx = get_context(inst, sp)
         sol = Solution(tuple(Route(((t, False),)) for t in inst.tasks))
         out = decode_plan(ctx, merge_split(
-            ctx, encode_plan(ctx, sol), len(sol.routes), rng))
+            ctx, encode_plan(ctx, sol), rng, len(sol.routes)))
         greedy = kgis_individual(inst, sp, inst.global_slope_abs,
                                  random.Random(7))
         assert evaluate_solution(inst, sp, out).tc <= \
             evaluate_solution(inst, sp, greedy).tc + 1e-9
+
+
+def _brute_force_split(inst, sp, seq):
+    """Least total cost over every cut set of ``seq`` ((arc id, flipped)
+    pairs) whose segments each carry at most the capacity and end by the
+    horizon, every segment simulated with oracle.simulate_route departing
+    at 0; inf when no cut set is feasible."""
+    m = len(seq)
+    seg = {}
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            load = sum(inst.arcs[aid].demand for aid, _ in seq[i:j])
+            cost, end, _ = simulate_route(inst, sp, seq[i:j], 0.0)
+            if load <= inst.capacity and \
+                    end <= inst.planning_horizon + 1e-12:
+                seg[i, j] = cost
+    best = math.inf
+    for mask in range(1 << (m - 1)):
+        cuts = [0] + [i + 1 for i in range(m - 1) if mask >> i & 1] + [m]
+        pieces = list(zip(cuts, cuts[1:]))
+        if all(p in seg for p in pieces):
+            best = min(best, sum(seg[p] for p in pieces))
+    return best
+
+
+class TestSplitReference:
+    """The split DP against brute force over every cut set.  The cases'
+    times and costs are integral, so costs compare with ==."""
+
+    @staticmethod
+    def _orders(ctx, rng):
+        """Seeded random orders of up to 10 oriented codes, and the path
+        scanning order of each pool under every rule."""
+        for _ in range(3):
+            pool = rng.sample(range(ctx.n_tasks), min(10, ctx.n_tasks))
+            yield [2 * ti + (ctx.flip_ok[ti] and rng.random() < 0.5)
+                   for ti in pool]
+            for rule in range(1, 6):
+                yield _path_scan_order(ctx, pool, rule)
+
+    def test_split_matches_brute_force(self):
+        cases = reference_cases()
+        # a horizon no route keeps: no feasible partition exists
+        inst, sp = _load("micro_a")
+        short = replace(inst, planning_horizon=1.0)
+        cases.append(("micro_a-short", short,
+                      all_pairs_shortest_paths(short)))
+        feasible = infeasible = 0
+        for name, inst, sp in cases:
+            ctx = get_context(inst, sp)
+            rng = random.Random(name)
+            for order in self._orders(ctx, rng):
+                seq = tuple((ctx.task_arc[c >> 1], bool(c & 1))
+                            for c in order)
+                expect = _brute_force_split(inst, sp, seq)
+                routes, cost = split_giant_tour(ctx, order)
+                where = (name, order)
+                if expect == math.inf:
+                    assert (routes, cost) == (None, math.inf), where
+                    infeasible += 1
+                    continue
+                assert cost == expect, where
+                assert [c for r in routes for c in r] == order, where
+                total = 0.0
+                for r in routes:
+                    seg = tuple((ctx.task_arc[c >> 1], bool(c & 1))
+                                for c in r)
+                    c, end, _ = simulate_route(inst, sp, seg, 0.0)
+                    assert end <= inst.planning_horizon + 1e-12, where
+                    assert sum(inst.arcs[a].demand for a, _ in seg) <= \
+                        inst.capacity, where
+                    total += c
+                assert total == cost, where
+                feasible += 1
+        assert feasible > 0 and infeasible > 0

@@ -1,10 +1,9 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from carptdsc import (
-    InitConfig,
+    KGIS,
     MemeticParams,
     Route,
     StopRule,
@@ -27,12 +26,10 @@ from carptdsc.memetic import _cheapest_spot, _repair
 from carptdsc.oracle import OracleBudget, simulate_route
 
 from util import (
-    MICRO3LP_NAMES,
-    _load,
     decode_plan,
     encode_plan,
-    make_random_instance,
     random_feasible_solution,
+    reference_cases,
 )
 
 
@@ -134,7 +131,7 @@ class TestKgmaRun:
         _, trace = kgma_run(inst, sp, MemeticParams(seed=5),
                             StopRule(generations=1))
         _, expect = kgis_population(get_context(inst, sp),
-                                    InitConfig(psize=10), random.Random(5))
+                                    10, KGIS, random.Random(5))
         assert expect > 0
         assert trace[0]["init_duplicates"] == expect
         assert all("init_duplicates" not in row for row in trace[1:])
@@ -216,36 +213,15 @@ class TestKgmaRun:
 
     def test_reaches_exact_optimum(self, micro_k05_c):
         inst, sp = micro_k05_c
-        exact_tc, _, err = exact_solve(inst, sp, OracleBudget())
+        exact_tc, _ = exact_solve(inst, sp, OracleBudget())
         hits = 0
         for seed in range(3):
             s1, _ = kgma_run(inst, sp, MemeticParams(seed=seed),
                              stop=StopRule(generations=20))
             final = stage2(inst, sp, s1)
-            if final.total <= exact_tc + err + 1e-9:
+            if final.total <= exact_tc + 1e-9:
                 hits += 1
         assert hits >= 2
-
-
-def _repair_cases():
-    """(name, inst, sp): the micro fixtures, seeded 2LP/3LP instances, and
-    a tight-horizon copy of each, whose horizon is the latest route end of
-    a random plan, so that many insertions overrun it."""
-    cases = [(n, *_load(n)) for n in
-             ("micro_a", "micro_b", "micro_oneway") + MICRO3LP_NAMES]
-    for seed in range(3):
-        for itype, slope in (("3LP", 0.5), ("3LP", 2.0), ("2LP", 1.0)):
-            inst = make_random_instance(seed, itype, slope, n_vertices=7,
-                                        n_edges=11)
-            cases.append((f"{itype}-k{slope}-s{seed}", inst,
-                          all_pairs_shortest_paths(inst)))
-    for name, inst, sp in list(cases):
-        sol = random_feasible_solution(inst, sp, random.Random(0))
-        end = max(simulate_route(inst, sp, r.task_seq, 0.0)[1]
-                  for r in sol.routes)
-        tight = replace(inst, planning_horizon=end)
-        cases.append((f"{name}-tight", tight, all_pairs_shortest_paths(tight)))
-    return cases
 
 
 def _simulated_spot(inst, sp, routes, aid):
@@ -280,7 +256,7 @@ class TestRepairReference:
     def test_spots_match_full_simulation(self):
         checked = 0
         fresh = 0
-        for name, inst, sp in _repair_cases():
+        for name, inst, sp in reference_cases():
             ctx = get_context(inst, sp)
             for plan_seed in range(4):
                 rng = random.Random(plan_seed)

@@ -25,6 +25,7 @@ from carptdsc import (
     is_feasible,
     parse_instance,
 )
+from carptdsc.evaluation import EvalContext
 from carptdsc.instance import random_classic_instance
 from carptdsc.oracle import (
     CLASSIC_MAX_TASKS,
@@ -65,7 +66,7 @@ class TestExactSolve:
         p.write_text(ONE_TASK_3LP)
         inst = parse_instance(p)
         sp = all_pairs_shortest_paths(inst)
-        tc, sol, err = exact_solve(inst, sp)
+        tc, sol = exact_solve(inst, sp)
         assert tc == pytest.approx(4.0 + 4.0)
         assert len(sol.routes) == 1
         assert 50.0 <= sol.routes[0].departure_time <= 60.0
@@ -81,7 +82,7 @@ class TestExactSolve:
         p.write_text(text)
         inst = parse_instance(p)
         sp = all_pairs_shortest_paths(inst)
-        tc, sol, _ = exact_solve(inst, sp)
+        tc, sol = exact_solve(inst, sp)
         assert len(sol.routes) == 2
 
     def test_refusal_over_budget(self, gdb1_flat):
@@ -124,19 +125,19 @@ class TestExactSolve:
         with pytest.raises(OracleRefusal, match="1063622"):
             exact_solve(inst)
         small = replace(inst, capacity=10)
-        tc, _, _ = exact_solve(small, budget=OracleBudget())
+        tc, _ = exact_solve(small, budget=OracleBudget())
         assert math.isfinite(tc)
 
     def test_reported_plan_matches_reported_cost(self, micro3lp):
         inst, sp = micro3lp
-        tc, sol, _ = exact_solve(inst, sp)
+        tc, sol = exact_solve(inst, sp)
         ok, diag = is_feasible(inst, sp, sol)
         assert ok, diag
         assert evaluate_solution(inst, sp, sol).tc == pytest.approx(tc)
 
     def test_not_beaten_by_random_search(self, micro_a):
         inst, sp = micro_a
-        tc, _, _ = exact_solve(inst, sp)
+        tc, _ = exact_solve(inst, sp)
         rng = random.Random(0)
         for _ in range(200):
             cand = random_feasible_solution(inst, sp, rng)
@@ -174,6 +175,28 @@ class TestExhaustiveNeighborhood:
                 if ok:
                     assert delta == pytest.approx(rec["delta"], abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shares_no_simulation_with_the_solver(self, micro_b, seed,
+                                                  monkeypatch):
+        # the records come out the same when the solver's simulator
+        # cannot run
+        inst, sp = micro_b
+        sol = random_feasible_solution(inst, sp, random.Random(seed))
+        kinds = ("single_insertion", "double_insertion", "swap")
+        expect = [exhaustive_neighborhood(inst, sp, sol, kind)
+                  for kind in kinds]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran EvalContext.sim")
+
+        monkeypatch.setattr(EvalContext, "sim", refuse)
+        for kind, (best, records) in zip(kinds, expect):
+            got_best, got_records = exhaustive_neighborhood(inst, sp, sol,
+                                                            kind)
+            assert got_records == records, kind
+            assert got_best == best, kind
+            assert records, kind
+
     def test_best_neighbor_is_minimum(self, micro_a):
         inst, sp = micro_a
         sol = random_feasible_solution(inst, sp, random.Random(1))
@@ -204,7 +227,7 @@ class TestClassicOptimum:
                                        required_frac=required_frac)
         inst = generate_td_parameters(base, "2LP", 1.0, FLAT_EVERYWHERE,
                                       seed)
-        tc, _, _ = exact_solve(inst)
+        tc, _ = exact_solve(inst)
         assert classic_optimum(base) == tc
 
     def test_refusal_over_table_budget(self):

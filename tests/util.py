@@ -14,6 +14,7 @@ from carptdsc import (
     random_classic_instance,
 )
 from carptdsc.evaluation import get_context
+from carptdsc.oracle import simulate_route
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -50,6 +51,28 @@ def fractional(inst, slope=0.3):
     return replace(inst, arcs=tuple(arcs),
                    planning_horizon=inst.planning_horizon / 3,
                    global_slope_abs=slope)
+
+
+def reference_cases():
+    """(name, inst, sp): the micro fixtures, seeded 2LP/3LP instances, and
+    a tight-horizon copy of each, whose horizon is the latest route end of
+    a random plan, so that many insertions overrun it.  Every time and
+    cost is integral."""
+    cases = [(n, *_load(n)) for n in
+             ("micro_a", "micro_b", "micro_oneway") + MICRO3LP_NAMES]
+    for seed in range(3):
+        for itype, slope in (("3LP", 0.5), ("3LP", 2.0), ("2LP", 1.0)):
+            inst = make_random_instance(seed, itype, slope, n_vertices=7,
+                                        n_edges=11)
+            cases.append((f"{itype}-k{slope}-s{seed}", inst,
+                          all_pairs_shortest_paths(inst)))
+    for name, inst, sp in list(cases):
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        end = max(simulate_route(inst, sp, r.task_seq, 0.0)[1]
+                  for r in sol.routes)
+        tight = replace(inst, planning_horizon=end)
+        cases.append((f"{name}-tight", tight, all_pairs_shortest_paths(tight)))
+    return cases
 
 
 def encode_plan(ctx, sol):
