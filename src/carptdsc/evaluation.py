@@ -55,10 +55,8 @@ class RouteEvaluation:
     total_cost: float
     load: float
     begin_times: tuple
-    gaps: tuple
     feasible_capacity: bool
     feasible_horizon: bool
-    service_cost: float = 0.0
     deadhead_cost: float = 0.0
     end_time: float = 0.0
 
@@ -200,7 +198,7 @@ class EvalContext:
         return sc_sum, dc_sum, load, begins, gaps, t
 
     def route_evaluation(self, codes, t0: float) -> RouteEvaluation:
-        sc, dc, load, begins, gaps, end = self.sim(codes, t0)
+        sc, dc, load, begins, _, end = self.sim(codes, t0)
         horizon_ok = (
             t0 >= 0.0
             and end <= self.horizon + 1e-12
@@ -210,10 +208,8 @@ class EvalContext:
             total_cost=sc + dc,
             load=load,
             begin_times=tuple(begins),
-            gaps=tuple(gaps),
             feasible_capacity=load <= self.capacity,
             feasible_horizon=horizon_ok,
-            service_cost=sc,
             deadhead_cost=dc,
             end_time=end,
         )

@@ -9,25 +9,41 @@ shortest-path precomputation.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 TWO_SEGMENT = "two-segment"
 THREE_SEGMENT = "three-segment"
 
 
 class ParseError(ValueError):
-    """Malformed instance file; carries the offending line number."""
+    """Malformed instance file; carries the file and the offending line
+    number, and prints as ``file: line n: reason``."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, path=None):
+        self.reason, self.line_no, self.path = message, line_no, path
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line_no = line_no
+
+
+def _names_file(parse):
+    """``parse(path)``, whose ParseError names the file ``path``."""
+    @functools.wraps(parse)
+    def parse_file(path):
+        try:
+            return parse(path)
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line_no, path) from None
+    return parse_file
 
 
 class InstanceError(ValueError):
@@ -183,37 +199,39 @@ class ShortestPathMatrix:
     sp_time: tuple
 
 
-def _dijkstra(n: int, adj: Sequence[Sequence[tuple]], src: int):
-    dist = [math.inf] * n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def _distance_table(n, arcs, weights, shared):
     """Rows of shortest-path distances from every vertex, arc i weighing
-    ``weights[i]``; each distance is taken from ``shared``."""
-    adj = [[] for _ in range(n)]
-    for a, w in zip(arcs, weights):
-        adj[a.tail].append((a.head, w))
-    return tuple(tuple([shared.setdefault(d, d) for d in _dijkstra(n, adj, s)])
-                 for s in range(n))
+    ``weights[i]``; each distance is taken from ``shared``.
+
+    Every arc is relaxed for all sources at once until no distance changes
+    (Bellman-Ford).  A distance is then the least of the left-to-right sums
+    from the source along each path; a rounded sum never falls when a
+    nonnegative weight is added, so it is the distance Dijkstra finds,
+    bit for bit."""
+    dist = np.full((n, n), math.inf)
+    np.fill_diagonal(dist, 0.0)
+    if arcs:
+        # arcs by head vertex: column group k of a relaxation enters heads[k]
+        head = np.array([a.head for a in arcs], dtype=np.intp)
+        order = np.argsort(head, kind="stable")
+        tail = np.array([a.tail for a in arcs], dtype=np.intp)[order]
+        w = np.array(weights, dtype=float)[order]
+        heads, starts = np.unique(head[order], return_index=True)
+        while True:
+            reach = np.minimum.reduceat(dist[:, tail] + w, starts, axis=1)
+            if not (reach < dist[:, heads]).any():
+                break
+            dist[:, heads] = np.minimum(dist[:, heads], reach)
+    return tuple(tuple([shared.setdefault(d, d) for d in row])
+                 for row in dist.tolist())
 
 
 def all_pairs_shortest_paths(inst: Instance) -> ShortestPathMatrix:
-    """Dijkstra from every vertex, on travel-cost and travel-time weights.
+    """Shortest paths from every vertex, on travel-cost and travel-time
+    weights.
 
     Equal weights are searched once and share one table.  Raises
-    InstanceError on a negative or non-finite weight (Dijkstra needs
+    InstanceError on a negative or non-finite weight (the search needs
     neither; an instance built with ``dataclasses.replace`` skips
     ``Instance.validate``), and when some task endpoint cannot reach, or be
     reached from, the depot.
@@ -261,6 +279,7 @@ _FIELD_HEADER = {"capacity": "CAPACITY", "planning_horizon": "HORIZON",
                  "instance_type": "TYPE"}
 
 
+@_names_file
 def parse_instance(path) -> Instance:
     path = Path(path)
     header = {}
@@ -457,6 +476,7 @@ class IntervalPolicy:
 FLAT_EVERYWHERE = IntervalPolicy(name="flat-everywhere")
 
 
+@_names_file
 def parse_classic_dat(path) -> ClassicInstance:
     """Read a classic CARP DAT file (gdb/egl layout, 1-based vertices)."""
     path = Path(path)
@@ -510,7 +530,7 @@ def parse_classic_dat(path) -> ClassicInstance:
                                          ("CAPACITY", capacity is None),
                                          ("edge list", not edges)) if absent]
     if missing:
-        raise ParseError(f"{path}: incomplete classic DAT file, missing "
+        raise ParseError("incomplete classic DAT file, missing "
                          + ", ".join(missing))
     return ClassicInstance(name, n_vertices, depot, capacity, tuple(edges))
 

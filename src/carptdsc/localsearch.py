@@ -33,19 +33,24 @@ tasks for a swap), into the route itself, or into a fresh route.  Stage-1
 routes all depart at 0, so an entry's results depend on the contents of
 its routes only, not on the rest of the plan: which moves criterion 1
 prunes, each survivor's capacity and horizon test and exact delta, and
-each work counter's share.  A ``SweepMemo`` keeps, per move kind, every
-entry of the last plan swept: its counter shares and its least delta with
+each work counter's share.  A ``SweepMemo`` keeps two tables per sweep: a
+route's own entries (into itself and into a fresh route) for every route
+the run has swept, keyed by the route's codes, and every entry of the last
+plan swept.  Each entry holds its counter shares and its least delta with
 that move's position inside the entry.  The next sweep matches its routes
-to that plan's by content, copies the entries among known routes and
-computes the others, two rectangles per screen: new routes against all
-routes, and the known routes against the new ones.  The global pick
-rebuilds each copied move's enumeration key from the current plan's
-offsets, so ties go to the same move as in a cold sweep, and the copied
-counter shares add up to the same counters.  A swap between two routes
-adds the earlier route's terms first and enumerates its tasks first, so an
-entry is copied only if its two routes keep their order; the known routes
-outside a longest run that keeps it are computed as new.  The public
-operators start from an empty memo, since their departures need not be 0.
+to the last plan's by content and copies the entries among those routes;
+it takes the own entries of the other routes from the run table where it
+has them, skipping their intra-route screen and re-simulation, and
+computes the rest: the entries between two routes in two rectangles per
+screen, new routes against all routes and the known routes against the
+new ones.  The global pick rebuilds each copied move's enumeration key from
+the current plan's offsets, so ties go to the same move as in a cold sweep,
+and the copied counter shares add up to the same counters.  A swap between
+two routes adds the earlier route's terms first and enumerates its tasks
+first, so an entry is copied only if its two routes keep their order; the
+known routes outside a longest run that keeps it are computed as new.  The
+public operators start from an empty memo, since their departures need not
+be 0.
 
 The per-move reference (``c1_gap_sums``, ``criterion1_failed``,
 ``criterion2_successful``) is scalar and shares no code with the
@@ -485,7 +490,9 @@ def _gaps(t, b, e):
     to the intervals [b, e].  Bit for bit equal to the scalar gap, because
     b <= e (ServiceCostFunction enforces it) leaves at most one of b - t
     and t - e positive."""
-    return np.maximum(np.maximum(b - t, t - e), 0.0)
+    g = np.subtract(b, t)
+    np.maximum(g, np.subtract(t, e), out=g)
+    return np.maximum(g, 0.0, out=g)
 
 
 # The batched evaluations below repeat the scalar arithmetic operation for
@@ -507,18 +514,21 @@ def _shift_sums(ctx, state, start, rest, dt):
     """Service-cost changes when the begin times of the ``rest[i]`` tasks
     from position ``start[i]`` of ``state.code_a`` (one route's suffix)
     shift by ``dt[i]``, and the number of tasks each evaluates.  Each
-    change is the sum, left to right, of (gap after - gap before) * slope
-    over those tasks, added one suffix position at a time over the
-    suffixes that reach it.  A shift of 0.0 evaluates no task, and its
-    change is 0.0."""
+    change is the sum, left to right from 0.0, of (gap after - gap before)
+    * slope over those tasks, one row of a matrix padded with 0.0.  A
+    shift of 0.0 evaluates no task, and its change is 0.0."""
     rest = np.where(dt != 0.0, rest, 0)
     s = np.zeros(len(dt))
-    for m in range(rest.max(initial=0)):
-        live = np.flatnonzero(rest > m)
-        pos = start[live] + m
-        ti = state.code_a[pos] >> 1
-        g = _gaps(state.begin_a[pos] + dt[live], ctx.bt_a[ti], ctx.et_a[ti])
-        s[live] += (g - state.gap_a[pos]) * ctx.slope_a[ti]
+    on = rest.nonzero()[0]  # the rows that evaluate a task
+    n = rest[on]
+    cols = np.arange(n.max(initial=0))
+    live = cols < n[:, None]
+    pos = np.where(live, start[on][:, None] + cols, 0)
+    ti = state.code_a[pos] >> 1
+    g = _gaps(state.begin_a[pos] + dt[on][:, None], ctx.bt_a[ti],
+              ctx.et_a[ti])
+    w = np.where(live, (g - state.gap_a[pos]) * ctx.slope_a[ti], 0.0)
+    s[on] = _row_sums(0.0, w)[:, -1]
     return s, rest
 
 
@@ -579,9 +589,12 @@ def _in_order(old):
     return keep
 
 
+ROUTE_TABLE_LIMIT = 1 << 14  # routes a run table holds before it is emptied
+
+
 class SweepMemo:
     """What the knowledge-guided sweeps of each move kind found on the
-    last plan they swept.
+    routes and plans they swept in one run.
 
     A sweep's moves fall into entries: entry (a, b) holds the moves that
     take tasks of route a to route b (a's own positions for b = a, and for
@@ -589,37 +602,65 @@ class SweepMemo:
     entry the memo keeps the work counts (moves enumerated, moves pruned
     by criterion 1, service-cost evaluations) and the least feasible
     negative delta with its enumeration key relative to the entry's first
-    move.  Entries are matched by route content.  ``reused`` and
-    ``computed`` count the routes and route pairs (ordered for the
-    insertion kinds) whose entries sweeps took from the memo and those
-    they computed, summed over the kinds.  The entries are only valid for
-    one context, one lam and stage-1 plans, whose routes all depart at
-    0."""
+    move.  Both tables are kept per sweep, that is per tuple of the move
+    kinds swept together.  ``last`` holds every entry of the last plan
+    swept, matched by route content.  A route's own entries, (a, a) and
+    (a, fresh route), depend on route a alone: the run table ``own`` keeps
+    them for every route swept in the run, keyed by the route's codes, as
+    one row per route, and is emptied once it holds more than
+    ``ROUTE_TABLE_LIMIT`` routes.  ``reused`` and ``computed`` count the
+    routes (their own entries, from either table) and route pairs
+    (ordered for the insertion kinds) whose entries sweeps took from the
+    memo and those they computed, summed over the kinds.  The entries are
+    only valid for one context, one lam and stage-1 plans, whose routes
+    all depart at 0."""
 
     def __init__(self):
-        # kind -> (route -> index, (counts, delta, key, key width, columns))
+        # kinds -> (route -> index, (counts, delta, key, key width, columns))
         self.last = {}
+        # kinds -> {route: counts, deltas and keys of its own entries}
+        self.own = {}
         self.reused = 0
         self.computed = 0
 
 
 class _Entries:
-    """The entries of one sweep of ``kind`` on ``routes`` in a table of
-    ``ncols`` columns; ``old`` holds each route's index in the plan the
-    memo holds for the kind (-1 for a route that plan did not have) and
-    ``pnc`` the column count of that plan's table."""
+    """The entries of one sweep of the move kinds ``kinds`` on ``routes``:
+    per kind a table of ``ncols`` columns, kind after kind.  ``own_at[a]``
+    lists route a's own entries of every kind.  ``old`` holds each route's
+    index in the plan the memo holds for the kinds (-1 for a route that
+    plan did not have) and ``pnc`` the column count of that plan's
+    tables."""
 
-    def __init__(self, memo, kind, routes, ncols):
-        self.memo, self.kind, self.ncols = memo, kind, ncols
+    def __init__(self, memo, kinds, routes, ncols, own_at):
+        self.memo, self.kinds, self.ncols = memo, kinds, ncols
+        self.own_at = own_at
         self.keys = [tuple(r) for r in routes]
-        index, self.prev = memo.last.get(kind, ({}, None))
+        table = memo.own.get(kinds)
+        if table is None or len(table) > ROUTE_TABLE_LIMIT:
+            table = memo.own[kinds] = {}
+        self.table = table
+        index, self.prev = memo.last.get(kinds, ({}, None))
         self.old = np.array([index.get(r, -1) for r in self.keys],
                             dtype=np.intp)
         self.pnc = 0 if self.prev is None else self.prev[4]
 
+    def look_up(self, rows):
+        """Look the routes ``rows``, whose own entries are not taken with
+        the memo's plan, up in the run table; returns the mask of the
+        routes whose own entries are known."""
+        got = [self.table.get(self.keys[r]) for r in rows.tolist()]
+        hit = np.array([g is not None for g in got], dtype=bool)
+        self.found, self.alone = rows[hit], rows[~hit]
+        self.got = [g for g in got if g is not None]
+        known = np.ones(len(self.keys), dtype=bool)
+        known[self.alone] = False
+        return known
+
     def among(self, rows, fresh=False):
         """(entries, the memo's entries) of every (a, b) of two routes a, b
-        of ``rows``, and with ``fresh`` of every (a, fresh route)."""
+        of ``rows``, and with ``fresh`` of every (a, fresh route), in
+        every kind's table."""
         if not len(rows):
             return rows, rows
         old = self.old[rows]
@@ -627,22 +668,31 @@ class _Entries:
         if fresh:
             cols = np.concatenate((rows, [self.ncols - 1]))
             old_cols = np.concatenate((old, [self.pnc - 1]))
-        return ((rows[:, None] * self.ncols + cols).ravel(),
-                (old[:, None] * self.pnc + old_cols).ravel())
+        r = (rows[:, None] * self.ncols + cols).ravel()
+        g = (old[:, None] * self.pnc + old_cols).ravel()
+        ne = len(self.keys) * self.ncols
+        pne = len(self.prev[1]) // len(self.kinds)
+        return (np.concatenate([r + q * ne for q in range(len(self.kinds))]),
+                np.concatenate([g + q * pne
+                                for q in range(len(self.kinds))]))
 
-    def settle(self, counts, cand, reuse, poff, soff, width, counters):
-        """The table of this sweep: the entries ``reuse[0]`` from the
-        memo's entries ``reuse[1]``, the others from ``counts`` (per
-        entry, the moves enumerated, pruned by criterion 1 and the
-        service-cost evaluations, a (3, entries) array) and ``cand``
-        (entry, delta, key of every computed feasible move with a negative
-        delta).  Stores it in the memo and adds its counts to
-        ``counters``.  A move's key is its enumeration order, ``(poff[a] +
-        x) * width + soff[b] + y`` for the move (x, y) of entry (a, b); the
-        table keeps x * width + y and the width.  Returns (delta, key) of
-        the least delta, the least key among equals, or None."""
-        base = (poff[:len(self.keys), None] * width
-                + soff[:self.ncols]).ravel()  # each entry's first key
+    def settle(self, counts, cand, reuse, poffs, soff, width, counters):
+        """The tables of this sweep: the entries ``reuse[0]`` from the
+        memo's entries ``reuse[1]``, the own entries of the routes found in
+        the run table from there, the others from ``counts`` (per entry,
+        the moves enumerated, pruned by criterion 1 and the service-cost
+        evaluations, a (3, entries) array) and ``cand`` (entry, delta, key
+        of every computed feasible move with a negative delta).  Stores
+        them in the memo, the own entries of the other routes in the run
+        table, and adds their counts to ``counters``.  A move's key is its
+        enumeration order among its kind's, ``(poff[a] + x) * width +
+        soff[b] + y`` for the move (x, y) of entry (a, b), with ``poff``
+        the kind's of ``poffs``; the tables keep x * width + y and the
+        width, or x and y.  Returns per kind (delta, key) of the least
+        delta, the least key among equals, or None."""
+        base = np.concatenate([(poff[:len(self.keys), None] * width
+                                + soff[:self.ncols]).ravel()
+                               for poff in poffs])  # each entry's first key
         best = np.full(len(base), np.inf)
         rel = np.zeros(len(base), dtype=np.intp)
         e, delta, key = cand
@@ -662,8 +712,25 @@ class _Entries:
             best[r] = pbest[g]
             x, y = np.divmod(prel[g], pwidth)
             rel[r] = x * width + y
-        self.memo.last[self.kind] = (
-            {r: i for i, r in enumerate(self.keys)},
+        # a run-table row: per own entry the three counts, then per own
+        # entry the delta, x and y
+        k = self.own_at.shape[1]
+        if self.got:
+            at = self.own_at[self.found]
+            got = np.array(self.got)
+            counts[:, at] = got[:, :3 * k].reshape(len(at), 3, k) \
+                .transpose(1, 0, 2)
+            best[at] = got[:, 3 * k:4 * k]
+            rel[at] = got[:, 4 * k:5 * k] * width + got[:, 5 * k:]
+        if len(self.alone):
+            at = self.own_at[self.alone]
+            rows = np.concatenate(
+                (counts[:, at].transpose(1, 0, 2).reshape(len(at), 3 * k),
+                 best[at], *np.divmod(rel[at], width)), axis=1)
+            for r, row in zip(self.alone.tolist(), rows):
+                self.table[self.keys[r]] = row
+        self.memo.last[self.kinds] = (
+            dict(zip(self.keys, range(len(self.keys)))),
             (counts, best, rel, width, self.ncols))
 
         moves, pruned, sc = (int(v) for v in counts.sum(axis=1).tolist())
@@ -671,11 +738,17 @@ class _Entries:
         counters.pruned_by_criterion1 += pruned
         counters.criterion2_evaluations += moves - pruned
         counters.sc_evaluations += sc
-        at = best.argmin() if len(best) else 0
-        if not len(best) or best[at] == np.inf:
-            return None
-        at = (best == best[at]).nonzero()[0]
-        return float(best[at[0]]), int((base[at] + rel[at]).min())
+        out = []
+        ne = len(base) // len(self.kinds)
+        for q in range(len(self.kinds)):
+            mine = best[q * ne:(q + 1) * ne]
+            at = mine.argmin() if ne else 0
+            if not ne or mine[at] == np.inf:
+                out.append(None)
+                continue
+            at = (mine == mine[at]).nonzero()[0] + q * ne
+            out.append((float(best[at[0]]), int((base[at] + rel[at]).min())))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -773,17 +846,22 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     SLOT = np.arange(len(CODE)) + ROUTE
     s_end, s_head = state.slot_end_a, state.slot_head_a
     # entries: (a, b) of the kind q at q * ne + a * (nroutes + 1) + b.
-    # Those among routes the memo knows, and their fresh-route entries, are
-    # taken from it
+    # Those among the routes of the memo's last plan, and their fresh-route
+    # entries, are taken from it; the own entries, (a, a) and (a, fresh
+    # route), of every other route the run has swept from its run table
     nk = len(kinds)
     ne = nroutes * (nroutes + 1)
-    ents = [_Entries(memo, kind, state.routes, nroutes + 1) for kind in kinds]
-    new = np.logical_or.reduce([ent.old < 0 for ent in ents])
-    kept = (~new).nonzero()[0]
-    reuse = [ent.among(kept, fresh=True) for ent in ents]
-    memo.reused += nk * len(kept) ** 2
-    memo.computed += nk * (nroutes ** 2 - len(kept) ** 2)
     diag = np.arange(nroutes) * (nroutes + 2)  # entry (a, a)
+    own_at = np.column_stack((diag, diag - np.arange(nroutes) + nroutes))
+    ent = _Entries(memo, kinds, state.routes, nroutes + 1,
+                   np.hstack([own_at + q * ne for q in range(nk)]))
+    new = ent.old < 0
+    alone = ~ent.look_up(new.nonzero()[0])
+    own = nroutes - int(alone.sum())  # routes whose own entries are known
+    kept = (~new).nonzero()[0]
+    reuse = ent.among(kept, fresh=True)
+    memo.reused += nk * (len(kept) * (len(kept) - 1) + own)
+    memo.computed += nk * (nroutes ** 2 - len(kept) * (len(kept) - 1) - own)
 
     # blocks: the k tasks from every position with k tasks left in its
     # route, kind after kind, by their first task's index i in code_a
@@ -821,10 +899,10 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
                                       0), dA)
     counts = np.zeros((3, nk * ne))
     counts[2] = np.bincount(bq * ne + diag[b_ra], n_sc, nk * ne)
-    # prefix end at the positions after a block of a new route in the
-    # route without it: RM[bn[b], j] at position pa + j, each step travel
-    # plus service
-    bn = new[b_ra].nonzero()[0]
+    # prefix end at the positions after a block of a route whose own
+    # entries are computed, in the route without it: RM[bn[b], j] at
+    # position pa + j, each step travel plus service
+    bn = alone[b_ra].nonzero()[0]
     rn = rest[bn]
     cols = np.arange(rn.max(initial=0))
     live = cols < rn[:, None]
@@ -859,13 +937,15 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
 
     def c1_gaps(T, rows):
         """Gap sum of the blocks of the sorted ``rows`` when they begin at
-        times T.  Criterion 1 keeps a move where it is at most THR: a
-        difference of two floats is positive exactly when the first is
-        greater."""
+        times T, which it overwrites.  Criterion 1 keeps a move where it is
+        at most THR: a difference of two floats is positive exactly when
+        the first is greater."""
         G = _gaps(T, bt_a[T1[rows]], et_a[T1[rows]])
         p = np.searchsorted(rows.ravel(), pairs_from)
         rows = rows[p:]
-        G[p:] += _gaps(T[p:] + HOP[rows], bt_a[TL[rows]], et_a[TL[rows]])
+        T = T[p:]
+        T += HOP[rows]
+        G[p:] += _gaps(T, bt_a[TL[rows]], et_a[TL[rows]])
         return G
 
     # criterion 1 on every (row, slot) of the two rectangles of computed
@@ -893,26 +973,30 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
         cols = np.repeat(off[dst] - at, nslots[dst]) + np.arange(
             at[-1] + nslots[dst[-1]])
         ra = RA[rows]
-        T = s_end[cols] + sptT[:, s_head[cols]][NT[rows]]
+        T = sptT[:, s_head[cols]][NT[rows]]
+        T += s_end[cols]
         keep = c1_gaps(T, rows[:, None]) <= THR[rows][:, None]
-        keep &= state.slot_route_a[cols] != ra[:, None]
         if cols[-1] == fresh:
             keep[:, -1] &= ~whole[rows]
+        # per row and route of dst: whether it is the block's own route,
+        # whose slots are no move here, and whether the source route stays
+        # within the horizon and the destination route takes the block's
+        # demand, as an exact delta needs
+        mine = dst == ra[:, None]
         passed += np.bincount(
             ((RQ[rows] * ne + ra * (nroutes + 1))[:, None] + dst).ravel(),
-            _group_sums(keep, at).ravel(), nk * ne)
-        # exact deltas where the source route stays within the horizon and
-        # the destination route takes the block's demand
-        keep &= state.slot_load_a[cols] + b_dem[B[rows]][:, None] <= Q
-        keep[~src_ok[B[rows]]] = False
+            np.where(mine, 0, _group_sums(keep, at)).ravel(), nk * ne)
+        fits = (state.slot_load_a[off[dst]] + b_dem[B[rows]][:, None] <= Q) \
+            & src_ok[B[rows]][:, None] & ~mine
+        keep &= np.repeat(fits, nslots[dst], axis=1)
         r, c = np.nonzero(keep)
         R.append(rows[r])
         S.append(cols[c])
     R, S = np.concatenate(R), np.concatenate(S)
     e = RQ[R] * ne + RA[R] * (nroutes + 1) + state.slot_route_a[S]
-    # ... and on every row of a new route and position of its route
-    # without the block, the identity skipped
-    rows = new[RA].nonzero()[0]
+    # ... and on every row of a route whose own entries are computed and
+    # position of its route without the block, the identity skipped
+    rows = alone[RA].nonzero()[0]
     npos = lens[RA[rows]] - KR[rows] + 1
     IR = np.repeat(rows, npos)
     PB = np.arange(len(IR)) - np.repeat(np.cumsum(npos) - npos, npos)
@@ -972,17 +1056,15 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
         [S[c_cross], off[ra[c_in]] + PB[c_in]])
     out = []
-    for q, (kind, ent) in enumerate(zip(kinds, ents)):
-        mine = (e >= q * ne) & (e < (q + 1) * ne)
-        got = ent.settle(
-            counts[:, q * ne:(q + 1) * ne],
-            (e[mine] - q * ne, delta[mine], key[mine]), reuse[q],
-            np.searchsorted(RA[R0[q]:R0[q + 1]], np.arange(nroutes + 1)),
-            off, fresh + 1, counters)
-        if got is None:
+    got = ent.settle(counts, (e, delta, key), reuse,
+                     [np.searchsorted(RA[R0[q]:R0[q + 1]],
+                                      np.arange(nroutes + 1))
+                      for q in range(nk)], off, fresh + 1, counters)
+    for q, (kind, got_q) in enumerate(zip(kinds, got)):
+        if got_q is None:
             out.append((-_EPS, None))
             continue
-        best, key_q = got
+        best, key_q = got_q
         r, sl = divmod(key_q, fresh + 1)
         r += int(R0[q])
         rb = int(state.slot_route_a[sl])
@@ -999,13 +1081,14 @@ def _sw_sweep(ctx, state, lam, counters, memo):
     Entry (a, b), a <= b, holds the swaps of a task of route a with a later
     task of route b.  For the entries it computes, criterion 1 screens
     the (spot i, later spot j, orientation of i's task, orientation of
-    j's task) cells in two rectangles.  The survivors get their exact
-    deltas in one batch of each kind: the swaps between two routes from
-    the shifted route suffixes, those within one route by re-simulating
-    it.  A move's enumeration key is the C order of (i, j, orientation of
-    i's task, orientation of j's task).  A delta between two routes adds
-    the terms of the earlier route first, so the entry of two routes whose
-    order flipped since the memo's plan is computed anew."""
+    j's task) cells in two rectangles, each pair of tasks once.  The
+    survivors get their exact deltas in one batch of each kind: the swaps
+    between two routes from the shifted route suffixes, those within one
+    route by re-simulating it.  A move's enumeration key is the C order of
+    (i, j, orientation of i's task, orientation of j's task).  A delta
+    between two routes adds the terms of the earlier route first, so the
+    entry of two routes whose order flipped since the memo's plan is
+    computed anew."""
     sptT, spc_a = ctx.sptT, ctx.spc_a
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
@@ -1016,17 +1099,22 @@ def _sw_sweep(ctx, state, lam, counters, memo):
     n = len(state.code_a)
     ROUTES = np.arange(nroutes)
     first = off[:-1] - ROUTES  # each route's first spot
-    # entries: (a, b), a <= b, at a * nroutes + b.  Those among the routes
-    # the memo knows in the same order are taken from it
-    ent = _Entries(memo, SWAP, state.routes, nroutes)
+    # entries: (a, b), a <= b, at a * nroutes + b.  Those among the
+    # routes the memo's last plan holds in the same order are taken from
+    # it, and the own entry (a, a) of every other route the run has swept
+    # from its run table
+    ent = _Entries(memo, (SWAP,), state.routes, nroutes,
+                   (ROUTES * (nroutes + 1))[:, None])
     dirty = ~_in_order(ent.old)
+    alone = ~ent.look_up(dirty.nonzero()[0])
     kept = (~dirty).nonzero()[0]
     reuse = ent.among(kept)
     if len(kept):
         upper = reuse[0] % nroutes >= reuse[0] // nroutes  # a <= b
         reuse = reuse[0][upper], reuse[1][upper]
-    memo.reused += len(reuse[0])
-    memo.computed += nroutes * (nroutes + 1) // 2 - len(reuse[0])
+    memo.reused += len(reuse[0]) + len(ent.found)
+    memo.computed += nroutes * (nroutes + 1) // 2 - len(reuse[0]) \
+        - len(ent.found)
     ne = nroutes * nroutes
     # per spot (a task position, in code_a order): route, slot, prefix end
     # and head, the tail of each orientation of its task, which
@@ -1055,49 +1143,60 @@ def _sw_sweep(ctx, state, lam, counters, memo):
                                                      nroutes)) / 2
     counts = np.zeros((3, ne))
     counts[0] = moves.ravel()
-    # criterion 1 on the two rectangles of computed moves: spots of dirty
-    # routes by every spot, spots of the other routes by the spots of dirty
-    # routes, each (i, j, orientation of i's task, orientation of j's
-    # task) with i < j.  Task a of spot i begins at TA[i, j, fa] at spot
-    # j, task b of spot j at TB[i, j, fb] at spot i
+    # criterion 1 on the two rectangles of computed moves, each cell (i, j,
+    # orientation of i's task, orientation of j's task): spots of the
+    # other routes by spots of dirty routes, and spots of dirty routes by
+    # the later spots of dirty routes, those within a route whose own entry
+    # is known left out.  Task a of spot i begins at TA[i, j, fa] at spot
+    # j, task b of spot j at TB[i, j, fb] at spot i.  The criterion is
+    # symmetric in the two tasks, as IEEE addition commutes, so a cell of
+    # the first rectangle with j < i is the swap (j, i) with its
+    # orientations exchanged
     I, J, fab = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
         [np.empty(0, np.intp)]
     passed = np.zeros(ne)  # moves that criterion 1 keeps
-    filled = lens > 0
-    for rows, dst in ((dirty, filled), (~dirty, dirty & filled)):
-        i, dst = rows[ROUTE].nonzero()[0], dst.nonzero()[0]
-        if not (len(i) and len(dst)):
+    cols = (dirty & (lens > 0)).nonzero()[0]
+    for inner, rows in ((False, ~dirty), (True, dirty)):
+        i = rows[ROUTE].nonzero()[0]
+        if not (len(i) and len(cols)):
             continue
-        # the spots of the routes dst, each route's first at ``at``
-        at = np.cumsum(lens[dst]) - lens[dst]
-        j = np.repeat(first[dst] - at, lens[dst]) + np.arange(
-            at[-1] + lens[dst[-1]])
+        # the spots of the routes cols, each route's first at ``at``
+        at = np.cumsum(lens[cols]) - lens[cols]
+        j = np.repeat(first[cols] - at, lens[cols]) + np.arange(
+            at[-1] + lens[cols[-1]])
         TA = np.add(PE[j][None, :, None],
                     sptX[:, PH[j]][OT[i]].transpose(0, 2, 1), order="C")
-        TB = np.add(PE[i][:, None, None],
-                    sptX[:, PH[i]][OT[j]].transpose(2, 0, 1), order="C")
-        G = (_gaps(TA, BT[i][:, None, None], ET[i][:, None, None])[..., None]
-             + _gaps(TB, BT[j][None, :, None], ET[j][None, :, None])[
-                 :, :, None, :])
+        gA = _gaps(TA, BT[i][:, None, None], ET[i][:, None, None])
+        if inner:  # i and j are the same spots: TB is TA transposed
+            gB = gA.transpose(1, 0, 2)
+        else:
+            TB = np.add(PE[i][:, None, None],
+                        sptX[:, PH[i]][OT[j]].transpose(2, 0, 1), order="C")
+            gB = _gaps(TB, BT[j][None, :, None], ET[j][None, :, None])
+        G = gA[..., None] + gB[:, :, None, :]
         g_before = GAP[i][:, None] + GAP[j]
         # a difference of two floats is positive exactly when the first
         # is greater
         keep = G <= (lam * g_before)[:, :, None, None]
-        keep &= (j > i[:, None])[:, :, None, None]
-        ra = ROUTE[i]
+        ra, rb = ROUTE[i][:, None], ROUTE[j]
+        if inner:
+            keep &= ((j > i[:, None]) & ((rb != ra) | alone[ra]))[
+                :, :, None, None]
         passed += np.bincount(
-            (ra[:, None] * nroutes + dst).ravel(),
+            (np.minimum(ra, cols) * nroutes + np.maximum(ra, cols)).ravel(),
             _group_sums(keep.reshape(len(i), -1), 4 * at).ravel(), ne)
         # an exact delta for survivors within one route, or on two routes
         # that both stay within capacity
         keep &= (((rest[i][:, None] + DEM[j] <= Q)
                   & (rest[j] + DEM[i][:, None] <= Q))
-                 | (ra[:, None] == ROUTE[j]))[:, :, None, None]
+                 | (ra == rb))[:, :, None, None]
         x, f = np.divmod(keep.ravel().nonzero()[0], 4)
         r, c = np.divmod(x, len(j))
-        I.append(i[r])
-        J.append(j[c])
-        fab.append(f)
+        r, c = i[r], j[c]
+        later = r > c
+        I.append(np.where(later, c, r))
+        J.append(np.where(later, r, c))
+        fab.append(np.where(later, (f & 1) * 2 + (f >> 1), f))
     I, J, fab = np.concatenate(I), np.concatenate(J), np.concatenate(fab)
     e = ROUTE[I] * nroutes + ROUTE[J]
     counts[1] = counts[0] - passed
@@ -1160,9 +1259,9 @@ def _sw_sweep(ctx, state, lam, counters, memo):
     ok[c] = okA & ~(endB > PT + _H_EPS)
 
     ok &= delta < -_EPS
-    got = ent.settle(counts,
-                     (e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]),
-                     reuse, first, 4 * first, 4 * n, counters)
+    got, = ent.settle(counts,
+                      (e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]),
+                      reuse, [first], 4 * first, 4 * n, counters)
     if got is None:
         return -_EPS, None
     best, key = got

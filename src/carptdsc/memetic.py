@@ -15,6 +15,15 @@ decodes only the plan it returns.  Crossover repair scores each candidate
 position from ``sim``'s running state at that position of the route, so
 the shared prefix is simulated once per route; the floats are those of a
 full ``sim`` of the candidate route.
+
+A run computes each route-level result once.  Every route departs at 0,
+so a route's cost and capacity excess depend on its codes only:
+``kgma_run`` keeps them in a table that ``evaluate_plan`` reads and
+fills, and a plan's cost is the sum of its routes' entries in route
+order, the floats a full simulation of the plan gives.  The run's
+``SweepMemo`` likewise keeps each swept route's own sweep entries and the
+entries of the last plan swept.  Both tables live for one run and are
+emptied once they hold more than ``ROUTE_TABLE_LIMIT`` routes.
 """
 
 from __future__ import annotations
@@ -30,7 +39,13 @@ from .evaluation import CoverageError, get_context
 # module attribute because perfbench/spans.py wraps it by this name
 from .evaluation import evaluate_solution  # noqa: F401
 from .initialization import BASELINE, KGIS, kgis_population
-from .localsearch import SWEEPS, SearchCounters, SweepMemo, _kgslss_state
+from .localsearch import (
+    ROUTE_TABLE_LIMIT,
+    SWEEPS,
+    SearchCounters,
+    SweepMemo,
+    _kgslss_state,
+)
 from .mergesplit import merge_split
 
 
@@ -91,12 +106,15 @@ class Individual:
     violation: float
 
 
-def evaluate_plan(ctx, plan) -> Individual:
+def evaluate_plan(ctx, plan, routes=None) -> Individual:
     """``plan`` priced with every route departing at 0.
 
     Sums as ``evaluate_solution`` does: route costs (service plus
     deadhead) in route order, and each route's load above capacity.
-    Raises CoverageError unless every task is served exactly once.
+    ``routes``, a dict kept across the calls of one run, maps a route's
+    codes to that cost and excess; routes missing from it are simulated
+    and added.  Raises CoverageError unless every task is served exactly
+    once.
     """
     served = [c >> 1 for route in plan for c in route]
     if len(served) != ctx.n_tasks or len(set(served)) != ctx.n_tasks:
@@ -106,12 +124,17 @@ def evaluate_plan(ctx, plan) -> Individual:
                          for ti in set(range(ctx.n_tasks)) - set(served))
         raise CoverageError(f"tasks served more than once: {twice}; "
                             f"tasks not served: {missing}")
+    if routes is None:
+        routes = {}
     tc = 0.0
     violation = 0.0
     for route in plan:
-        sc, dc, load, _, _, _ = ctx.sim(route, 0.0)
-        tc += sc + dc
-        violation += max(0.0, load - ctx.capacity)
+        got = routes.get(route)
+        if got is None:
+            sc, dc, load, _, _, _ = ctx.sim(route, 0.0)
+            got = routes[route] = (sc + dc, max(0.0, load - ctx.capacity))
+        tc += got[0]
+        violation += got[1]
     return Individual(plan, tc, violation)
 
 
@@ -308,7 +331,9 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
     local-search work counters accumulated during that generation, and
     ``memo_reused``/``memo_computed``: the routes and route pairs whose
     sweep results that generation's sweeps took from the run's
-    ``SweepMemo`` and those they computed.  The generation-0 row also
+    ``SweepMemo`` and those they computed; a route's own entries count as
+    taken whether they came from the last plan swept or from the memo's
+    run table.  The generation-0 row also
     carries ``init_duplicates``: how many initial individuals repeat an
     earlier one after the initializer's retries.
     """
@@ -318,7 +343,8 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
 
     plans, duplicates = kgis_population(ctx, params.psize, params.init_mode,
                                         rng)
-    pop = [evaluate_plan(ctx, plan) for plan in plans]
+    costs = {}  # route codes -> (cost, capacity excess), for evaluate_plan
+    pop = [evaluate_plan(ctx, plan, costs) for plan in plans]
     best = _best_feasible(pop)
     memo = SweepMemo()
     trace = []
@@ -350,6 +376,8 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
         gen += 1
         counters = SearchCounters()
         memo.reused = memo.computed = 0
+        if len(costs) > ROUTE_TABLE_LIMIT:
+            costs.clear()
         keys = {ind.plan for ind in pop}
         for _ in range(params.osnum):
             i, j = rng.sample(range(len(pop)), 2)
@@ -361,7 +389,7 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
             keys.add(child)
             # a duplicate equals a priced plan, so pricing (and its
             # coverage check) every kept child checks every child
-            pop.append(evaluate_plan(ctx, child))
+            pop.append(evaluate_plan(ctx, child, costs))
         pop = stochastic_rank(pop, params.pf, rng)[:params.psize]
         gen_best = _best_feasible(pop)
         if gen_best is not None and (best is None or gen_best.tc < best.tc):

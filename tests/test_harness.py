@@ -313,6 +313,18 @@ osnum = 8
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_parse_error_names_the_file_of_several(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text(open(MICRO_A).read().replace("CAPACITY 12",
+                                                    "CAPACITY nan"))
+        rc = cli_main(["time-to-target", MICRO_A, str(bad), "--target", "1",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"carptdsc: error: {bad}: line 3: capacity")
+        assert MICRO_A not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_ablate_operators_runs_both_arms(self, tmp_path, capsys):
         rc = cli_main(["ablate-operators", MICRO_A, "--generations", "2",
                        "--out", str(tmp_path)])

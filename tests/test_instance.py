@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -24,10 +25,10 @@ from carptdsc import (
     time_gap,
     write_instance,
 )
-from carptdsc.instance import THREE_SEGMENT, TWO_SEGMENT
+from carptdsc.instance import THREE_SEGMENT, TWO_SEGMENT, Arc, Instance
 from carptdsc.oracle import floyd_warshall
 
-from util import DATA, make_random_instance
+from util import DATA, fractional, make_random_instance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -426,5 +427,82 @@ END
         lines = out.stdout.splitlines()
         assert len(lines) == 2, out.stdout
         assert all("must be finite and nonnegative" in x for x in lines)
-        assert lines[0].startswith("line 12: arc 4: travel_time")
+        assert lines[0].startswith(
+            f"{os.path.join(tmp, 'cycle.dat')}: line 12: arc 4: travel_time")
         assert lines[1].startswith("arc 4: travel_cost")
+
+
+def _reference_rows(n, arcs, weight):
+    """Distance rows by Dijkstra from every vertex, settling the nearest
+    unsettled vertex by a linear scan; a distance is the sum of the arc
+    weights of its path, added left to right from the source."""
+    rows = []
+    for s in range(n):
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        settled = [False] * n
+        while True:
+            open_ = [v for v in range(n) if not settled[v]
+                     and dist[v] < math.inf]
+            if not open_:
+                break
+            u = min(open_, key=lambda v: dist[v])
+            settled[u] = True
+            for a in arcs:
+                if a.tail == u and dist[u] + weight(a) < dist[a.head]:
+                    dist[a.head] = dist[u] + weight(a)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+class TestShortestPathReference:
+    """``all_pairs_shortest_paths`` equals a Dijkstra kept here, bit for
+    bit, on random graphs with integral, fractional (thirds and arbitrary
+    binary fractions) and zero weights, parallel arcs and vertices that
+    cannot reach the depot."""
+
+    @staticmethod
+    def _weight(rng, kind):
+        if rng.random() < 0.2:
+            return 0.0
+        if kind == 0:
+            return float(rng.randint(1, 9))
+        if kind == 1:
+            return rng.randint(1, 30) / 3
+        return rng.random() * 10
+
+    def test_equals_reference(self):
+        seen = dict(zero=0, parallel=0, cut_off=0)
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(2, 10)
+            arcs = []
+            for _ in range(rng.randint(0, 3 * n)):
+                tail, head = rng.sample(range(n), 2)
+                copies = 2 if rng.random() < 0.2 else 1  # parallel arcs
+                for _ in range(copies):
+                    arcs.append(Arc(len(arcs), tail, head, 1.0,
+                                    self._weight(rng, seed % 3),
+                                    self._weight(rng, seed % 3)))
+            inst = Instance(f"g{seed}", n, tuple(arcs), (), 10.0, 100.0,
+                            "2LP", 1.0)
+            sp = all_pairs_shortest_paths(inst)
+            assert sp.sp_cost == _reference_rows(
+                n, arcs, lambda a: a.travel_cost), seed
+            assert sp.sp_time == _reference_rows(
+                n, arcs, lambda a: a.travel_time), seed
+            seen["zero"] += any(a.travel_cost == 0.0 for a in arcs)
+            seen["parallel"] += len({(a.tail, a.head) for a in arcs}) \
+                < len(arcs)
+            seen["cut_off"] += any(row[inst.depot] == math.inf
+                                   for row in sp.sp_cost)
+        assert all(seen.values()), seen
+
+    def test_fractional_instance_equals_reference(self):
+        inst = fractional(make_random_instance(3, n_vertices=20,
+                                               n_edges=40))
+        sp = all_pairs_shortest_paths(inst)
+        for got, name in ((sp.sp_cost, "travel_cost"),
+                          (sp.sp_time, "travel_time")):
+            assert got == _reference_rows(
+                inst.n_vertices, inst.arcs, lambda a: getattr(a, name))

@@ -29,6 +29,7 @@ from carptdsc import (
     kgslss,
     merge_split,
     random_classic_instance,
+    sbx_crossover,
     split_giant_tour,
     traditional_operator,
 )
@@ -549,30 +550,32 @@ def _tight(inst, sp, plan):
     return tight, all_pairs_shortest_paths(tight)
 
 
+def _plans(inst, sp, seeds):
+    """Encoded random feasible plans, one per seed."""
+    ctx = get_context(inst, sp)
+    return [encode_plan(ctx, random_feasible_solution(
+        inst, sp, random.Random(s))) for s in seeds]
+
+
 def _warm_cases():
     """(name, inst, sp, start plans): the micro fixtures, seeded medium and
     large 2LP/3LP bases and their tight-horizon variants, and the
     fractional cases; each with two random start plans."""
-    def plans(inst, sp, seeds):
-        ctx = get_context(inst, sp)
-        return [encode_plan(ctx, random_feasible_solution(
-            inst, sp, random.Random(s))) for s in seeds]
-
     for name in ("micro_a", "micro_b") + MICRO3LP_NAMES + ("micro_oneway",):
         inst, sp = _load(name)
-        yield name, inst, sp, plans(inst, sp, (0, 1))
+        yield name, inst, sp, _plans(inst, sp, (0, 1))
     for size, n_vertices, n_edges, capacity in (("medium", 20, 40, 20),
                                                 ("large", 40, 100, 30)):
         base = random_classic_instance(n_vertices, n_edges, capacity, 2000)
         for itype, slope in (("3LP", 2.0), ("2LP", 1.0)):
             inst = generate_td_parameters(base, itype, slope, seed=2000)
             sp = all_pairs_shortest_paths(inst)
-            start = plans(inst, sp, (0, 1))
+            start = _plans(inst, sp, (0, 1))
             yield f"{size}-{itype}", inst, sp, start
             tight, tsp = _tight(inst, sp, start[0])
             yield f"{size}-{itype}-tight", tight, tsp, start[:1]
     for name, inst, sp, seeds in _fractional_cases():
-        yield name, inst, sp, plans(inst, sp, seeds)
+        yield name, inst, sp, _plans(inst, sp, seeds)
 
 
 class TestWarmSweeps:
@@ -633,6 +636,47 @@ class TestWarmSweeps:
                 last = plan[::-1]
             total += memos[0].reused + memos[1].reused
         assert total > 0 and flipped > 0 and disjoint > 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_route_met_again_after_an_unrelated_plan(self, lam):
+        """Plan A, then a plan B that shares no route with it, then A with
+        one route changed: A's other routes are in the run table but not
+        in the last plan swept, so their own entries come from the table
+        and their entries with other routes are computed."""
+        met = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            a = starts[0]
+            b = next((p for p in _plans(inst, sp, range(2, 12))
+                      if not set(p) & set(a)), None)
+            if b is None:
+                continue
+            at = max(range(len(a)), key=lambda r: len(a[r]))
+            changed = a[:at] + (a[at][1:] + a[at][:1],) + a[at + 1:]
+            memos = SweepMemo(), SweepMemo()
+            for plan in (a, b, changed):
+                self._sweep(ctx, plan, memos, lam)
+            met += len(a) >= 2 and changed != a
+        assert met > 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_crossover_children_over_capacity(self, lam):
+        """A run's sequence of crossover children, some of which carry a
+        route over capacity, swept one after the other."""
+        over = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            rng = random.Random(3)
+            pop = list(starts) + _plans(inst, sp, range(20, 24))
+            memos = SweepMemo(), SweepMemo()
+            for _ in range(6):
+                p1, p2 = rng.sample(pop, 2)
+                child = sbx_crossover(ctx, p1, p2, rng)
+                over += any(sum(ctx.demand[c >> 1] for c in r) > ctx.capacity
+                            for r in child)
+                self._sweep(ctx, child, memos, lam)
+                pop.append(child)
+        assert over > 0
 
 
 class TestKgslss:

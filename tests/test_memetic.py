@@ -21,7 +21,8 @@ from carptdsc import (
     stage2,
     stochastic_rank,
 )
-from carptdsc.evaluation import get_context
+from carptdsc import localsearch, memetic
+from carptdsc.evaluation import CoverageError, get_context
 from carptdsc.memetic import _cheapest_spot, _repair
 from carptdsc.oracle import OracleBudget, simulate_route
 
@@ -82,6 +83,40 @@ class TestCrossover:
 def _ind(inst, sp, sol):
     ctx = get_context(inst, sp)
     return evaluate_plan(ctx, encode_plan(ctx, sol))
+
+
+class TestEvaluatePlan:
+    """``evaluate_plan`` with a run's route table equals it without one,
+    and still checks coverage when every route is in the table."""
+
+    def test_table_gives_the_same_result(self, micro_b):
+        inst, sp = micro_b
+        ctx = get_context(inst, sp)
+        rng = random.Random(0)
+        table = {}
+        plans = [_random_plan(inst, sp, rng) for _ in range(6)]
+        for _ in range(20):
+            child = sbx_crossover(ctx, *rng.sample(plans, 2), rng)
+            plans.append(child)
+        for plan in plans + plans[::-1]:
+            cold = evaluate_plan(ctx, plan)
+            warm = evaluate_plan(ctx, plan, table)
+            assert (repr(warm.tc), repr(warm.violation)) == \
+                (repr(cold.tc), repr(cold.violation))
+            assert warm.plan == cold.plan
+        assert any(evaluate_plan(ctx, p).violation > 0 for p in plans)
+        assert len(table) < sum(len(p) for p in plans)
+
+    def test_coverage_checked_when_every_route_is_known(self, micro_b):
+        inst, sp = micro_b
+        ctx = get_context(inst, sp)
+        plan = _random_plan(inst, sp, random.Random(1))
+        table = {}
+        evaluate_plan(ctx, plan, table)
+        for bad in (plan[:-1], plan + plan[:1]):
+            assert all(route in table for route in bad)
+            with pytest.raises(CoverageError):
+                evaluate_plan(ctx, bad, table)
 
 
 class TestStochasticRank:
@@ -191,6 +226,25 @@ class TestKgmaRun:
         assert trace[0]["moves_enumerated"] == 0
         assert any(row["memo_reused"] > 0 for row in trace[1:])
         assert all(row["memo_computed"] > 0 for row in trace[1:])
+
+    def test_emptied_run_tables_change_nothing(self, monkeypatch):
+        """A run whose route tables are emptied every few routes gives the
+        plan, costs and counters of a run that keeps them."""
+        base = random_classic_instance(20, 40, 20, 4)
+        inst = generate_td_parameters(base, "3LP", 2.0, seed=4)
+        sp = all_pairs_shortest_paths(inst)
+
+        def run():
+            sol, trace = kgma_run(inst, sp, MemeticParams(seed=1, pls=0.5,
+                                                          osnum=20),
+                                  stop=StopRule(generations=3))
+            return sol, [{k: repr(v) for k, v in row.items()
+                          if not k.startswith("memo_")} for row in trace]
+
+        kept = run()
+        monkeypatch.setattr(memetic, "ROUTE_TABLE_LIMIT", 3)
+        monkeypatch.setattr(localsearch, "ROUTE_TABLE_LIMIT", 3)
+        assert run() == kept
 
     def test_traditional_mode_counts_full_evaluations(self, micro_b):
         inst, sp = micro_b
