@@ -761,7 +761,8 @@ class _Entries:
 # it screens out by criterion 1 and every survivor it classifies by an exact
 # incremental delta.  _kg_sweeps sweeps both insertion kinds at once.  Both
 # take the entries of the routes and route pairs that ``memo`` holds from
-# the last plan swept, and compute the others.  _traditional_sweep is the
+# the last plan swept, and the own entries of every route it holds from the
+# run, and compute the others.  _traditional_sweep is the
 # traditional operator: every enumerated move's involved routes are
 # re-simulated in full by _full_move_delta, and lam is ignored;
 # _traditional_sweeps reuses nothing across sweeps.  All return the
@@ -1318,7 +1319,8 @@ def _kgslss_state(ctx, plan, lam, counters, sweeps=_kg_sweeps, memo=None):
     (every route departing at 0); returns (plan, changed).  The moved plan
     is returned as codes, without the tables of a ``SolState``.  ``memo``,
     a ``SweepMemo`` kept across the calls of one run, holds what the
-    knowledge-guided sweeps found on the last plan they swept."""
+    knowledge-guided sweeps found on the routes of the run and on the last
+    plan they swept."""
     move = _best_move(ctx, SolState(ctx, plan, [0.0] * len(plan)), lam,
                       counters, sweeps, memo)
     if move is None:
