@@ -15,6 +15,7 @@ and kept on the ``ShortestPathMatrix`` object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,22 @@ class EvalContext:
         self.otail_a = np.array(self.otail, dtype=np.intp)
         self.ohead_a = np.array(self.ohead, dtype=np.intp)
         self.flip_a = np.array(self.flip_ok, dtype=bool)
+
+    # the swap sweep's tables, built on first use: stage 2 never reads them
+
+    @cached_property
+    def ftail_a(self):
+        """Per task, the tail of each orientation; an orientation a task
+        lacks leaves from a vertex beyond the last, which ``sptX`` puts
+        infinitely far from everywhere."""
+        n = self.n_tasks
+        return np.where(np.column_stack((np.ones(n, bool), self.flip_a)),
+                        self.otail_a.reshape(n, 2), len(self.sptT))
+
+    @cached_property
+    def sptX(self):
+        """``sptT`` with one more row, of infinite travel times."""
+        return np.vstack((self.sptT, np.full(len(self.sptT), np.inf)))
 
     # -- encoding -----------------------------------------------------------
 

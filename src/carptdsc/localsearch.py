@@ -1,66 +1,57 @@
 """Neighborhood moves and small-step-size local search.
 
 Three move kinds: single insertion (SI), double insertion (DI) and swap
-(SW).  SI and DI move a block of one or two consecutive tasks, so the
-knowledge-guided operator is one insertion sweep for blocks of one or two
-tasks and one swap sweep; a run sweeps both insertion kinds together,
-each array operation covering the blocks of both.  Each first prunes moves whose directly-affected
-tasks would drift far from their optimal service intervals (the time-gap
-pruning rule) and then classifies the survivors by an exact incremental
-cost delta restricted to the involved route suffixes.  The traditional
-operator, used for ablations, is a single generic sweep that fully
-re-evaluates the involved routes of every enumerated move.
+(SW).  SI and DI move a block of one or two consecutive tasks.  The
+knowledge-guided operator sweeps all three kinds in one pass: it prunes
+the moves whose directly-affected tasks would drift far from their
+optimal service intervals (the time-gap pruning rule, criterion 1) and
+classifies the survivors by an exact incremental cost delta restricted to
+the involved route suffixes.  The traditional operator, used for
+ablations, is a generic sweep that fully re-evaluates the involved routes
+of every enumerated move.
 
-The pruning rule is screened with numpy: one array operation covers a
-rectangle of (block orientation, position in another route or a fresh
-route) of an insertion sweep, one every (block orientation, position in
-its own route after the block's removal), and one a rectangle of (task,
-later task, orientation pair) of the swap sweep.  The survivors are then
-evaluated in one batch per sweep: moves between two routes from the
-shifted suffixes of both routes, moves within one route by re-simulating
-all the candidate routes together as one padded matrix.  The screens and
-batches read the tables that ``SolState`` builds once per plan (per
-position: end-of-service time and head vertex before it, next vertex,
-begin time, route).  Their arithmetic is that of the scalar code,
-operation for operation and in the same order, so they prune the same
-moves and give bit for bit the same deltas.  The sweep returns the move of
-least delta, and ties go to the first-enumerated move, as in a
-one-at-a-time scan.
+A pass has two screens and one exact-delta phase, all in numpy.  The
+insertion screen covers the blocks of both insertion kinds in each array
+operation: one a rectangle of (block orientation, position in another
+route or a fresh route), one every (block orientation, position in its
+own route after the block's removal).  The swap screen covers a rectangle
+of (task, later task, orientation pair) per operation.  Then one
+``_shift_sums`` call evaluates the shifted route suffixes of every
+survivor between two routes, one ``_sim_batch`` call re-simulates every
+candidate route of a survivor within one route as one padded matrix, and
+one ``_Entries.settle`` picks each kind's move.  The screens and batches
+read the tables that ``SolState`` builds once per plan.  Their arithmetic
+is that of the scalar code, operation for operation and in the same
+order, so they prune the same moves and give bit for bit the same deltas.
+Each kind's move is the one of least delta, ties going to the
+first-enumerated move, as in a one-at-a-time scan.
 
-Sweeps are incremental.  A sweep's moves fall into entries: the moves of
+Passes are incremental.  A kind's moves fall into entries: the moves of
 one route's tasks into another route (its slots for an insertion, its
 tasks for a swap), into the route itself, or into a fresh route.  Stage-1
 routes all depart at 0, so an entry's results depend on the contents of
-its routes only, not on the rest of the plan: which moves criterion 1
-prunes, each survivor's capacity and horizon test and exact delta, and
-each work counter's share.  A ``SweepMemo`` keeps two tables per sweep: a
-route's own entries (into itself and into a fresh route) for every route
-the run has swept, keyed by the route's codes, and every entry of the last
-plan swept.  Each entry holds its counter shares and its least delta with
-that move's position inside the entry.  The next sweep matches its routes
-to the last plan's by content and copies the entries among those routes;
-it takes the own entries of the other routes from the run table where it
-has them, skipping their intra-route screen and re-simulation, and
-computes the rest: the entries between two routes in two rectangles per
-screen, new routes against all routes and the known routes against the
-new ones.  The global pick rebuilds each copied move's enumeration key from
-the current plan's offsets, so ties go to the same move as in a cold sweep,
-and the copied counter shares add up to the same counters.  A swap between
-two routes adds the earlier route's terms first and enumerates its tasks
-first, so an entry is copied only if its two routes keep their order; the
-known routes outside a longest run that keeps it are computed as new.  The
-public operators start from an empty memo, since their departures need not
-be 0.
+its routes only: which moves criterion 1 prunes, each survivor's capacity
+and horizon test and exact delta, and each work counter's share.  A
+``SweepMemo`` keeps, per tuple of kinds swept together, every entry of
+the last plan swept and a run table of each swept route's own entries
+(into itself and into a fresh route), keyed by the route's codes.  Each
+entry holds its counter shares and its least delta with that move's
+position inside the entry.  A pass matches its routes to the last plan's
+by content once, copies the entries among them, takes the own entries of
+the other routes from the run table where it has them, and computes the
+rest.  It rebuilds each copied move's enumeration key from the current
+plan's offsets, so ties and counters come out as in a cold sweep.  A swap
+between two routes adds the earlier route's terms first, so a swap entry
+is copied only if its two routes keep their order.  The public operators
+start from an empty memo, since their departures need not be 0.
 
 The per-move reference (``c1_gap_sums``, ``criterion1_failed``,
 ``criterion2_successful``) is scalar and shares no code with the
-knowledge-guided sweeps: it reads a ``Solution``'s encoded routes,
+knowledge-guided pass: it reads a ``Solution``'s encoded routes,
 departures and ``EvalContext.sim`` results, never a ``SolState``, and the
-tests check every sweep against it.  Outside the sweeps' batches,
+tests check every sweep against it.  Outside the pass's batches,
 ``_full_move_delta`` is the only routine that re-simulates a move's
 involved routes; criterion 2 and the traditional sweep both call it.
-The traditional sweep simulates each route of the plan once per sweep
-and reuses nothing else.
 """
 
 from __future__ import annotations
@@ -498,16 +489,17 @@ def _gaps(t, b, e):
 # The batched evaluations below repeat the scalar arithmetic operation for
 # operation, so every float is bit for bit what the per-move code gives.
 # Sums along a route start from the same value and add left to right, as
-# the Python loops do: np.cumsum accumulates sequentially, where np.sum
-# would add in pairs and round differently.
+# the Python loops do: _row_sums adds a column at a time (np.sum would add
+# in pairs and round differently; np.cumsum is slower on short rows).
 
 def _row_sums(first, w):
     """Running sums ``first, first + w[:, 0], ... + w[:, 1], ...`` of every
     row, added left to right; shape (rows, 1 + columns)."""
-    out = np.empty((w.shape[0], 1 + w.shape[1]))
-    out[:, 0] = first
-    out[:, 1:] = w
-    return np.cumsum(out, axis=1)
+    out = np.empty((1 + w.shape[1], w.shape[0]))
+    out[0] = first
+    for a, b, c in zip(out, w.T, out[1:]):
+        np.add(a, b, out=c)
+    return out.T
 
 
 def _shift_sums(ctx, state, start, rest, dt):
@@ -521,14 +513,16 @@ def _shift_sums(ctx, state, start, rest, dt):
     s = np.zeros(len(dt))
     on = rest.nonzero()[0]  # the rows that evaluate a task
     n = rest[on]
-    cols = np.arange(n.max(initial=0))
-    live = cols < n[:, None]
-    pos = np.where(live, start[on][:, None] + cols, 0)
+    # the terms of the evaluated tasks only, row after row: cell c is
+    # column col[c] of row row[c]
+    row = np.repeat(np.arange(len(on)), n)
+    col = np.arange(len(row)) - (np.cumsum(n) - n)[row]
+    pos = start[on][row] + col
     ti = state.code_a[pos] >> 1
-    g = _gaps(state.begin_a[pos] + dt[on][:, None], ctx.bt_a[ti],
-              ctx.et_a[ti])
-    w = np.where(live, (g - state.gap_a[pos]) * ctx.slope_a[ti], 0.0)
-    s[on] = _row_sums(0.0, w)[:, -1]
+    g = _gaps(state.begin_a[pos] + dt[on][row], ctx.bt_a[ti], ctx.et_a[ti])
+    w = np.zeros((n.max(initial=0), len(on)))  # transposed, padded with 0.0
+    w[col, row] = (g - state.gap_a[pos]) * ctx.slope_a[ti]
+    s[on] = _row_sums(0.0, w.T)[:, -1]
     return s, rest
 
 
@@ -541,8 +535,9 @@ def _sim_batch(ctx, cand, lens, t0):
     live = np.arange(cand.shape[1]) < lens[:, None]
     ti = cand >> 1
     tail = ctx.otail_a[cand]
-    prev = np.column_stack([np.full(n, ctx.depot),
-                            ctx.ohead_a[cand[:, :-1]]])
+    prev = np.empty_like(cand)
+    prev[:, 0] = ctx.depot
+    prev[:, 1:] = ctx.ohead_a[cand[:, :-1]]
     last = ctx.ohead_a[cand[np.arange(n), lens - 1]]
     # the clock alternates travel to a task and its service
     steps = np.empty((n, 2 * cand.shape[1]))
@@ -596,19 +591,17 @@ class SweepMemo:
     """What the knowledge-guided sweeps of each move kind found on the
     routes and plans they swept in one run.
 
-    A sweep's moves fall into entries: entry (a, b) holds the moves that
-    take tasks of route a to route b (a's own positions for b = a, and for
-    insertions the fresh route as column b = number of routes).  Per
-    entry the memo keeps the work counts (moves enumerated, moves pruned
-    by criterion 1, service-cost evaluations) and the least feasible
-    negative delta with its enumeration key relative to the entry's first
-    move.  Both tables are kept per sweep, that is per tuple of the move
-    kinds swept together.  ``last`` holds every entry of the last plan
-    swept, matched by route content.  A route's own entries, (a, a) and
-    (a, fresh route), depend on route a alone: the run table ``own`` keeps
-    them for every route swept in the run, keyed by the route's codes, as
-    one row per route, and is emptied once it holds more than
-    ``ROUTE_TABLE_LIMIT`` routes.  ``reused`` and ``computed`` count the
+    Entry (a, b) of a kind holds its moves that take tasks of route a to
+    route b (a's own positions for b = a, the fresh route for b = number
+    of routes).  Per entry the memo keeps the work counts (moves
+    enumerated, pruned by criterion 1, service-cost evaluations) and the
+    least feasible negative delta with its enumeration key relative to the
+    entry's first move, per tuple of the kinds swept together: ``last``
+    every entry of the last plan swept, matched by route content, and the
+    run table ``own`` the own entries, (a, a) and (a, fresh route), of
+    every route swept in the run, keyed by its codes, one row per route;
+    it is emptied once it holds more than ``ROUTE_TABLE_LIMIT`` routes.
+    ``reused`` and ``computed`` count the
     routes (their own entries, from either table) and route pairs
     (ordered for the insertion kinds) whose entries sweeps took from the
     memo and those they computed, summed over the kinds.  The entries are
@@ -616,7 +609,7 @@ class SweepMemo:
     all depart at 0."""
 
     def __init__(self):
-        # kinds -> (route -> index, (counts, delta, key, key width, columns))
+        # kinds -> (route -> index, (counts, delta, key, key widths, columns))
         self.last = {}
         # kinds -> {route: counts, deltas and keys of its own entries}
         self.own = {}
@@ -657,10 +650,10 @@ class _Entries:
         known[self.alone] = False
         return known
 
-    def among(self, rows, fresh=False):
+    def among(self, rows, kinds, fresh=False):
         """(entries, the memo's entries) of every (a, b) of two routes a, b
-        of ``rows``, and with ``fresh`` of every (a, fresh route), in
-        every kind's table."""
+        of ``rows``, and with ``fresh`` of every (a, fresh route), in the
+        tables of the kinds at the indices ``kinds``."""
         if not len(rows):
             return rows, rows
         old = self.old[rows]
@@ -672,27 +665,27 @@ class _Entries:
         g = (old[:, None] * self.pnc + old_cols).ravel()
         ne = len(self.keys) * self.ncols
         pne = len(self.prev[1]) // len(self.kinds)
-        return (np.concatenate([r + q * ne for q in range(len(self.kinds))]),
-                np.concatenate([g + q * pne
-                                for q in range(len(self.kinds))]))
+        return (np.concatenate([r + q * ne for q in kinds]),
+                np.concatenate([g + q * pne for q in kinds]))
 
-    def settle(self, counts, cand, reuse, poffs, soff, width, counters):
+    def settle(self, counts, cand, reuse, layout, counters):
         """The tables of this sweep: the entries ``reuse[0]`` from the
         memo's entries ``reuse[1]``, the own entries of the routes found in
         the run table from there, the others from ``counts`` (per entry,
         the moves enumerated, pruned by criterion 1 and the service-cost
         evaluations, a (3, entries) array) and ``cand`` (entry, delta, key
         of every computed feasible move with a negative delta).  Stores
-        them in the memo, the own entries of the other routes in the run
-        table, and adds their counts to ``counters``.  A move's key is its
-        enumeration order among its kind's, ``(poff[a] + x) * width +
-        soff[b] + y`` for the move (x, y) of entry (a, b), with ``poff``
-        the kind's of ``poffs``; the tables keep x * width + y and the
-        width, or x and y.  Returns per kind (delta, key) of the least
-        delta, the least key among equals, or None."""
-        base = np.concatenate([(poff[:len(self.keys), None] * width
+        them in the memo and the run table, and adds their counts to
+        ``counters``.  A move's key is its enumeration order among its
+        kind's, ``(poff[a] + x) * width + soff[b] + y`` for the move (x, y)
+        of entry (a, b), with the kind's (poff, soff, width) of ``layout``;
+        the tables keep x * width + y and the width, or x and y.  Returns
+        per kind (delta, key) of the least delta and key, or None."""
+        nr = len(self.keys)
+        base = np.concatenate([(poff[:nr, None] * width
                                 + soff[:self.ncols]).ravel()
-                               for poff in poffs])  # each entry's first key
+                               for poff, soff, width in layout])  # first key
+        wid = np.repeat([w for _, _, w in layout], nr * self.ncols)
         best = np.full(len(base), np.inf)
         rel = np.zeros(len(base), dtype=np.intp)
         e, delta, key = cand
@@ -707,11 +700,11 @@ class _Entries:
             rel[e] = key[at] - base[e]
         r, g = reuse
         if len(r):
-            pcnt, pbest, prel, pwidth = self.prev[:4]
+            pcnt, pbest, prel, pwid = self.prev[:4]
             counts[:, r] = pcnt[:, g]
             best[r] = pbest[g]
-            x, y = np.divmod(prel[g], pwidth)
-            rel[r] = x * width + y
+            x, y = np.divmod(prel[g], pwid[g])
+            rel[r] = x * wid[r] + y
         # a run-table row: per own entry the three counts, then per own
         # entry the delta, x and y
         k = self.own_at.shape[1]
@@ -721,34 +714,30 @@ class _Entries:
             counts[:, at] = got[:, :3 * k].reshape(len(at), 3, k) \
                 .transpose(1, 0, 2)
             best[at] = got[:, 3 * k:4 * k]
-            rel[at] = got[:, 4 * k:5 * k] * width + got[:, 5 * k:]
+            rel[at] = got[:, 4 * k:5 * k] * wid[at] + got[:, 5 * k:]
         if len(self.alone):
             at = self.own_at[self.alone]
             rows = np.concatenate(
                 (counts[:, at].transpose(1, 0, 2).reshape(len(at), 3 * k),
-                 best[at], *np.divmod(rel[at], width)), axis=1)
+                 best[at], *np.divmod(rel[at], wid[at])), axis=1)
             for r, row in zip(self.alone.tolist(), rows):
                 self.table[self.keys[r]] = row
         self.memo.last[self.kinds] = (
-            dict(zip(self.keys, range(len(self.keys)))),
-            (counts, best, rel, width, self.ncols))
+            dict(zip(self.keys, range(nr))),
+            (counts, best, rel, wid, self.ncols))
 
         moves, pruned, sc = (int(v) for v in counts.sum(axis=1).tolist())
         counters.moves_enumerated += moves
         counters.pruned_by_criterion1 += pruned
         counters.criterion2_evaluations += moves - pruned
         counters.sc_evaluations += sc
-        out = []
-        ne = len(base) // len(self.kinds)
-        for q in range(len(self.kinds)):
-            mine = best[q * ne:(q + 1) * ne]
-            at = mine.argmin() if ne else 0
-            if not ne or mine[at] == np.inf:
-                out.append(None)
-                continue
-            at = (mine == mine[at]).nonzero()[0] + q * ne
-            out.append((float(best[at[0]]), int((base[at] + rel[at]).min())))
-        return out
+        best = best.reshape(len(self.kinds), -1)
+        least = best.min(axis=1, initial=np.inf)
+        top = np.iinfo(np.intp).max
+        key = np.where(best == least[:, None], (base + rel).reshape(
+            best.shape), top).min(axis=1, initial=top)
+        return [None if d == np.inf else (d, k)
+                for d, k in zip(least.tolist(), key.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -756,35 +745,20 @@ class _Entries:
 # (ctx, state, kind, lam, counters, memo) -> (delta, move), and for all kinds
 # (ctx, state, lam, counters, memo) -> [(delta, move) per kind]
 #
-# _kg_sweep is the knowledge-guided operator: one insertion sweep for blocks
-# of one or two tasks (SI, DI) and one swap sweep, each counting every move
-# it screens out by criterion 1 and every survivor it classifies by an exact
-# incremental delta.  _kg_sweeps sweeps both insertion kinds at once.  Both
-# take the entries of the routes and route pairs that ``memo`` holds from
-# the last plan swept, and the own entries of every route it holds from the
-# run, and compute the others.  _traditional_sweep is the
-# traditional operator: every enumerated move's involved routes are
-# re-simulated in full by _full_move_delta, and lam is ignored;
-# _traditional_sweeps reuses nothing across sweeps.  All return the
-# first-enumerated best move on ties, in enumerate_moves order.
+# _kg_sweep is the knowledge-guided operator, _kg_sweeps the same for every
+# kind in one pass.  _traditional_sweep is the traditional operator: every
+# enumerated move's involved routes are re-simulated in full by
+# _full_move_delta, and lam is ignored.  All return the first-enumerated
+# best move on ties, in enumerate_moves order.
 # ---------------------------------------------------------------------------
 
 def _kg_sweep(ctx, state, kind, lam, counters, memo=None):
-    if memo is None:
-        memo = SweepMemo()
-    if kind == SWAP:
-        return _sw_sweep(ctx, state, lam, counters, memo)
-    return _ins_sweep(ctx, state, (kind,), lam, counters, memo)[0]
+    return _kg_pass(ctx, state, (kind,), lam, counters, memo)[0]
 
 
 def _kg_sweeps(ctx, state, lam, counters, memo=None):
-    """_kg_sweep of every kind of MOVE_KINDS, the insertions in one
-    sweep."""
-    if memo is None:
-        memo = SweepMemo()
-    return _ins_sweep(ctx, state, (SINGLE_INSERTION, DOUBLE_INSERTION), lam,
-                      counters, memo) + [_sw_sweep(ctx, state, lam,
-                                                   counters, memo)]
+    """_kg_sweep of every kind of MOVE_KINDS, in one pass."""
+    return _kg_pass(ctx, state, MOVE_KINDS, lam, counters, memo)
 
 
 def _traditional_sweep(ctx, state, kind, lam, counters):
@@ -810,28 +784,109 @@ def _traditional_sweeps(ctx, state, lam, counters, memo=None):
 SWEEPS = {"kg": _kg_sweeps, "traditional": _traditional_sweeps}
 
 
-def _ins_sweep(ctx, state, kinds, lam, counters, memo):
-    """Insertion of every block of k consecutive tasks (k = 1 for SI, 2 for
-    DI) at every other position, for each kind of ``kinds``, in
-    enumerate_moves order; returns (delta, move) per kind.
+class _Screened(NamedTuple):
+    """A screen's survivors: two argument sets of _shift_sums, its
+    candidate routes (codes, lengths, route) for _sim_batch, its kinds'
+    key layouts (``_Entries.settle``), ``finish``, which maps the results
+    of both to (entry, delta, key) of each feasible survivor with a
+    negative delta, and ``move``, which maps a kind and a key to a Move."""
+
+    shifts: list
+    sim: tuple
+    layout: list
+    finish: object
+    move: object
+
+
+def _kg_pass(ctx, state, kinds, lam, counters, memo=None):
+    """A sweep of each kind of ``kinds``, a run of MOVE_KINDS, in one
+    pass; returns (delta, move) per kind.
+
+    Entry (a, b) of the kind at index q is at q * ne + a * (nroutes + 1)
+    + b, with b = nroutes the fresh route.  The pass takes the insertion
+    entries among the routes of the memo's last plan, with their
+    fresh-route entries, the swap entries among a largest set of those
+    routes that keeps its order, and the other (dirty) routes' own entries
+    from the run table where it has them.  The screens prune the other
+    entries' moves, and one phase gives every survivor its exact delta."""
+    if memo is None:
+        memo = SweepMemo()
+    nroutes, nk = len(state.routes), len(kinds)
+    nins = nk - (SWAP in kinds)  # the insertion kinds, which come first
+    nc, ne = nroutes + 1, nroutes * (nroutes + 1)
+    diag = np.arange(nroutes) * (nc + 1)  # entry (a, a)
+    own = (diag, diag + nroutes - np.arange(nroutes))  # and (a, fresh)
+    ent = _Entries(memo, kinds, state.routes, nc, np.column_stack(
+        [x + q * ne for q in range(nk) for x in own[:1 + (q < nins)]]))
+    new = ent.old < 0
+    dirty = ~_in_order(ent.old) if nins < nk else new
+    alone = ~ent.look_up(dirty.nonzero()[0])  # own entries computed
+    counts = np.zeros((3, nk * ne))
+    slot = np.arange(len(state.code_a)) + state.route_a  # per task
+    # the longest route that an intra-route survivor can come from
+    width = int(np.diff(state.slot_off)[alone].max(initial=2)) - 1
+    reuse, parts = [], []
+    if nins:
+        kept = (~new).nonzero()[0]
+        reuse.append(ent.among(kept, range(nins), fresh=True))
+        pairs = len(kept) * (len(kept) - 1) + nroutes \
+            - int((alone & new).sum())
+        memo.reused += nins * pairs
+        memo.computed += nins * (nroutes ** 2 - pairs)
+        parts.append(_ins_screen(ctx, state, kinds[:nins], lam,
+                                 counts[:, :nins * ne], new, alone & new,
+                                 slot, width))
+    if nins < nk:
+        r, g = ent.among((~dirty).nonzero()[0], [nins])
+        upper = r % nc >= r % ne // nc  # a <= b
+        reuse.append((r[upper], g[upper]))
+        pairs = int(upper.sum()) + len(ent.found)
+        memo.reused += pairs
+        memo.computed += nroutes * nc // 2 - pairs
+        parts.append(_sw_screen(ctx, state, lam, counts[:, nins * ne:],
+                                dirty, alone, slot, width))
+
+    # the exact deltas of every survivor, each part's rows in turn
+    shifts = [s for p in parts for s in p.shifts]
+    dsc, n_sc = _shift_sums(ctx, state,
+                            *(np.concatenate(x) for x in zip(*shifts)))
+    cut = np.cumsum([0] + [len(s[2]) for s in shifts])
+    cand, lens, route = (np.concatenate(x)
+                         for x in zip(*(p.sim for p in parts)))
+    sims = _sim_batch(ctx, cand, lens, state.t0_a[route])
+    rows, found = np.cumsum([0] + [len(p.sim[1]) for p in parts]), []
+    for k, (q0, p) in enumerate(zip((0, nins), parts)):
+        a, b, c = cut[2 * k:2 * k + 3]
+        e, delta, key = p.finish(
+            [(dsc[a:b], n_sc[a:b]), (dsc[b:c], n_sc[b:c])],
+            [x[rows[k]:rows[k + 1]] for x in sims])
+        found.append((e + q0 * ne, delta, key))
+    got = ent.settle(counts, [np.concatenate(x) for x in zip(*found)],
+                     [np.concatenate(x) for x in zip(*reuse)],
+                     [lay for p in parts for lay in p.layout], counters)
+    return [(-_EPS, None) if got_q is None else
+            (got_q[0], parts[0].move(q, got_q[1]) if q < nins
+             else parts[-1].move(0, got_q[1]))
+            for q, got_q in enumerate(got)]
+
+
+def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
+    """Criterion 1 on the insertions of every block of k consecutive tasks
+    (k = 1 for SI, 2 for DI) of each kind of ``kinds`` that a pass
+    computes: those of the ``new`` routes, those into them, and those
+    within the routes ``alone``.
 
     One row per block orientation, the kinds' rows one kind after the
     other, each kind's by route.  Entry (a, b) of a kind holds the moves
     of a's rows into route b: its slots for b != a, the positions of a
-    without the block for b = a, the fresh route for b = the route
-    count.  Criterion 1 screens the
-    (row, slot) cells of the entries between two routes that the sweep
-    computes in two rectangles, and every (row, position) of those within
-    one route at once.  The survivors get their exact deltas in one batch
-    of each kind: the cross-route ones from the shifted route suffixes,
-    the intra-route ones by re-simulating the route.  The kinds share
-    every array operation: a term of a block's second task is 0.0 for a
-    block of one task, and adding 0.0 to a nonnegative sum changes no bit.
-    A move's enumeration key is (its row among its kind's, slot), with
-    intra-route position pb at slot ``slot_off[ra] + pb`` of the block's
-    own route, whose slots no cross-route move uses: routes before the
-    block's own, then the intra-route moves, then later routes and the
-    fresh route."""
+    without the block for b = a, the fresh route for b = the route count.
+    Criterion 1 screens the (row, slot) cells between two routes in two
+    rectangles and every (row, position) within one route at once.  The
+    kinds share every array operation: a term of a block's second task is
+    0.0 for a block of one task, and adding 0.0 to a nonnegative sum
+    changes no bit.  A move's key is (its row among its kind's, slot),
+    with intra-route position pb at slot ``slot_off[ra] + pb`` of the
+    block's own route, whose slots no cross-route move uses."""
     sptT, spc_a = ctx.sptT, ctx.spc_a
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
@@ -839,30 +894,12 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     off = state.slot_off
     nroutes = len(state.routes)
     fresh = int(off[nroutes])  # the fresh-route slot, the last one
-    nslots = np.empty(nroutes + 1, dtype=np.intp)  # per route, the fresh last
-    np.subtract(off[1:], off[:-1], out=nslots[:-1])
-    nslots[-1] = 1
+    nslots = np.append(np.diff(off), 1)  # per route, the fresh route last
     lens = nslots[:-1] - 1  # route lengths
-    CODE, ROUTE, GAP = state.code_a, state.route_a, state.gap_a
-    SLOT = np.arange(len(CODE)) + ROUTE
+    CODE, ROUTE, GAP, SLOT = state.code_a, state.route_a, state.gap_a, slot
     s_end, s_head = state.slot_end_a, state.slot_head_a
-    # entries: (a, b) of the kind q at q * ne + a * (nroutes + 1) + b.
-    # Those among the routes of the memo's last plan, and their fresh-route
-    # entries, are taken from it; the own entries, (a, a) and (a, fresh
-    # route), of every other route the run has swept from its run table
-    nk = len(kinds)
-    ne = nroutes * (nroutes + 1)
+    nk, ne = len(kinds), nroutes * (nroutes + 1)
     diag = np.arange(nroutes) * (nroutes + 2)  # entry (a, a)
-    own_at = np.column_stack((diag, diag - np.arange(nroutes) + nroutes))
-    ent = _Entries(memo, kinds, state.routes, nroutes + 1,
-                   np.hstack([own_at + q * ne for q in range(nk)]))
-    new = ent.old < 0
-    alone = ~ent.look_up(new.nonzero()[0])
-    own = nroutes - int(alone.sum())  # routes whose own entries are known
-    kept = (~new).nonzero()[0]
-    reuse = ent.among(kept, fresh=True)
-    memo.reused += nk * (len(kept) * (len(kept) - 1) + own)
-    memo.computed += nk * (nroutes ** 2 - len(kept) * (len(kept) - 1) - own)
 
     # blocks: the k tasks from every position with k tasks left in its
     # route, kind after kind, by their first task's index i in code_a
@@ -895,11 +932,8 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
     src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
         <= PT + _H_EPS
-    dscA, n_sc = _shift_sums(ctx, state, i + kb,
-                             np.where(src_ok & (new.any() | new[b_ra]), rest,
-                                      0), dA)
-    counts = np.zeros((3, nk * ne))
-    counts[2] = np.bincount(bq * ne + diag[b_ra], n_sc, nk * ne)
+    shift_a = (i + kb, np.where(src_ok & (new.any() | new[b_ra]), rest, 0),
+               dA)
     # prefix end at the positions after a block of a route whose own
     # entries are computed, in the route without it: RM[bn[b], j] at
     # position pa + j, each step travel plus service
@@ -924,11 +958,9 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     B, F = np.nonzero(opt)
     flip1, flipl = flip1[B, F], flipl[F]
     ident = (flip1 == (c1[B] & 1)) & (flipl == (cl[B] & 1))
-    RA, PA, KR, RQ = b_ra[B], b_pa[B], kb[B], bq[B]
+    RA, PA, KR, RQ, RP = b_ra[B], b_pa[B], kb[B], bq[B], pair[B]
     R0 = np.searchsorted(RQ, np.arange(nk + 1))  # each kind's first row
-    RP = pair[B]
-    N1 = 2 * t1i[B] + flip1
-    NL = 2 * tli[B] + flipl
+    N1, NL = 2 * t1i[B] + flip1, 2 * tli[B] + flipl
     T1, TL = N1 >> 1, NL >> 1
     NT, NH = otail_a[N1], ohead_a[NL]
     THR = (lam * g_before)[B]
@@ -943,8 +975,7 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
         the first is greater."""
         G = _gaps(T, bt_a[T1[rows]], et_a[T1[rows]])
         p = np.searchsorted(rows.ravel(), pairs_from)
-        rows = rows[p:]
-        T = T[p:]
+        rows, T = rows[p:], T[p:]
         T += HOP[rows]
         G[p:] += _gaps(T, bt_a[TL[rows]], et_a[TL[rows]])
         return G
@@ -1013,7 +1044,7 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     IR, PB, e_in = IR[keep], PB[keep], e_in[keep]
     counts[1] = counts[0] - passed - np.bincount(e_in, None, nk * ne)
 
-    # exact deltas of the cross-route survivors
+    # the cross-route survivors: the destination route with the block
     BR = B[R]
     pph, nxv = s_head[S], state.slot_next_a[S]
     nt, nh, t1, tl = NT[R], NH[R], T1[R], TL[R]
@@ -1029,15 +1060,11 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     rest = state.slot_rest_a[S]
     dB = arrive - state.slot_begin_a[S]
     endB = np.where(rest > 0, state.slot_rend_a[S] + dB, arrive)
-    dscB, n_sc = _shift_sums(ctx, state, S - state.slot_route_a[S], rest, dB)
-    counts[2] += np.bincount(e, KR[R] + n_sc, nk * ne)
-    d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
-    c_cross = ~(endB > PT + _H_EPS) & (d_cross < -_EPS)
 
-    # exact deltas of the intra-route survivors: the route re-simulated with
-    # the block at position PB of the route without it
+    # the intra-route survivors: the route with the block at position PB
+    # of the route without it
     ra, la, pb, k = RA[IR], lens[RA[IR]], PB[:, None], KR[IR][:, None]
-    cols = np.arange(la.max(initial=1))
+    cols = np.arange(width)
     m = np.where(cols < pb, cols, cols - k)  # position without the block
     m = np.where(m < PA[IR][:, None], m, m + k)  # position in the route
     kept = (cols < la[:, None]) & ((cols < pb) | (cols >= pb + k))
@@ -1046,104 +1073,77 @@ def _ins_sweep(ctx, state, kinds, lam, counters, memo):
     cand = np.where(cols == pb, N1[IR][:, None], cand)
     cand = np.where((cols == pb + 1) & RP[IR][:, None], NL[IR][:, None],
                     cand)
-    cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[ra])
-    counts[2] += np.bincount(e_in, la, nk * ne)
-    d_in = cost - state.cost_a[ra]
-    c_in = ~((load > Q) | (end > PT + _H_EPS)) & (d_in < -_EPS)
 
-    e = np.concatenate([e[c_cross], e_in[c_in]])
-    delta = np.concatenate([d_cross[c_cross], d_in[c_in]])
-    row = np.concatenate([R[c_cross], IR[c_in]])
-    key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
-        [S[c_cross], off[ra[c_in]] + PB[c_in]])
-    out = []
-    got = ent.settle(counts, (e, delta, key), reuse,
-                     [np.searchsorted(RA[R0[q]:R0[q + 1]],
-                                      np.arange(nroutes + 1))
-                      for q in range(nk)], off, fresh + 1, counters)
-    for q, (kind, got_q) in enumerate(zip(kinds, got)):
-        if got_q is None:
-            out.append((-_EPS, None))
-            continue
-        best, key_q = got_q
-        r, sl = divmod(key_q, fresh + 1)
+    def finish(shifts, sim):
+        (dscA, n_a), (dscB, n_b) = shifts
+        cost, load, end = sim
+        counts[2] += np.bincount(bq * ne + diag[b_ra], n_a, nk * ne)
+        counts[2] += np.bincount(e, KR[R] + n_b, nk * ne)
+        d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
+        c_cross = ~(endB > PT + _H_EPS) & (d_cross < -_EPS)
+        counts[2] += np.bincount(e_in, la, nk * ne)
+        d_in = cost - state.cost_a[ra]
+        c_in = ~((load > Q) | (end > PT + _H_EPS)) & (d_in < -_EPS)
+        row = np.concatenate([R[c_cross], IR[c_in]])
+        key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
+            [S[c_cross], off[ra[c_in]] + PB[c_in]])
+        return (np.concatenate([e[c_cross], e_in[c_in]]),
+                np.concatenate([d_cross[c_cross], d_in[c_in]]), key)
+
+    def move(q, key):
+        r, sl = divmod(key, fresh + 1)
         r += int(R0[q])
         rb = int(state.slot_route_a[sl])
         dst = (NEW_ROUTE, 0) if rb == nroutes else (rb, int(sl - off[rb]))
         flips = (bool(flip1[r]), bool(flipl[r]))[:ks[q]]
-        out.append((best, Move(kind, _ins_src(int(RA[r]), int(PA[r]),
-                                              ks[q]), dst, flips)))
-    return out
+        return Move(kinds[q], _ins_src(int(RA[r]), int(PA[r]), ks[q]), dst,
+                    flips)
+
+    return _Screened(
+        [shift_a, (S - state.slot_route_a[S], rest, dB)],
+        (cand, la, ra),
+        [(np.searchsorted(RA[R0[q]:R0[q + 1]], np.arange(nroutes + 1)),
+          off, fresh + 1) for q in range(nk)],
+        finish, move)
 
 
-def _sw_sweep(ctx, state, lam, counters, memo):
-    """Swap of every two tasks, in enumerate_moves order.
+def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
+    """Criterion 1 on the swaps of every two tasks that a pass computes:
+    those with a task of the ``dirty`` routes, and those within the routes
+    ``alone``.
 
     Entry (a, b), a <= b, holds the swaps of a task of route a with a later
-    task of route b.  For the entries it computes, criterion 1 screens
-    the (spot i, later spot j, orientation of i's task, orientation of
-    j's task) cells in two rectangles, each pair of tasks once.  The
-    survivors get their exact deltas in one batch of each kind: the swaps
-    between two routes from the shifted route suffixes, those within one
-    route by re-simulating it.  A move's enumeration key is the C order of
-    (i, j, orientation of i's task, orientation of j's task).  A delta
-    between two routes adds the terms of the earlier route first, so the
-    entry of two routes whose order flipped since the memo's plan is
-    computed anew."""
-    sptT, spc_a = ctx.sptT, ctx.spc_a
+    task of route b.  Criterion 1 screens the (spot i, later spot j,
+    orientation of i's task, orientation of j's task) cells in two
+    rectangles, each pair of tasks once.  A move's key is the C order of
+    those four.  A delta between two routes adds the terms of the earlier
+    route first, so the entry of two routes whose order flipped since the
+    memo's plan is computed anew."""
+    sptT, spc_a, sptX = ctx.sptT, ctx.spc_a, ctx.sptX
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
     Q, PT = ctx.capacity, ctx.horizon
     off = state.slot_off
-    nroutes = len(state.routes)
+    nroutes, n = len(state.routes), len(state.code_a)
+    nc, ne = nroutes + 1, nroutes * (nroutes + 1)
     lens = off[1:] - off[:-1] - 1  # route lengths
-    n = len(state.code_a)
     ROUTES = np.arange(nroutes)
     first = off[:-1] - ROUTES  # each route's first spot
-    # entries: (a, b), a <= b, at a * nroutes + b.  Those among the
-    # routes the memo's last plan holds in the same order are taken from
-    # it, and the own entry (a, a) of every other route the run has swept
-    # from its run table
-    ent = _Entries(memo, (SWAP,), state.routes, nroutes,
-                   (ROUTES * (nroutes + 1))[:, None])
-    dirty = ~_in_order(ent.old)
-    alone = ~ent.look_up(dirty.nonzero()[0])
-    kept = (~dirty).nonzero()[0]
-    reuse = ent.among(kept)
-    if len(kept):
-        upper = reuse[0] % nroutes >= reuse[0] // nroutes  # a <= b
-        reuse = reuse[0][upper], reuse[1][upper]
-    memo.reused += len(reuse[0]) + len(ent.found)
-    memo.computed += nroutes * (nroutes + 1) // 2 - len(reuse[0]) \
-        - len(ent.found)
-    ne = nroutes * nroutes
     # per spot (a task position, in code_a order): route, slot, prefix end
-    # and head, the tail of each orientation of its task, which
-    # orientations exist, interval, demand, gap, route load
-    ROUTE = state.route_a
-    SLOT = np.arange(n) + ROUTE
-    PE = state.slot_end_a[SLOT]
-    PH = state.slot_head_a[SLOT]
-    CODE = state.code_a
+    # and head, the tail of each orientation of its task, interval,
+    # demand, gap, route load
+    ROUTE, SLOT, CODE, GAP = state.route_a, slot, state.code_a, state.gap_a
+    PE, PH = state.slot_end_a[SLOT], state.slot_head_a[SLOT]
     TI = CODE >> 1
-    OK = np.ones((n, 2), dtype=bool)
-    OK[:, 1] = ctx.flip_a[TI]
-    # an orientation a task lacks leaves from a vertex beyond the last,
-    # infinitely far from everywhere, so that criterion 1 prunes it
-    OT = np.where(OK, otail_a[2 * TI[:, None] + np.arange(2)], len(sptT))
-    sptX = np.concatenate((sptT, np.full((1, len(sptT)), np.inf)))
+    OT = ctx.ftail_a[TI]
     BT, ET, DEM = bt_a[TI], et_a[TI], ctx.dem_a[TI]
-    GAP = state.gap_a
-    LOAD = state.slot_load_a[SLOT]
-    rest = LOAD - DEM  # route load without the spot's task
+    rest = state.slot_load_a[SLOT] - DEM  # route load without the spot's task
     # moves per entry: each pair of orientations of two tasks
-    w = 1 + OK[:, 1]  # orientations of each task
+    w = 1 + ctx.flip_a[TI]  # orientations of each task
     W = np.bincount(ROUTE, w, nroutes)
-    moves = W[:, None] * W * (ROUTES[:, None] < ROUTES)
-    moves.flat[::nroutes + 1] = (W * W - np.bincount(ROUTE, w * w,
-                                                     nroutes)) / 2
-    counts = np.zeros((3, ne))
-    counts[0] = moves.ravel()
+    moves = counts[0].reshape(nroutes, nc)
+    moves[:, :nroutes] = W[:, None] * W * (ROUTES[:, None] < ROUTES)
+    moves[ROUTES, ROUTES] = (W * W - np.bincount(ROUTE, w * w, nroutes)) / 2
     # criterion 1 on the two rectangles of computed moves, each cell (i, j,
     # orientation of i's task, orientation of j's task): spots of the
     # other routes by spots of dirty routes, and spots of dirty routes by
@@ -1184,7 +1184,7 @@ def _sw_sweep(ctx, state, lam, counters, memo):
             keep &= ((j > i[:, None]) & ((rb != ra) | alone[ra]))[
                 :, :, None, None]
         passed += np.bincount(
-            (np.minimum(ra, cols) * nroutes + np.maximum(ra, cols)).ravel(),
+            (np.minimum(ra, cols) * nc + np.maximum(ra, cols)).ravel(),
             _group_sums(keep.reshape(len(i), -1), 4 * at).ravel(), ne)
         # an exact delta for survivors within one route, or on two routes
         # that both stay within capacity
@@ -1199,36 +1199,28 @@ def _sw_sweep(ctx, state, lam, counters, memo):
         J.append(np.where(later, r, c))
         fab.append(np.where(later, (f & 1) * 2 + (f >> 1), f))
     I, J, fab = np.concatenate(I), np.concatenate(J), np.concatenate(fab)
-    e = ROUTE[I] * nroutes + ROUTE[J]
+    e = ROUTE[I] * nc + ROUTE[J]
     counts[1] = counts[0] - passed
     FA, FB = np.divmod(fab, 2)
     NA = 2 * TI[I] + FA  # task of spot i, placed at spot j
     NB = 2 * TI[J] + FB  # task of spot j, placed at spot i
     same = ROUTE[I] == ROUTE[J]
-    delta = np.empty(len(I))
-    ok = np.empty(len(I), dtype=bool)
 
-    # within one route: re-simulate it with the two tasks exchanged
+    # within one route: the route with the two tasks exchanged
     s = np.flatnonzero(same)
     r = ROUTE[I[s]]
     la = lens[r]
-    cols = np.arange(la.max(initial=1))
+    cols = np.arange(width)
     pos = first[r][:, None] + cols
     cand = CODE[np.where(cols < la[:, None], pos, 0)]
     cand = np.where(pos == I[s][:, None], NB[s][:, None], cand)
     cand = np.where(pos == J[s][:, None], NA[s][:, None], cand)
-    cost, load, end = _sim_batch(ctx, cand, la, state.t0_a[r])
-    counts[2] += np.bincount(e[s], la, ne)
-    delta[s] = cost - state.cost_a[r]
-    ok[s] = ~((load > Q) | (end > PT + _H_EPS))
 
     # on two routes: per spot, the vertex after it, the tasks after it, the
     # next task's begin, the route's end, the spot's task's service cost
     # and the deadhead cost into and out of it
-    NXT = state.slot_next_a[SLOT + 1]
-    REST = state.slot_rest_a[SLOT + 1]
-    NBEG = state.slot_begin_a[SLOT + 1]
-    REND = state.slot_rend_a[SLOT]
+    NXT, REST = state.slot_next_a[SLOT + 1], state.slot_rest_a[SLOT + 1]
+    NBEG, REND = state.slot_begin_a[SLOT + 1], state.slot_rend_a[SLOT]
     SC = minsc_a[TI] + GAP * slope_a[TI]
     LINKS = spc_a[PH, otail_a[CODE]] + spc_a[ohead_a[CODE], NXT]
     c = np.flatnonzero(~same)
@@ -1243,7 +1235,6 @@ def _sw_sweep(ctx, state, lam, counters, memo):
     arrive = t_b_at_a + dur_a[tbi] + sptT[NXT[i], ohead_a[nb]]
     dA = arrive - NBEG[i]
     endA = np.where(REST[i] > 0, REND[i] + dA, arrive)
-    dscA, n_a = _shift_sums(ctx, state, i + 1, REST[i], dA)
     okA = ~(endA > PT + _H_EPS)
     # route of spot j, evaluated where route i stays within the horizon:
     # task a replaces its task
@@ -1253,25 +1244,33 @@ def _sw_sweep(ctx, state, lam, counters, memo):
     arrive = t_a_at_b + dur_a[tai] + sptT[NXT[j], ohead_a[na]]
     dB = arrive - NBEG[j]
     endB = np.where(REST[j] > 0, REND[j] + dB, arrive)
-    dscB, n_b = _shift_sums(ctx, state, j + 1, np.where(okA, REST[j], 0), dB)
-    counts[2] += np.bincount(e[c], n_a + 2 * okA + n_b, ne)
-    delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
-                + (sc_a_new - SC[j]))
-    ok[c] = okA & ~(endB > PT + _H_EPS)
 
-    ok &= delta < -_EPS
-    got, = ent.settle(counts,
-                      (e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]),
-                      reuse, [first], 4 * first, 4 * n, counters)
-    if got is None:
-        return -_EPS, None
-    best, key = got
-    i, f = divmod(key, 4 * n)
-    j, f = divmod(f, 4)
-    ra, rb = int(ROUTE[i]), int(ROUTE[j])
-    return best, Move(SWAP, (ra, int(SLOT[i] - off[ra])),
-                      (rb, int(SLOT[j] - off[rb])),
-                      (bool(f >> 1), bool(f & 1)))
+    def finish(shifts, sim):
+        (dscA, n_a), (dscB, n_b) = shifts
+        cost, load, end = sim
+        delta = np.empty(len(I))
+        ok = np.empty(len(I), dtype=bool)
+        counts[2] += np.bincount(e[s], la, ne)
+        delta[s] = cost - state.cost_a[r]
+        ok[s] = ~((load > Q) | (end > PT + _H_EPS))
+        counts[2] += np.bincount(e[c], n_a + 2 * okA + n_b, ne)
+        delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
+                    + (sc_a_new - SC[j]))
+        ok[c] = okA & ~(endB > PT + _H_EPS)
+        ok &= delta < -_EPS
+        return e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]
+
+    def move(q, key):
+        i, f = divmod(key, 4 * n)
+        j, f = divmod(f, 4)
+        ra, rb = int(ROUTE[i]), int(ROUTE[j])
+        return Move(SWAP, (ra, int(SLOT[i] - off[ra])),
+                    (rb, int(SLOT[j] - off[rb])), (bool(f >> 1), bool(f & 1)))
+
+    return _Screened(
+        [(i + 1, REST[i], dA), (j + 1, np.where(okA, REST[j], 0), dB)],
+        (cand, la, r), [(first, 4 * (off - np.arange(nc)), 4 * n)],
+        finish, move)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ emptied once they hold more than ``ROUTE_TABLE_LIMIT`` routes.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import Counter
@@ -67,6 +68,11 @@ class MemeticParams:
             raise ValueError("pls and pf must lie in [0, 1]")
         if self.psize < 2:
             raise ValueError("psize must be >= 2")
+        if self.osnum < 1:
+            raise ValueError("osnum must be >= 1")
+        # a NaN lam fails every criterion-1 test and prunes every move
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError("lam must be finite and >= 0")
         if self.init_mode not in (KGIS, BASELINE):
             raise ValueError(f"unknown init mode {self.init_mode!r}")
         if self.operator_mode not in SWEEPS:

@@ -8,7 +8,7 @@ and the work counters.  The traditional arm pins only what the full
 re-evaluation sweep defines: its `sc_evaluations` count depends on how
 each move is re-simulated.  The stage-2 half (departure times and final
 cost) is pinned too, and certified route by route with the independent
-oracle `route_optimum`.
+oracle `route_optimum`.  The large 3LP case has the kg arm only.
 """
 
 import hashlib
@@ -32,6 +32,12 @@ SEED = 1
 def _medium_2lp():
     base = random_classic_instance(20, 40, 20, seed=4)
     inst = generate_td_parameters(base, "2LP", 1.0, seed=4)
+    return inst, all_pairs_shortest_paths(inst)
+
+
+def _large_3lp():
+    base = random_classic_instance(40, 100, 30, seed=0)
+    inst = generate_td_parameters(base, "3LP", 2.0, seed=0)
     return inst, all_pairs_shortest_paths(inst)
 
 
@@ -64,6 +70,10 @@ KG = {
         "moves_enumerated": 413677, "pruned_by_criterion1": 62,
         "criterion2_evaluations": 413615, "full_route_evaluations": 0,
         "sc_evaluations": 392981}),
+    "large_3lp_s0": ("a92af00e575d475b", 428466.0, {
+        "moves_enumerated": 2610208, "pruned_by_criterion1": 1351482,
+        "criterion2_evaluations": 1258726, "full_route_evaluations": 0,
+        "sc_evaluations": 518854}),
 }
 
 # (plan digest, stage-1 cost, moves enumerated)
@@ -78,6 +88,9 @@ DEPARTURES = {
     "micro_a": ([176.0], 276.0),
     "micro3lp_k05_a": ([105.0, 22.0, 111.0], 137.0),
     "medium_2lp_s4": ([0.0] * 9, 695.0),
+    "large_3lp_s0": ([626.0, 927.0, 1178.0, 1516.0, 1563.0, 2374.0, 2696.0,
+                      2121.0, 2729.0, 3537.0, 3769.0, 3956.0, 4270.0, 3319.0,
+                      2867.0, 926.0, 2226.0, 3556.0], 46606.0),
 }
 
 
@@ -110,6 +123,14 @@ def test_kg_fingerprint(case):
     assert r["stage1_cost"] == stage1
     assert r["counters"] == counters
     _check_departures(name, inst, sp, r)
+
+
+def test_kg_fingerprint_large_3lp():
+    """A large 3LP instance at slope 2, where criterion 1 prunes about half
+    the moves, the memo's run table hits often and swap pairs change their
+    route order between sweeps.  The kg arm only: the traditional arm
+    re-simulates every move in Python and takes minutes at this size."""
+    test_kg_fingerprint(("large_3lp_s0", _large_3lp()))
 
 
 def test_traditional_fingerprint(case):

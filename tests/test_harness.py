@@ -96,6 +96,7 @@ references = gdb1:316, micro-A:76
         "init_mode = kgsi",
         "generations = -3",
         "wallclock_seconds = -1",
+        "osnum = 0",
     ])
     def test_solver_rule_names_file_and_line(self, tmp_path, entry):
         # values the solver's own parameter classes reject fail at parse
@@ -103,6 +104,14 @@ references = gdb1:316, micro-A:76
         p = tmp_path / "bad.txt"
         p.write_text(f"# setup\nrepetitions = 2\n{entry}\nlam = 0.5\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: "):
+            parse_config(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_lam_names_file_and_line(self, tmp_path, value):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"generations = 2\nlam = {value}\npsize = 4\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(p))}:2: lam must be"):
             parse_config(p)
 
     @pytest.mark.parametrize("entry", [
@@ -221,6 +230,14 @@ class TestCli:
         assert " : " in out
         assert (tmp_path / "micro-A_seed0_counters.json").exists()
         assert (tmp_path / "micro-A_seed0_trace.csv").exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_solve_rejects_bad_lambda(self, tmp_path, capsys, lam):
+        rc = cli_main(["solve", MICRO_A, "--generations", "1",
+                       f"--lambda={lam}", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "carptdsc: error: lam must be finite and >= 0\n"
 
     def test_solve_runs_neither_gss_nor_ncs(self, tmp_path, capsys,
                                             monkeypatch):

@@ -541,6 +541,60 @@ class TestSweepDeltaFractional:
         assert checked >= 10
 
 
+REL = 1e-9  # the tolerance policy's relative tolerance on fractional data
+
+
+class TestFractionalReference:
+    """TestMoveLevelReference on the fractional cases, under a stated
+    tolerance policy.  On non-integral data the sweep and the per-move
+    reference add in different orders (the screen begins a block's second
+    task at T + (dur + spt), ``c1_gap_sums`` at (t + dur) + spt, and
+    criterion 2 re-simulates whole routes), so they may round apart.  A
+    criterion-1 verdict may differ only on a move whose after - lam *
+    before lies within REL of 0.  The sweep's move is one that criterion 2
+    accepts, that criterion 1 keeps or that is such a borderline move, and
+    its delta lies within REL of the least delta among the moves the
+    reference accepts."""
+
+    @pytest.mark.parametrize("kind",
+                             [SINGLE_INSERTION, DOUBLE_INSERTION, SWAP])
+    def test_kg_sweep_within_tolerance_of_reference(self, kind):
+        checked = 0
+        for name, inst, sp, plan_seeds in _fractional_cases():
+            ctx = get_context(inst, sp)
+            for plan_seed in plan_seeds:
+                sol = random_feasible_solution(inst, sp,
+                                               random.Random(plan_seed))
+                state = SolState.from_solution(ctx, sol)
+                moves = list(enumerate_moves(inst, sp, kind, sol))
+                sums = [c1_gap_sums(inst, sp, sol, m) for m in moves]
+                c2 = [criterion2_successful(inst, sp, sol, m) for m in moves]
+                for lam in (1.0, 0.5):
+                    where = (name, plan_seed, lam)
+                    counters = SearchCounters()
+                    delta, move = _kg_sweep(ctx, state, kind, lam, counters)
+                    margin = [a - lam * b for b, a in sums]
+                    border = [abs(x) <= REL * max(a, lam * b)
+                              for x, (b, a) in zip(margin, sums)]
+                    pruned = [x > 0.0 for x in margin]
+                    sure = sum(p and not o for p, o in zip(pruned, border))
+                    assert counters.moves_enumerated == len(moves), where
+                    assert sure <= counters.pruned_by_criterion1 \
+                        <= sure + sum(border), where
+                    accepted = [k for k, (ok, _) in enumerate(c2)
+                                if ok and not pruned[k]]
+                    least = min((c2[k][1] for k in accepted), default=0.0)
+                    if move is None:
+                        assert all(border[k] for k in accepted), where
+                        continue
+                    k = moves.index(move)
+                    assert c2[k][0] and (border[k] or not pruned[k]), where
+                    assert c2[k][1] <= least + REL * abs(least), where
+                    assert delta == pytest.approx(c2[k][1], rel=REL), where
+                    checked += 1
+        assert checked >= 10
+
+
 def _tight(inst, sp, plan):
     """``inst`` with its horizon cut to the end of the latest route of the
     encoded ``plan`` (or of the latest service interval)."""

@@ -261,6 +261,16 @@ class TestKgmaRun:
         with pytest.raises(ValueError):
             MemeticParams(psize=1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.5])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            MemeticParams(lam=lam)
+
+    def test_osnum_must_be_positive(self):
+        with pytest.raises(ValueError, match="osnum must be >= 1"):
+            MemeticParams(osnum=0)
+        assert MemeticParams(osnum=1, lam=0.0).osnum == 1
+
     def test_unknown_operator_mode_rejected(self):
         with pytest.raises(ValueError, match="tradtional"):
             MemeticParams(operator_mode="tradtional")
