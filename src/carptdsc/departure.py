@@ -76,6 +76,8 @@ class RouteCost:
 
 
 def route_cost_of_t(inst, sp, route: Route) -> RouteCost:
+    """``RouteCost(inst, sp, route)``, under the name that the benchmark's
+    own tests (perfbench/tests) import from ``carptdsc``."""
     return RouteCost(inst, sp, route)
 
 

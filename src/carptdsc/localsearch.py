@@ -32,18 +32,20 @@ tasks for a swap), into the route itself, or into a fresh route.  Stage-1
 routes all depart at 0, so an entry's results depend on the contents of
 its routes only: which moves criterion 1 prunes, each survivor's capacity
 and horizon test and exact delta, and each work counter's share.  A
-``SweepMemo`` keeps, per tuple of kinds swept together, every entry of
-the last plan swept and a run table of each swept route's own entries
-(into itself and into a fresh route), keyed by the route's codes.  Each
-entry holds its counter shares and its least delta with that move's
-position inside the entry.  A pass matches its routes to the last plan's
-by content once, copies the entries among them, takes the own entries of
-the other routes from the run table where it has them, and computes the
-rest.  It rebuilds each copied move's enumeration key from the current
-plan's offsets, so ties and counters come out as in a cold sweep.  A swap
-between two routes adds the earlier route's terms first, so a swap entry
-is copied only if its two routes keep their order.  The public operators
-start from an empty memo, since their departures need not be 0.
+``SweepMemo`` keeps every entry of the last plan swept and a run table of
+each swept route's own entries (into itself and into a fresh route),
+keyed by the route's codes.  Each entry holds its counter shares and its
+least delta with that move's position inside the entry.  A pass matches
+its routes to the last plan's by content once.  A swap between two routes
+adds the earlier route's terms first, so the pass copies the entries of
+every kind among a largest set of matched routes that keeps its order,
+takes the own entries of the other routes from the run table where it
+has them, and computes the rest.  It rebuilds each copied move's
+enumeration key from the current plan's offsets, so ties and counters
+come out as in a cold sweep.  Every caller sweeps all three kinds in one
+pass; ``kg_operator`` keeps its own kind's move and counters.  The public
+operators start from an empty memo, since their departures need not be
+0.
 
 The per-move reference (``c1_gap_sums``, ``criterion1_failed``,
 ``criterion2_successful``) is scalar and shares no code with the
@@ -56,8 +58,9 @@ involved routes; criterion 2 and the traditional sweep both call it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
@@ -112,9 +115,12 @@ class SearchCounters:
     def as_dict(self):
         return asdict(self)
 
-    def add(self, other: "SearchCounters") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+def check_lam(lam: float) -> None:
+    """Reject a criterion-1 factor that is NaN, infinite or negative: a NaN
+    fails every criterion-1 test and prunes every move."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be finite and >= 0")
 
 
 class SolState:
@@ -584,56 +590,48 @@ def _in_order(old):
     return keep
 
 
-ROUTE_TABLE_LIMIT = 1 << 14  # routes a run table holds before it is emptied
-
-
 class SweepMemo:
-    """What the knowledge-guided sweeps of each move kind found on the
-    routes and plans they swept in one run.
+    """What the knowledge-guided passes found on the routes and plans they
+    swept in one run.
 
     Entry (a, b) of a kind holds its moves that take tasks of route a to
     route b (a's own positions for b = a, the fresh route for b = number
     of routes).  Per entry the memo keeps the work counts (moves
     enumerated, pruned by criterion 1, service-cost evaluations) and the
     least feasible negative delta with its enumeration key relative to the
-    entry's first move, per tuple of the kinds swept together: ``last``
-    every entry of the last plan swept, matched by route content, and the
-    run table ``own`` the own entries, (a, a) and (a, fresh route), of
-    every route swept in the run, keyed by its codes, one row per route;
-    it is emptied once it holds more than ``ROUTE_TABLE_LIMIT`` routes.
-    ``reused`` and ``computed`` count the
-    routes (their own entries, from either table) and route pairs
-    (ordered for the insertion kinds) whose entries sweeps took from the
-    memo and those they computed, summed over the kinds.  The entries are
-    only valid for one context, one lam and stage-1 plans, whose routes
-    all depart at 0."""
+    entry's first move: ``last`` every entry of the last plan swept,
+    matched by route content, and the run table ``own`` the own entries,
+    (a, a) and (a, fresh route), of every route swept in the run, keyed by
+    its codes, one row per route.  Whoever owns the memo empties ``own``
+    when it grows too large.  ``reused`` and ``computed`` count the routes
+    (their own entries, from either table) and route pairs (ordered for
+    the insertion kinds) whose entries passes took from the memo and those
+    they computed, summed over the kinds.  The entries are only valid for
+    one context, one lam and stage-1 plans, whose routes all depart at
+    0."""
 
     def __init__(self):
-        # kinds -> (route -> index, (counts, delta, key, key widths, columns))
-        self.last = {}
-        # kinds -> {route: counts, deltas and keys of its own entries}
+        # (route -> index, (counts, delta, key, key widths, columns))
+        self.last = ({}, None)
+        # route -> counts, deltas and keys of its own entries
         self.own = {}
         self.reused = 0
         self.computed = 0
 
 
 class _Entries:
-    """The entries of one sweep of the move kinds ``kinds`` on ``routes``:
-    per kind a table of ``ncols`` columns, kind after kind.  ``own_at[a]``
-    lists route a's own entries of every kind.  ``old`` holds each route's
-    index in the plan the memo holds for the kinds (-1 for a route that
-    plan did not have) and ``pnc`` the column count of that plan's
-    tables."""
+    """The entries of one pass on ``routes``: per kind of MOVE_KINDS a
+    table of ``ncols`` columns, kind after kind.  ``own_at[a]`` lists
+    route a's own entries of every kind.  ``old`` holds each route's index
+    in the memo's last plan (-1 for a route that plan did not have) and
+    ``pnc`` the column count of that plan's tables."""
 
-    def __init__(self, memo, kinds, routes, ncols, own_at):
-        self.memo, self.kinds, self.ncols = memo, kinds, ncols
+    def __init__(self, memo, routes, ncols, own_at):
+        self.memo, self.ncols = memo, ncols
         self.own_at = own_at
         self.keys = [tuple(r) for r in routes]
-        table = memo.own.get(kinds)
-        if table is None or len(table) > ROUTE_TABLE_LIMIT:
-            table = memo.own[kinds] = {}
-        self.table = table
-        index, self.prev = memo.last.get(kinds, ({}, None))
+        self.table = memo.own
+        index, self.prev = memo.last
         self.old = np.array([index.get(r, -1) for r in self.keys],
                             dtype=np.intp)
         self.pnc = 0 if self.prev is None else self.prev[4]
@@ -650,37 +648,35 @@ class _Entries:
         known[self.alone] = False
         return known
 
-    def among(self, rows, kinds, fresh=False):
+    def among(self, rows):
         """(entries, the memo's entries) of every (a, b) of two routes a, b
-        of ``rows``, and with ``fresh`` of every (a, fresh route), in the
-        tables of the kinds at the indices ``kinds``."""
+        of ``rows`` and of every (a, fresh route), in every kind's
+        table."""
         if not len(rows):
             return rows, rows
         old = self.old[rows]
-        cols, old_cols = rows, old
-        if fresh:
-            cols = np.concatenate((rows, [self.ncols - 1]))
-            old_cols = np.concatenate((old, [self.pnc - 1]))
+        cols = np.append(rows, self.ncols - 1)
+        old_cols = np.append(old, self.pnc - 1)
         r = (rows[:, None] * self.ncols + cols).ravel()
         g = (old[:, None] * self.pnc + old_cols).ravel()
-        ne = len(self.keys) * self.ncols
-        pne = len(self.prev[1]) // len(self.kinds)
-        return (np.concatenate([r + q * ne for q in kinds]),
-                np.concatenate([g + q * pne for q in kinds]))
+        q = np.arange(len(MOVE_KINDS))[:, None]  # kind
+        return ((r + q * len(self.keys) * self.ncols).ravel(),
+                (g + q * (len(self.prev[1]) // len(MOVE_KINDS))).ravel())
 
     def settle(self, counts, cand, reuse, layout, counters):
-        """The tables of this sweep: the entries ``reuse[0]`` from the
+        """The tables of this pass: the entries ``reuse[0]`` from the
         memo's entries ``reuse[1]``, the own entries of the routes found in
         the run table from there, the others from ``counts`` (per entry,
         the moves enumerated, pruned by criterion 1 and the service-cost
         evaluations, a (3, entries) array) and ``cand`` (entry, delta, key
         of every computed feasible move with a negative delta).  Stores
-        them in the memo and the run table, and adds their counts to
-        ``counters``.  A move's key is its enumeration order among its
-        kind's, ``(poff[a] + x) * width + soff[b] + y`` for the move (x, y)
-        of entry (a, b), with the kind's (poff, soff, width) of ``layout``;
-        the tables keep x * width + y and the width, or x and y.  Returns
-        per kind (delta, key) of the least delta and key, or None."""
+        them in the memo and the run table, and adds each kind's counts to
+        its ``SearchCounters`` in ``counters``.  A move's key is its
+        enumeration order among its kind's, ``(poff[a] + x) * width +
+        soff[b] + y`` for the move (x, y) of entry (a, b), with the kind's
+        (poff, soff, width) of ``layout``; the tables keep x * width + y
+        and the width, or x and y.  Returns per kind (delta, key) of the
+        least delta and key, or None."""
         nr = len(self.keys)
         base = np.concatenate([(poff[:nr, None] * width
                                 + soff[:self.ncols]).ravel()
@@ -722,16 +718,16 @@ class _Entries:
                  best[at], *np.divmod(rel[at], wid[at])), axis=1)
             for r, row in zip(self.alone.tolist(), rows):
                 self.table[self.keys[r]] = row
-        self.memo.last[self.kinds] = (
-            dict(zip(self.keys, range(nr))),
-            (counts, best, rel, wid, self.ncols))
+        self.memo.last = (dict(zip(self.keys, range(nr))),
+                          (counts, best, rel, wid, self.ncols))
 
-        moves, pruned, sc = (int(v) for v in counts.sum(axis=1).tolist())
-        counters.moves_enumerated += moves
-        counters.pruned_by_criterion1 += pruned
-        counters.criterion2_evaluations += moves - pruned
-        counters.sc_evaluations += sc
-        best = best.reshape(len(self.kinds), -1)
+        per_kind = counts.reshape(3, len(MOVE_KINDS), -1).sum(axis=2)
+        for c, (moves, pruned, sc) in zip(counters, per_kind.T.tolist()):
+            c.moves_enumerated += int(moves)
+            c.pruned_by_criterion1 += int(pruned)
+            c.criterion2_evaluations += int(moves - pruned)
+            c.sc_evaluations += int(sc)
+        best = best.reshape(len(MOVE_KINDS), -1)
         least = best.min(axis=1, initial=np.inf)
         top = np.iinfo(np.intp).max
         key = np.where(best == least[:, None], (base + rel).reshape(
@@ -741,25 +737,16 @@ class _Entries:
 
 
 # ---------------------------------------------------------------------------
-# Best-improvement sweeps:
-# (ctx, state, kind, lam, counters, memo) -> (delta, move), and for all kinds
-# (ctx, state, lam, counters, memo) -> [(delta, move) per kind]
+# Best-improvement sweeps of every kind:
+# (ctx, state, lam, counters, memo) -> [(delta, move) per kind of MOVE_KINDS]
+# with one SearchCounters per kind in ``counters``.
 #
-# _kg_sweep is the knowledge-guided operator, _kg_sweeps the same for every
-# kind in one pass.  _traditional_sweep is the traditional operator: every
+# _kg_pass is the knowledge-guided operator, for every kind in one pass.
+# _traditional_sweep is the traditional operator for one kind: every
 # enumerated move's involved routes are re-simulated in full by
 # _full_move_delta, and lam is ignored.  All return the first-enumerated
 # best move on ties, in enumerate_moves order.
 # ---------------------------------------------------------------------------
-
-def _kg_sweep(ctx, state, kind, lam, counters, memo=None):
-    return _kg_pass(ctx, state, (kind,), lam, counters, memo)[0]
-
-
-def _kg_sweeps(ctx, state, lam, counters, memo=None):
-    """_kg_sweep of every kind of MOVE_KINDS, in one pass."""
-    return _kg_pass(ctx, state, MOVE_KINDS, lam, counters, memo)
-
 
 def _traditional_sweep(ctx, state, kind, lam, counters):
     best = -_EPS
@@ -777,11 +764,8 @@ def _traditional_sweep(ctx, state, kind, lam, counters):
 
 def _traditional_sweeps(ctx, state, lam, counters, memo=None):
     """_traditional_sweep of every kind of MOVE_KINDS."""
-    return [_traditional_sweep(ctx, state, kind, lam, counters)
-            for kind in MOVE_KINDS]
-
-
-SWEEPS = {"kg": _kg_sweeps, "traditional": _traditional_sweeps}
+    return [_traditional_sweep(ctx, state, kind, lam, c)
+            for kind, c in zip(MOVE_KINDS, counters)]
 
 
 class _Screened(NamedTuple):
@@ -798,53 +782,42 @@ class _Screened(NamedTuple):
     move: object
 
 
-def _kg_pass(ctx, state, kinds, lam, counters, memo=None):
-    """A sweep of each kind of ``kinds``, a run of MOVE_KINDS, in one
-    pass; returns (delta, move) per kind.
+def _kg_pass(ctx, state, lam, counters, memo=None):
+    """A knowledge-guided sweep of every kind of MOVE_KINDS in one pass;
+    returns (delta, move) per kind.
 
     Entry (a, b) of the kind at index q is at q * ne + a * (nroutes + 1)
-    + b, with b = nroutes the fresh route.  The pass takes the insertion
-    entries among the routes of the memo's last plan, with their
-    fresh-route entries, the swap entries among a largest set of those
-    routes that keeps its order, and the other (dirty) routes' own entries
-    from the run table where it has them.  The screens prune the other
-    entries' moves, and one phase gives every survivor its exact delta."""
+    + b, with b = nroutes the fresh route.  The pass takes every kind's
+    entries among a largest set of the memo's last plan's routes that
+    keeps its order, with their fresh-route entries, and the other (dirty)
+    routes' own entries from the run table where it has them.  The screens
+    prune the other entries' moves, and one phase gives every survivor its
+    exact delta."""
     if memo is None:
         memo = SweepMemo()
-    nroutes, nk = len(state.routes), len(kinds)
-    nins = nk - (SWAP in kinds)  # the insertion kinds, which come first
+    nroutes = len(state.routes)
     nc, ne = nroutes + 1, nroutes * (nroutes + 1)
     diag = np.arange(nroutes) * (nc + 1)  # entry (a, a)
-    own = (diag, diag + nroutes - np.arange(nroutes))  # and (a, fresh)
-    ent = _Entries(memo, kinds, state.routes, nc, np.column_stack(
-        [x + q * ne for q in range(nk) for x in own[:1 + (q < nins)]]))
-    new = ent.old < 0
-    dirty = ~_in_order(ent.old) if nins < nk else new
+    fresh = diag + nroutes - np.arange(nroutes)  # entry (a, fresh route)
+    # the own entries of both insertion kinds, then the swap's (a, a)
+    ent = _Entries(memo, state.routes, nc, np.column_stack(
+        (diag, fresh, diag + ne, fresh + ne, diag + 2 * ne)))
+    dirty = ~_in_order(ent.old)
     alone = ~ent.look_up(dirty.nonzero()[0])  # own entries computed
-    counts = np.zeros((3, nk * ne))
+    kept = (~dirty).nonzero()[0]
+    # route pairs taken, ordered for the insertion kinds, and own entries
+    pairs, own = len(kept) * (len(kept) - 1), nroutes - int(alone.sum())
+    reused = 2 * (pairs + own) + pairs // 2 + own
+    memo.reused += reused
+    memo.computed += 2 * nroutes ** 2 + nroutes * nc // 2 - reused
+    counts = np.zeros((3, len(MOVE_KINDS) * ne))
     slot = np.arange(len(state.code_a)) + state.route_a  # per task
     # the longest route that an intra-route survivor can come from
     width = int(np.diff(state.slot_off)[alone].max(initial=2)) - 1
-    reuse, parts = [], []
-    if nins:
-        kept = (~new).nonzero()[0]
-        reuse.append(ent.among(kept, range(nins), fresh=True))
-        pairs = len(kept) * (len(kept) - 1) + nroutes \
-            - int((alone & new).sum())
-        memo.reused += nins * pairs
-        memo.computed += nins * (nroutes ** 2 - pairs)
-        parts.append(_ins_screen(ctx, state, kinds[:nins], lam,
-                                 counts[:, :nins * ne], new, alone & new,
-                                 slot, width))
-    if nins < nk:
-        r, g = ent.among((~dirty).nonzero()[0], [nins])
-        upper = r % nc >= r % ne // nc  # a <= b
-        reuse.append((r[upper], g[upper]))
-        pairs = int(upper.sum()) + len(ent.found)
-        memo.reused += pairs
-        memo.computed += nroutes * nc // 2 - pairs
-        parts.append(_sw_screen(ctx, state, lam, counts[:, nins * ne:],
-                                dirty, alone, slot, width))
+    parts = (_ins_screen(ctx, state, lam, counts[:, :2 * ne], dirty, alone,
+                         slot, width),
+             _sw_screen(ctx, state, lam, counts[:, 2 * ne:], dirty, alone,
+                        slot, width))
 
     # the exact deltas of every survivor, each part's rows in turn
     shifts = [s for p in parts for s in p.shifts]
@@ -855,26 +828,27 @@ def _kg_pass(ctx, state, kinds, lam, counters, memo=None):
                          for x in zip(*(p.sim for p in parts)))
     sims = _sim_batch(ctx, cand, lens, state.t0_a[route])
     rows, found = np.cumsum([0] + [len(p.sim[1]) for p in parts]), []
-    for k, (q0, p) in enumerate(zip((0, nins), parts)):
+    for k, (q0, p) in enumerate(zip((0, 2), parts)):  # each part's 1st kind
         a, b, c = cut[2 * k:2 * k + 3]
         e, delta, key = p.finish(
             [(dsc[a:b], n_sc[a:b]), (dsc[b:c], n_sc[b:c])],
             [x[rows[k]:rows[k + 1]] for x in sims])
         found.append((e + q0 * ne, delta, key))
     got = ent.settle(counts, [np.concatenate(x) for x in zip(*found)],
-                     [np.concatenate(x) for x in zip(*reuse)],
-                     [lay for p in parts for lay in p.layout], counters)
+                     ent.among(kept), [lay for p in parts for lay in p.layout],
+                     counters)
     return [(-_EPS, None) if got_q is None else
-            (got_q[0], parts[0].move(q, got_q[1]) if q < nins
-             else parts[-1].move(0, got_q[1]))
+            (got_q[0], parts[q // 2].move(q, got_q[1]))
             for q, got_q in enumerate(got)]
 
 
-def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
+SWEEPS = {"kg": _kg_pass, "traditional": _traditional_sweeps}
+
+
+def _ins_screen(ctx, state, lam, counts, dirty, alone, slot, width):
     """Criterion 1 on the insertions of every block of k consecutive tasks
-    (k = 1 for SI, 2 for DI) of each kind of ``kinds`` that a pass
-    computes: those of the ``new`` routes, those into them, and those
-    within the routes ``alone``.
+    (k = 1 for SI, 2 for DI) that a pass computes: those of the ``dirty``
+    routes, those into them, and those within the routes ``alone``.
 
     One row per block orientation, the kinds' rows one kind after the
     other, each kind's by route.  Entry (a, b) of a kind holds the moves
@@ -898,12 +872,12 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
     lens = nslots[:-1] - 1  # route lengths
     CODE, ROUTE, GAP, SLOT = state.code_a, state.route_a, state.gap_a, slot
     s_end, s_head = state.slot_end_a, state.slot_head_a
-    nk, ne = len(kinds), nroutes * (nroutes + 1)
+    nk, ne = 2, nroutes * (nroutes + 1)
     diag = np.arange(nroutes) * (nroutes + 2)  # entry (a, a)
 
     # blocks: the k tasks from every position with k tasks left in its
     # route, kind after kind, by their first task's index i in code_a
-    ks = [_block_len(kind) for kind in kinds]
+    ks = [_block_len(kind) for kind in MOVE_KINDS[:nk]]
     i = [(state.slot_rest_a[SLOT] >= k).nonzero()[0] for k in ks]
     kb = np.repeat(ks, [len(x) for x in i])  # block length
     bq = np.repeat(np.arange(nk), [len(x) for x in i])  # kind
@@ -932,8 +906,8 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
     dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
     src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
         <= PT + _H_EPS
-    shift_a = (i + kb, np.where(src_ok & (new.any() | new[b_ra]), rest, 0),
-               dA)
+    shift_a = (i + kb,
+               np.where(src_ok & (dirty.any() | dirty[b_ra]), rest, 0), dA)
     # prefix end at the positions after a block of a route whose own
     # entries are computed, in the route without it: RM[bn[b], j] at
     # position pa + j, each step travel plus service
@@ -966,7 +940,7 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
     THR = (lam * g_before)[B]
     # time from the first task's begin to the last's; 0.0 for one task
     HOP = np.where(RP, ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]], 0.0)
-    pairs_from = R0[-2] if ks[-1] == 2 else R0[-1]  # the first pair row
+    pairs_from = R0[1]  # the first pair row
 
     def c1_gaps(T, rows):
         """Gap sum of the blocks of the sorted ``rows`` when they begin at
@@ -981,8 +955,8 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
         return G
 
     # criterion 1 on every (row, slot) of the two rectangles of computed
-    # moves between two routes: rows of new routes by every slot, rows of
-    # the other routes by the slots of new routes.  T is the block's begin
+    # moves between two routes: rows of dirty routes by every slot, rows of
+    # the other routes by the slots of dirty routes.  T is the block's begin
     # time.  The fresh route is no move for a whole route in its own
     # orientation
     whole = (lens[RA] == KR) & ident
@@ -996,7 +970,7 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
     passed = np.zeros(nk * ne)  # moves that criterion 1 keeps
     R, S = [np.empty(0, np.intp)], [np.empty(0, np.intp)]  # survivors
     everyone = np.arange(nroutes + 1)
-    for rows, dst in ((new, everyone), (~new, new.nonzero()[0])):
+    for rows, dst in ((dirty, everyone), (~dirty, dirty.nonzero()[0])):
         rows = rows[RA].nonzero()[0]
         if not (len(rows) and len(dst)):
             continue
@@ -1096,8 +1070,8 @@ def _ins_screen(ctx, state, kinds, lam, counts, new, alone, slot, width):
         rb = int(state.slot_route_a[sl])
         dst = (NEW_ROUTE, 0) if rb == nroutes else (rb, int(sl - off[rb]))
         flips = (bool(flip1[r]), bool(flipl[r]))[:ks[q]]
-        return Move(kinds[q], _ins_src(int(RA[r]), int(PA[r]), ks[q]), dst,
-                    flips)
+        return Move(MOVE_KINDS[q], _ins_src(int(RA[r]), int(PA[r]), ks[q]),
+                    dst, flips)
 
     return _Screened(
         [shift_a, (S - state.slot_route_a[S], rest, dB)],
@@ -1277,48 +1251,58 @@ def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
 # Public operators
 # ---------------------------------------------------------------------------
 
-def _operator(inst, sp, sol, kind, lam, counters, sweep):
+def _operator(inst, sp, sol, sweep):
+    """``sol`` with the move that ``sweep(ctx, state)`` returns applied, or
+    ``sol`` unchanged when it returns none."""
     ctx = get_context(inst, sp)
-    state = SolState.from_solution(ctx, sol)
-    if counters is None:
-        counters = SearchCounters()
-    delta, move = sweep(ctx, state, kind, lam, counters)
-    if move is None:
-        return sol
-    return apply_move(inst, sp, sol, move)
+    _, move = sweep(ctx, SolState.from_solution(ctx, sol))
+    return sol if move is None else apply_move(inst, sp, sol, move)
 
 
 def kg_operator(inst, sp, sol: Solution, kind: str, lam: float = 1.0,
                 counters: Optional[SearchCounters] = None) -> Solution:
     """Best-improving neighbor under time-gap pruning plus exact deltas.
 
-    Returns ``sol`` unchanged when no successful move exists.
+    One pass sweeps every kind; this keeps the move and the work counts of
+    ``kind``.  Returns ``sol`` unchanged when no successful move exists.
     """
-    return _operator(inst, sp, sol, kind, lam, counters, _kg_sweep)
+    check_lam(lam)
+    if kind not in MOVE_KINDS:
+        raise ValueError(f"unknown move kind {kind!r}")
+    q = MOVE_KINDS.index(kind)
+    per_kind = [SearchCounters() for _ in MOVE_KINDS]
+    if counters is not None:
+        per_kind[q] = counters
+    return _operator(inst, sp, sol, lambda ctx, state: _kg_pass(
+        ctx, state, lam, per_kind)[q])
 
 
 def traditional_operator(inst, sp, sol: Solution, kind: str,
                          counters: Optional[SearchCounters] = None) -> Solution:
     """Best-improving neighbor by full involved-route re-evaluation."""
-    return _operator(inst, sp, sol, kind, 0.0, counters, _traditional_sweep)
+    if counters is None:
+        counters = SearchCounters()
+    return _operator(inst, sp, sol, lambda ctx, state: _traditional_sweep(
+        ctx, state, kind, 0.0, counters))
 
 
 def _best_move(ctx, state, lam, counters, sweeps, memo=None):
     """The best move of one sweep of each kind (SI, then DI, then SW on
-    ties), or None."""
+    ties), or None; every kind's work counts go to ``counters``."""
     best_delta, best_move = None, None
-    for delta, move in sweeps(ctx, state, lam, counters, memo):
+    for delta, move in sweeps(ctx, state, lam, [counters] * len(MOVE_KINDS),
+                              memo):
         if move is not None and (best_delta is None or delta < best_delta):
             best_delta, best_move = delta, move
     return best_move
 
 
-def _kgslss_state(ctx, plan, lam, counters, sweeps=_kg_sweeps, memo=None):
+def _kgslss_state(ctx, plan, lam, counters, sweeps, memo):
     """One small-step sweep of all three kinds on an encoded stage-1 plan
     (every route departing at 0); returns (plan, changed).  The moved plan
     is returned as codes, without the tables of a ``SolState``.  ``memo``,
     a ``SweepMemo`` kept across the calls of one run, holds what the
-    knowledge-guided sweeps found on the routes of the run and on the last
+    knowledge-guided passes found on the routes of the run and on the last
     plan they swept."""
     move = _best_move(ctx, SolState(ctx, plan, [0.0] * len(plan)), lam,
                       counters, sweeps, memo)
@@ -1332,11 +1316,12 @@ def kgslss(inst, sp, sol: Solution, lam: float = 1.0,
            counters: Optional[SearchCounters] = None) -> Solution:
     """Apply all three knowledge-guided operators to ``sol`` and keep the
     best of the three outcomes (SI, then DI, then SW on ties)."""
+    check_lam(lam)
     ctx = get_context(inst, sp)
     if counters is None:
         counters = SearchCounters()
     move = _best_move(ctx, SolState.from_solution(ctx, sol), lam, counters,
-                      _kg_sweeps)
+                      _kg_pass)
     if move is None:
         return sol
     return apply_move(inst, sp, sol, move)

@@ -41,13 +41,15 @@ from .evaluation import CoverageError, get_context
 from .evaluation import evaluate_solution  # noqa: F401
 from .initialization import BASELINE, KGIS, kgis_population
 from .localsearch import (
-    ROUTE_TABLE_LIMIT,
     SWEEPS,
     SearchCounters,
     SweepMemo,
     _kgslss_state,
+    check_lam,
 )
 from .mergesplit import merge_split
+
+ROUTE_TABLE_LIMIT = 1 << 14  # routes a run table holds before it is emptied
 
 
 @dataclass
@@ -70,9 +72,7 @@ class MemeticParams:
             raise ValueError("psize must be >= 2")
         if self.osnum < 1:
             raise ValueError("osnum must be >= 1")
-        # a NaN lam fails every criterion-1 test and prunes every move
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be finite and >= 0")
+        check_lam(self.lam)
         if self.init_mode not in (KGIS, BASELINE):
             raise ValueError(f"unknown init mode {self.init_mode!r}")
         if self.operator_mode not in SWEEPS:
@@ -98,9 +98,14 @@ class StopRule:
                 "StopRule needs generations or wallclock_seconds: with "
                 "neither bound a run that never reaches its target does "
                 "not end")
+        # a NaN or infinite bound is never reached: a run with no other
+        # bound would not end
         for name in ("generations", "wallclock_seconds"):
-            if (getattr(self, name) or 0) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value)
+                                          and value >= 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got "
+                                 f"{value!r}")
 
 
 @dataclass
@@ -382,8 +387,9 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
         gen += 1
         counters = SearchCounters()
         memo.reused = memo.computed = 0
-        if len(costs) > ROUTE_TABLE_LIMIT:
-            costs.clear()
+        for table in (costs, memo.own):
+            if len(table) > ROUTE_TABLE_LIMIT:
+                table.clear()
         keys = {ind.plan for ind in pop}
         for _ in range(params.osnum):
             i, j = rng.sample(range(len(pop)), 2)

@@ -16,9 +16,9 @@ from carptdsc import (
     ncs,
     paper_stage2,
     random_classic_instance,
-    route_cost_of_t,
     stage2,
 )
+from carptdsc.departure import RouteCost
 from carptdsc.oracle import grid_scan, route_optimum
 
 from util import (
@@ -33,7 +33,7 @@ class TestRouteCost:
     def test_flat_everywhere_constant(self, gdb1_flat):
         inst, sp = gdb1_flat
         sol = random_feasible_solution(inst, sp, random.Random(0))
-        f = route_cost_of_t(inst, sp, sol.routes[0])
+        f = RouteCost(inst, sp, sol.routes[0])
         vals = {f(t) for t in (0.0, 1.0, f.hi / 2, f.hi)}
         assert len(vals) == 1
 
@@ -41,7 +41,7 @@ class TestRouteCost:
         inst, sp = micro_b
         aid = inst.tasks[0]
         arc = inst.arcs[aid]
-        f = route_cost_of_t(inst, sp, Route(((aid, False),)))
+        f = RouteCost(inst, sp, Route(((aid, False),)))
         travel = sp.sp_time[inst.depot][arc.tail]
         fn = arc.cost_fn
         lo_p = fn.bt - travel
@@ -57,7 +57,7 @@ class TestRouteCost:
         inst, sp = micro_b
         sol = random_feasible_solution(inst, sp, random.Random(1))
         route = sol.routes[0]
-        f = route_cost_of_t(inst, sp, route)
+        f = RouteCost(inst, sp, route)
         for i in range(0, 101, 7):
             t = f.lo + (f.hi - f.lo) * i / 100
             ev = evaluate_solution(
@@ -72,7 +72,7 @@ class TestRouteCost:
         inst, sp = micro_a
         sol = random_feasible_solution(inst, sp, random.Random(2))
         route = sol.routes[0]
-        f = route_cost_of_t(inst, sp, route)
+        f = RouteCost(inst, sp, route)
         assert f.lo == 0.0 and f.hi >= 0.0
         assert evaluate_route(
             inst, sp, Route(route.task_seq, f.hi)).feasible_horizon
@@ -86,7 +86,7 @@ class TestRouteCost:
         # exist among feasible fixtures; synthesize via repeated tasks
         seq = tuple((t, False) for t in inst.tasks) * 40
         with pytest.raises(ValueError):
-            route_cost_of_t(inst, sp, Route(seq))
+            RouteCost(inst, sp, Route(seq))
 
 
 class TestGss:
@@ -181,7 +181,7 @@ class TestStage2:
         sol = random_feasible_solution(inst, sp, random.Random(5))
         res = paper_stage2(inst, sp, sol)
         for route, t, c in zip(sol.routes, res.times, res.per_route_cost):
-            f = route_cost_of_t(inst, sp, route)
+            f = RouteCost(inst, sp, route)
             _, best = grid_scan(f, f.lo, f.hi, 10 ** 4)
             assert c <= best + 1e-6 + (f.hi - f.lo) / 10 ** 4 * \
                 inst.global_slope_abs * len(route.task_seq)
@@ -191,7 +191,7 @@ class TestStage2:
         sol = random_feasible_solution(inst, sp, random.Random(7))
         per_route = []
         for route in sol.routes:
-            f = route_cost_of_t(inst, sp, route)
+            f = RouteCost(inst, sp, route)
             per_route.append(grid_scan(f, f.lo, f.hi, 2000)[1])
         res = stage2(inst, sp, sol)
         # slack covers the search tolerance of the per-route optimizer

@@ -96,6 +96,8 @@ references = gdb1:316, micro-A:76
         "init_mode = kgsi",
         "generations = -3",
         "wallclock_seconds = -1",
+        "wallclock_seconds = nan",
+        "wallclock_seconds = inf",
         "osnum = 0",
     ])
     def test_solver_rule_names_file_and_line(self, tmp_path, entry):

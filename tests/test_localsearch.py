@@ -39,8 +39,7 @@ from carptdsc.localsearch import (
     SolState,
     SweepMemo,
     _gaps,
-    _kg_sweep,
-    _kg_sweeps,
+    _kg_pass,
     _row_sums,
     c1_gap_sums,
     moved_route_codes,
@@ -59,6 +58,16 @@ from util import (
     reference_cases,
     sample_moves,
 )
+
+
+def _kg_sweep(ctx, state, kind, lam, counters=None):
+    """(delta, move) of ``kind`` from one knowledge-guided pass, with that
+    kind's work counts added to ``counters``."""
+    q = MOVE_KINDS.index(kind)
+    per_kind = [SearchCounters() for _ in MOVE_KINDS]
+    if counters is not None:
+        per_kind[q] = counters
+    return _kg_pass(ctx, state, lam, per_kind)[q]
 
 
 def one_route_solution(inst, sp, n=None):
@@ -294,6 +303,28 @@ class TestOperators:
             assert kg_operator(inst, sp, sol, kind) == sol
             assert traditional_operator(inst, sp, sol, kind) == sol
         assert kgslss(inst, sp, sol) == sol
+
+    @pytest.mark.parametrize("operator", [
+        lambda inst, sp, sol, kind: kg_operator(inst, sp, sol, kind),
+        lambda inst, sp, sol, kind: traditional_operator(inst, sp, sol, kind),
+        lambda inst, sp, sol, kind: list(enumerate_moves(inst, sp, kind,
+                                                         sol)),
+    ], ids=["kg_operator", "traditional_operator", "enumerate_moves"])
+    def test_unknown_kind_rejected(self, micro_a, operator):
+        inst, sp = micro_a
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        with pytest.raises(ValueError, match="unknown move kind 'swop'"):
+            operator(inst, sp, sol, "swop")
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+    def test_bad_lam_rejected(self, micro_a, lam):
+        # a NaN lam would fail every criterion-1 test and return sol
+        inst, sp = micro_a
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            kg_operator(inst, sp, sol, SWAP, lam)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            kgslss(inst, sp, sol, lam)
 
     def test_kg_never_more_evaluations_than_traditional(self, micro_b):
         inst, sp = micro_b
@@ -633,38 +664,30 @@ def _warm_cases():
 
 
 class TestWarmSweeps:
-    """A sweep that takes entries from the memo of the plan swept before it
-    equals a cold sweep of the same plan: ``repr`` of the delta, the move
-    and all five counters, for every move kind, swept one kind at a time
-    or all kinds at once.  The plans come in the
+    """A pass that takes entries from the memo of the plan swept before it
+    equals a cold pass of the same plan: ``repr`` of the delta, the move
+    and all five counters, for every move kind.  The plans come in the
     order a run's pipeline sweeps them (sweep, apply the best move,
     merge-split, sweep), then with their routes in reverse order (every
     swap pair flipped), then a start plan that shares no route with the
     plan before it."""
 
     @staticmethod
-    def _sweep(ctx, plan, memos, lam):
-        """Each kind's cold sweep against its warm sweep with ``memos[0]``,
-        and against the warm sweep of all kinds at once with ``memos[1]``,
-        which is the one a run makes; returns the best move."""
+    def _sweep(ctx, plan, memo, lam):
+        """The warm pass with ``memo`` against a cold pass, kind by kind;
+        returns the best move."""
         state = SolState(ctx, plan, [0.0] * len(plan))
-        both = SearchCounters()
-        together = _kg_sweeps(ctx, state, lam, both, memos[1])
+        warm = [SearchCounters() for _ in MOVE_KINDS]
+        cold = [SearchCounters() for _ in MOVE_KINDS]
+        got = _kg_pass(ctx, state, lam, warm, memo)
+        want = _kg_pass(ctx, state, lam, cold)
         best = None
-        total = SearchCounters()
-        for kind, (t_delta, t_move) in zip(MOVE_KINDS, together):
-            warm, cold = SearchCounters(), SearchCounters()
-            w_delta, w_move = _kg_sweep(ctx, state, kind, lam, warm,
-                                        memos[0])
-            c_delta, c_move = _kg_sweep(ctx, state, kind, lam, cold)
-            assert (repr(w_delta), w_move, warm) == \
-                (repr(c_delta), c_move, cold), (kind, plan)
-            assert (repr(t_delta), t_move) == (repr(c_delta), c_move), \
+        for kind, (w_delta, w_move), (c_delta, c_move), w, c in zip(
+                MOVE_KINDS, got, want, warm, cold):
+            assert (repr(w_delta), w_move, w) == (repr(c_delta), c_move, c), \
                 (kind, plan)
-            total.add(cold)
             if c_move is not None and (best is None or c_delta < best[0]):
                 best = c_delta, c_move
-        assert both == total, plan
         return None if best is None else best[1]
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
@@ -673,22 +696,22 @@ class TestWarmSweeps:
         for name, inst, sp, starts in _warm_cases():
             ctx = get_context(inst, sp)
             rng = random.Random(7)
-            memos = SweepMemo(), SweepMemo()
+            memo = SweepMemo()
             last = None
             for plan in starts:
                 if last is not None and not set(plan) & set(last):
                     disjoint += 1
                 for _ in range(2):
-                    move = self._sweep(ctx, plan, memos, lam)
+                    move = self._sweep(ctx, plan, memo, lam)
                     if move is not None:
                         plan = tuple(tuple(r) for r in moved_route_codes(
                             ctx, plan, move) if r)
                     plan = merge_split(ctx, plan, rng, 2)
-                    self._sweep(ctx, plan, memos, lam)
-                self._sweep(ctx, plan[::-1], memos, lam)
+                    self._sweep(ctx, plan, memo, lam)
+                self._sweep(ctx, plan[::-1], memo, lam)
                 flipped += len(plan) >= 2
                 last = plan[::-1]
-            total += memos[0].reused + memos[1].reused
+            total += memo.reused
         assert total > 0 and flipped > 0 and disjoint > 0
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
@@ -707,9 +730,9 @@ class TestWarmSweeps:
                 continue
             at = max(range(len(a)), key=lambda r: len(a[r]))
             changed = a[:at] + (a[at][1:] + a[at][:1],) + a[at + 1:]
-            memos = SweepMemo(), SweepMemo()
+            memo = SweepMemo()
             for plan in (a, b, changed):
-                self._sweep(ctx, plan, memos, lam)
+                self._sweep(ctx, plan, memo, lam)
             met += len(a) >= 2 and changed != a
         assert met > 0
 
@@ -722,13 +745,13 @@ class TestWarmSweeps:
             ctx = get_context(inst, sp)
             rng = random.Random(3)
             pop = list(starts) + _plans(inst, sp, range(20, 24))
-            memos = SweepMemo(), SweepMemo()
+            memo = SweepMemo()
             for _ in range(6):
                 p1, p2 = rng.sample(pop, 2)
                 child = sbx_crossover(ctx, p1, p2, rng)
                 over += any(sum(ctx.demand[c >> 1] for c in r) > ctx.capacity
                             for r in child)
-                self._sweep(ctx, child, memos, lam)
+                self._sweep(ctx, child, memo, lam)
                 pop.append(child)
         assert over > 0
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from carptdsc import (
     stage2,
     stochastic_rank,
 )
-from carptdsc import localsearch, memetic
+from carptdsc import memetic
 from carptdsc.evaluation import CoverageError, get_context
 from carptdsc.memetic import _cheapest_spot, _repair
 from carptdsc.oracle import OracleBudget, simulate_route
@@ -199,6 +200,18 @@ class TestKgmaRun:
         with pytest.raises(ValueError, match="must be >= 0"):
             StopRule(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"wallclock_seconds": math.nan},
+        {"wallclock_seconds": math.inf},
+        {"generations": math.inf},
+        {"generations": 2, "wallclock_seconds": math.nan},
+    ])
+    def test_stop_rule_non_finite_bound_rejected(self, kwargs):
+        # a run bounded by a NaN time alone would never end: elapsed >= nan
+        # is always False
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            StopRule(**kwargs)
+
     def test_wallclock_stop(self, micro_b):
         inst, sp = micro_b
         _, trace = kgma_run(inst, sp, MemeticParams(seed=0),
@@ -228,8 +241,9 @@ class TestKgmaRun:
         assert all(row["memo_computed"] > 0 for row in trace[1:])
 
     def test_emptied_run_tables_change_nothing(self, monkeypatch):
-        """A run whose route tables are emptied every few routes gives the
-        plan, costs and counters of a run that keeps them."""
+        """A run whose route tables are emptied every generation gives the
+        plan, costs and counters of a run that keeps them, and computes
+        more sweep entries."""
         base = random_classic_instance(20, 40, 20, 4)
         inst = generate_td_parameters(base, "3LP", 2.0, seed=4)
         sp = all_pairs_shortest_paths(inst)
@@ -238,13 +252,15 @@ class TestKgmaRun:
             sol, trace = kgma_run(inst, sp, MemeticParams(seed=1, pls=0.5,
                                                           osnum=20),
                                   stop=StopRule(generations=3))
-            return sol, [{k: repr(v) for k, v in row.items()
-                          if not k.startswith("memo_")} for row in trace]
+            return (sol, [{k: repr(v) for k, v in row.items()
+                           if not k.startswith("memo_")} for row in trace],
+                    sum(row["memo_computed"] for row in trace))
 
-        kept = run()
+        sol, rows, computed = run()
         monkeypatch.setattr(memetic, "ROUTE_TABLE_LIMIT", 3)
-        monkeypatch.setattr(localsearch, "ROUTE_TABLE_LIMIT", 3)
-        assert run() == kept
+        e_sol, e_rows, e_computed = run()
+        assert (e_sol, e_rows) == (sol, rows)
+        assert e_computed > computed
 
     def test_traditional_mode_counts_full_evaluations(self, micro_b):
         inst, sp = micro_b
