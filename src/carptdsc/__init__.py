@@ -32,6 +32,7 @@ from .evaluation import (
     check_coverage,
     evaluate_route,
     evaluate_solution,
+    get_context,
     is_feasible,
 )
 from .initialization import (

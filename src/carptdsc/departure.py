@@ -6,8 +6,17 @@ so every task's service begins at the departure time plus a fixed
 offset, and the route cost is a sum of convex piecewise-linear terms in
 the departure time: convex and piecewise linear itself, with its
 breakpoints where some task's begin time meets an end of its flat
-interval.  ``breakpoint_sweep`` finds its exact leftmost minimum by
-walking those breakpoints in order with a running slope sum.
+interval.
+
+``breakpoint_sweep(ctx, codes)`` finds the exact leftmost minimum of one
+encoded route in two passes over its tasks.  The first simulates the
+route departing at 0; from each begin time it takes the task's share of
+the right derivative at 0 and its two breakpoints, and from the end time
+the horizon check and the latest feasible departure.  A sweep then walks
+the breakpoints in time order with a running slope sum to the leftmost
+minimum, and the second pass prices that time, adding the terms in
+``EvalContext.sim``'s order, so the cost equals sim's to the last bit.
+``RouteCost`` evaluates a route at any time by the same second pass.
 
 ``stage2`` times every route with that sweep.  ``paper_stage2`` is the
 paper's search (golden section search for slopes of at most 1,
@@ -27,14 +36,17 @@ from .evaluation import HorizonError, Route, Solution, get_context
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# NCS: iterations between step-size updates, and the weight of spread
+# against cost when an offspring that does not improve may replace its parent
+NCS_EPOCH = 10
+NCS_DIVERSITY_TRADEOFF = 1.0
+
 
 @dataclass
 class NcsParams:
     pop_n: int = 10
     sigma0: float = 1.0
-    epoch: int = 10
     budget: int = 2000
-    diversity_tradeoff: float = 1.0
 
     def __post_init__(self):
         if self.pop_n < 2:
@@ -53,72 +65,116 @@ class DepartureResult:
         return sum(self.per_route_cost)
 
 
+def _scan(ctx, codes):
+    """First pass: the encoded route departing at 0.
+
+    Returns (right derivative of the cost at 0, breakpoint events as
+    (time, slope increase) pairs, deadhead cost, latest feasible
+    departure).  A task whose service begins at t + offset contributes
+    slope -s while it begins before bt, 0 inside [bt, et) and +s from et
+    on.  Raises HorizonError when the route ends after the horizon even
+    when it departs at 0.
+    """
+    spc, spt, otail, ohead = ctx.spc, ctx.spt, ctx.otail, ctx.ohead
+    slope_at, bt, et, dur = ctx.slope, ctx.bt, ctx.et, ctx.dur
+    t = 0.0
+    prev = ctx.depot
+    dc = 0.0
+    slope = 0.0
+    events = []
+    for c in codes:
+        ti = c >> 1
+        tail = otail[c]
+        dc += spc[prev][tail]
+        t += spt[prev][tail]
+        s = slope_at[ti]
+        if s != 0.0:
+            t_in = bt[ti] - t
+            if 0.0 < t_in:
+                slope -= s
+                events.append((t_in, s))
+            t_out = et[ti] - t
+            if 0.0 < t_out:
+                events.append((t_out, s))
+            else:
+                slope += s
+        t += dur[ti]
+        prev = ohead[c]
+    if codes:
+        dc += spc[prev][ctx.depot]
+        t += spt[prev][ctx.depot]
+    if t > ctx.horizon + 1e-12:
+        raise HorizonError("route exceeds the planning horizon at every "
+                           "departure time")
+    return slope, events, dc, max(0.0, ctx.horizon - t)
+
+
+def _service_cost(ctx, codes, t0):
+    """Second pass: the service cost of the encoded route departing at
+    t0, summed in ``EvalContext.sim``'s order of additions."""
+    spt, otail, ohead = ctx.spt, ctx.otail, ctx.ohead
+    minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
+    t = t0
+    prev = ctx.depot
+    sc = 0.0
+    for c in codes:
+        ti = c >> 1
+        t += spt[prev][otail[c]]
+        b = bt[ti]
+        e = et[ti]
+        g = b - t if t < b else (t - e if t > e else 0.0)
+        sc += minsc[ti] + g * slope[ti]
+        t += dur[ti]
+        prev = ohead[c]
+    return sc
+
+
+def breakpoint_sweep(ctx, codes):
+    """(t, cost): the leftmost departure time of least cost of an encoded
+    route, and that cost, equal to ``EvalContext.sim``'s ``sc + dc``.
+
+    Starting from the right derivative at 0, the sweep adds the route's
+    breakpoints in time order and stops at the first one where the right
+    derivative is no longer negative.  Ties go to the earliest time, so
+    flat-then-increasing routes depart at 0.  Raises HorizonError when
+    the route overruns the horizon at every departure time.
+    """
+    slope, events, dc, hi = _scan(ctx, codes)
+    t = 0.0
+    if slope < 0.0:
+        t = hi
+        events.sort()
+        for bp, s in events:
+            if bp >= hi:
+                break
+            slope += s
+            if slope >= 0.0:
+                t = bp
+                break
+    return t, _service_cost(ctx, codes, t) + dc
+
+
 class RouteCost:
     """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi].
 
     ``ctx`` is the instance's compiled context when the caller already
-    holds it; ``begins0`` are the service begin times at departure 0.
+    holds it.
     """
 
     def __init__(self, inst, sp, route: Route, ctx=None):
         self.ctx = ctx if ctx is not None else get_context(inst, sp)
         self.codes = self.ctx.encode_route(route)
-        _, _, _, self.begins0, _, end0 = self.ctx.sim(self.codes, 0.0)
+        _, _, self.dc, self.hi = _scan(self.ctx, self.codes)
         self.lo = 0.0
-        self.hi = max(0.0, inst.planning_horizon - end0)
-        if end0 > inst.planning_horizon + 1e-12:
-            raise HorizonError("route exceeds the planning horizon at every "
-                               "departure time")
 
     def __call__(self, t: float) -> float:
-        sc, dc, *_ = self.ctx.sim(self.codes, t)
-        return sc + dc
+        return _service_cost(self.ctx, self.codes, t) + self.dc
 
 
 def route_cost_of_t(inst, sp, route: Route) -> RouteCost:
     """``RouteCost(inst, sp, route)``, under the name that the benchmark's
     own tests (perfbench/tests) import from ``carptdsc``."""
     return RouteCost(inst, sp, route)
-
-
-def breakpoint_sweep(f: RouteCost) -> float:
-    """Leftmost departure time in [f.lo, f.hi] of least route cost.
-
-    A task whose service begins at t + offset contributes slope -s while
-    it begins before bt, 0 inside [bt, et) and +s from et on.  Starting
-    from the right derivative at lo, the sweep adds each task's two
-    breakpoints (bt - offset, et - offset) in time order and stops at the
-    first one where the right derivative is no longer negative.  Ties go
-    to the earliest time, so flat-then-increasing routes depart at lo.
-    """
-    ctx, lo, hi = f.ctx, f.lo, f.hi
-    slope_at, bt, et = ctx.slope, ctx.bt, ctx.et
-    slope = 0.0  # right derivative of the cost at lo
-    events = []  # (time, slope increase)
-    for c, b0 in zip(f.codes, f.begins0):
-        ti = c >> 1
-        s = slope_at[ti]
-        if s == 0.0:
-            continue
-        t_in = bt[ti] - b0
-        if lo < t_in:
-            slope -= s
-            events.append((t_in, s))
-        t_out = et[ti] - b0
-        if lo < t_out:
-            events.append((t_out, s))
-        else:
-            slope += s
-    if slope >= 0.0:
-        return lo
-    events.sort()
-    for t, s in events:
-        if t >= hi:
-            break
-        slope += s
-        if slope >= 0.0:
-            return t
-    return hi
 
 
 def gss(f, lo: float, hi: float, tol: float) -> float:
@@ -174,7 +230,7 @@ def ncs(f, lo: float, hi: float, params: NcsParams,
     it = 0
     while evals < params.budget:
         it += 1
-        lam_t = params.diversity_tradeoff * rng.normalvariate(1.0, 0.1)
+        lam_t = NCS_DIVERSITY_TRADEOFF * rng.normalvariate(1.0, 0.1)
         for i in range(n):
             if evals >= params.budget:
                 break
@@ -196,7 +252,7 @@ def ncs(f, lo: float, hi: float, params: NcsParams,
             d_norm = d_new / (d_new + d_old + 1e-12)
             if f_norm / (d_norm + 1e-12) < lam_t:
                 xs[i], fs[i] = x, fx
-        if it % params.epoch == 0:
+        if it % NCS_EPOCH == 0:
             for i in range(n):
                 if trials[i] == 0:
                     continue
@@ -210,39 +266,33 @@ def ncs(f, lo: float, hi: float, params: NcsParams,
     return best_x
 
 
-def _time_routes(inst, sp, s_bf: Solution, search) -> DepartureResult:
-    """Time every route of s_bf with ``search(f) -> t``, one context
-    lookup per call.  Raises HorizonError naming the route that overruns
-    the horizon even when it departs at 0."""
+def stage2(inst, sp, s_bf: Solution,
+           rng: Optional[random.Random] = None) -> DepartureResult:
+    """Leftmost optimal departure time and cost of every route of s_bf,
+    by ``breakpoint_sweep``.  Raises HorizonError naming the route that
+    overruns the horizon even when it departs at 0.
+
+    The sweep is deterministic: ``rng`` is accepted and not read, so
+    callers written for the paper's randomized search keep working.
+    """
     ctx = get_context(inst, sp)
     times = []
     costs = []
     for k, route in enumerate(s_bf.routes):
         try:
-            f = RouteCost(inst, sp, route, ctx)
+            t, cost = breakpoint_sweep(ctx, ctx.encode_route(route))
         except HorizonError as exc:
             raise HorizonError(f"route {k}: {exc}") from None
-        t = search(f)
         times.append(t)
-        costs.append(f(t))
+        costs.append(cost)
     return DepartureResult(times=times, per_route_cost=costs)
-
-
-def stage2(inst, sp, s_bf: Solution,
-           rng: Optional[random.Random] = None) -> DepartureResult:
-    """Leftmost optimal departure time and cost of every route of s_bf.
-
-    The sweep is deterministic: ``rng`` is accepted and not read, so
-    callers written for the paper's randomized search keep working.
-    """
-    return _time_routes(inst, sp, s_bf, breakpoint_sweep)
 
 
 def paper_stage2(inst, sp, s_bf: Solution,
                  rng: Optional[random.Random] = None) -> DepartureResult:
     """Departure times of s_bf by the paper's GSS/NCS search: GSS to a
     tolerance of PT * 1e-6, NCS with its default parameters and a
-    starting step of PT / 10."""
+    starting step of PT / 10.  Raises HorizonError as ``stage2`` does."""
     if rng is None:
         rng = random.Random(0)
     pt = inst.planning_horizon
@@ -260,4 +310,15 @@ def paper_stage2(inst, sp, s_bf: Solution,
             return 0.0 if f(0.0) <= f(t) else t
         return ncs(f, f.lo, f.hi, ncs_params, rng)
 
-    return _time_routes(inst, sp, s_bf, search)
+    ctx = get_context(inst, sp)
+    times = []
+    costs = []
+    for k, route in enumerate(s_bf.routes):
+        try:
+            f = RouteCost(inst, sp, route, ctx)
+        except HorizonError as exc:
+            raise HorizonError(f"route {k}: {exc}") from None
+        t = search(f)
+        times.append(t)
+        costs.append(f(t))
+    return DepartureResult(times=times, per_route_cost=costs)

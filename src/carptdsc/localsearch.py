@@ -123,6 +123,11 @@ def check_lam(lam: float) -> None:
         raise ValueError("lam must be finite and >= 0")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in MOVE_KINDS:
+        raise ValueError(f"unknown move kind {kind!r}")
+
+
 class SolState:
     """Encoded routes and the numpy tables of the knowledge-guided sweeps.
 
@@ -283,8 +288,11 @@ def apply_move(inst, sp, sol: Solution, move: Move) -> Solution:
 # ---------------------------------------------------------------------------
 
 def enumerate_moves(inst, sp, kind: str, sol: Solution) -> Iterator[Move]:
+    """The moves of ``kind`` on ``sol``; an unknown kind raises ValueError
+    at the call, before any move is drawn."""
+    _check_kind(kind)
     ctx = get_context(inst, sp)
-    yield from _enum(ctx, [ctx.encode_route(r) for r in sol.routes], kind)
+    return _enum(ctx, [ctx.encode_route(r) for r in sol.routes], kind)
 
 
 def _enum(ctx, routes, kind):
@@ -1267,8 +1275,7 @@ def kg_operator(inst, sp, sol: Solution, kind: str, lam: float = 1.0,
     ``kind``.  Returns ``sol`` unchanged when no successful move exists.
     """
     check_lam(lam)
-    if kind not in MOVE_KINDS:
-        raise ValueError(f"unknown move kind {kind!r}")
+    _check_kind(kind)
     q = MOVE_KINDS.index(kind)
     per_kind = [SearchCounters() for _ in MOVE_KINDS]
     if counters is not None:

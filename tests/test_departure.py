@@ -19,14 +19,19 @@ from carptdsc import (
     stage2,
 )
 from carptdsc.departure import RouteCost
-from carptdsc.oracle import grid_scan, route_optimum
+from carptdsc.evaluation import EvalContext, get_context
+from carptdsc.oracle import grid_scan, route_optimum, simulate_route
 
 from util import (
     MICRO3LP_NAMES,
     _load,
+    fractional,
     make_random_instance,
     random_feasible_solution,
+    reference_cases,
 )
+
+MICRO_NAMES = ("micro_a", "micro_b", "micro_oneway") + MICRO3LP_NAMES
 
 
 class TestRouteCost:
@@ -240,12 +245,25 @@ class TestStage2:
 
 def _exact_cases():
     """(name, instance, sp, plan): three random plans on each micro
-    fixture, and kgis plans on large 3LP instances at slopes 0.5 and 2."""
-    for name in ("micro_a", "micro_b") + MICRO3LP_NAMES:
+    fixture and on its ``fractional`` copy, one on each tight-horizon
+    copy of ``reference_cases``, a plan with an empty route, and kgis
+    plans on large 3LP instances at slopes 0.5 and 2."""
+    for name in MICRO_NAMES:
         inst, sp = _load(name)
-        for seed in range(3):
+        frac = fractional(inst)
+        for case, i, s in ((name, inst, sp),
+                           (f"{name}-frac", frac,
+                            all_pairs_shortest_paths(frac))):
+            for seed in range(3):
+                yield case, i, s, random_feasible_solution(
+                    i, s, random.Random(seed))
+    for name, inst, sp in reference_cases():
+        if name.endswith("-tight"):
             yield name, inst, sp, random_feasible_solution(
-                inst, sp, random.Random(seed))
+                inst, sp, random.Random(1))
+    inst, sp = _load("micro_a")
+    plan = random_feasible_solution(inst, sp, random.Random(0))
+    yield "micro_a-empty", inst, sp, Solution(plan.routes + (Route(()),))
     for seed in range(2):
         base = random_classic_instance(40, 100, 30, seed=seed)
         for slope in (0.5, 2.0):
@@ -256,18 +274,47 @@ def _exact_cases():
 
 
 class TestExactDepartures:
-    def test_every_route_matches_independent_oracle(self):
+    def test_every_route_matches_sim_and_independent_oracle(self):
         routes = 0
+        cases = set()
         for name, inst, sp, plan in _exact_cases():
+            ctx = get_context(inst, sp)
             res = stage2(inst, sp, plan)
             for k, route in enumerate(plan.routes):
-                best, t = route_optimum(inst, sp, route.task_seq)
+                t = res.times[k]
+                sc, dc, *_ = ctx.sim(ctx.encode_route(route), t)
+                # the second pass adds in sim's order: equal to the last bit
+                assert res.per_route_cost[k] == sc + dc, (name, k)
+                best, t_best = route_optimum(inst, sp, route.task_seq)
                 assert res.per_route_cost[k] == pytest.approx(
                     best, rel=1e-12, abs=1e-12), (name, k)
-                # ties go to the leftmost optimal time, as in the oracle
-                assert res.times[k] == pytest.approx(t, abs=1e-9), (name, k)
+                # ties go to the leftmost optimal time: never right of the
+                # oracle's (which may take a later end of a plateau whose
+                # ends differ in the last bit), and the cost, convex in t,
+                # rises to its left
+                assert t <= t_best + 1e-9, (name, k)
+                if t > 0.0:
+                    left = simulate_route(inst, sp, route.task_seq,
+                                          t - min(t, 1e-3))[0]
+                    assert left > best * (1.0 + 1e-12), (name, k)
                 routes += 1
-        assert routes >= 100
+            cases.add(name.rsplit("-", 1)[-1])
+        assert routes >= 200
+        assert {"frac", "tight", "empty"} <= cases
+
+    def test_runs_neither_sim_nor_route_cost(self, monkeypatch):
+        import carptdsc.departure as dep
+        inst = make_random_instance(0, itype="3LP", slope=2.0)
+        sp = all_pairs_shortest_paths(inst)
+        sol = random_feasible_solution(inst, sp, random.Random(1))
+        expected = stage2(inst, sp, sol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage 2 left its two passes")
+
+        monkeypatch.setattr(EvalContext, "sim", refuse)
+        monkeypatch.setattr(dep, "RouteCost", refuse)
+        assert dep.stage2(inst, sp, sol) == expected
 
 
 # (case, plan seed, departure times, total) of the paper arm's GSS, NCS

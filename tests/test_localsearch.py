@@ -316,6 +316,12 @@ class TestOperators:
         with pytest.raises(ValueError, match="unknown move kind 'swop'"):
             operator(inst, sp, sol, "swop")
 
+    def test_enumerate_moves_rejects_unknown_kind_at_the_call(self, micro_a):
+        inst, sp = micro_a
+        sol = random_feasible_solution(inst, sp, random.Random(0))
+        with pytest.raises(ValueError, match="unknown move kind 'swop'"):
+            enumerate_moves(inst, sp, "swop", sol)
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
     def test_bad_lam_rejected(self, micro_a, lam):
         # a NaN lam would fail every criterion-1 test and return sol
