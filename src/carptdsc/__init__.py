@@ -8,7 +8,6 @@ from .instance import (
     FLAT_EVERYWHERE,
     Instance,
     InstanceError,
-    IntervalPolicy,
     ParseError,
     ServiceCostFunction,
     ShortestPathMatrix,
@@ -69,7 +68,6 @@ from .memetic import (
 )
 from .departure import (
     DepartureResult,
-    NcsParams,
     breakpoint_sweep,
     gss,
     ncs,
@@ -78,7 +76,6 @@ from .departure import (
     stage2,
 )
 from .oracle import (
-    OracleBudget,
     OracleRefusal,
     classic_evaluate,
     classic_optimum,

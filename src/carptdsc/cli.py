@@ -26,25 +26,32 @@ from .harness import (
     solve_once,
     _write_csv,
 )
+from .initialization import BASELINE, KGIS
 from .instance import (
     InstanceError,
-    IntervalPolicy,
     ParseError,
     generate_td_parameters,
     parse_classic_dat,
+    parse_instance,
     random_classic_instance,
     write_instance,
 )
-from .oracle import OracleBudget, OracleRefusal, exact_solve
+from .localsearch import SWEEPS
+from .memetic import MemeticParams
+from .oracle import OracleRefusal, exact_solve
 
 
 def _add_common(p, generations=50):
+    """The run flags; the solver's are declared by ``MemeticParams``."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--generations", type=int, default=generations)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--init", choices=("kgis", "baseline"), default="kgis")
-    p.add_argument("--operators", choices=("kg", "traditional"), default="kg")
+    p.add_argument("--lambda", dest="lam", type=float,
+                   default=MemeticParams.lam)
+    p.add_argument("--init", choices=(KGIS, BASELINE),
+                   default=MemeticParams.init_mode)
+    p.add_argument("--operators", choices=tuple(SWEEPS),
+                   default=MemeticParams.operator_mode)
     p.add_argument("--out", default="out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -213,9 +220,9 @@ def _run(argv):
         return 0
 
     if args.command == "ablate-init":
-        cfg.init_mode = "kgis"
+        cfg.init_mode = KGIS
         rep_a, rep_b = compare_experiments(
-            cfg, replace(cfg, init_mode="baseline"))
+            cfg, replace(cfg, init_mode=BASELINE))
         rep_a.write(cfg.out_dir, cfg.fmt, prefix="init_kgis")
         rep_b.write(cfg.out_dir, cfg.fmt, prefix="init_baseline")
         print(f"w-d-l (kgis vs baseline): {rep_a.wdl}")
@@ -234,8 +241,7 @@ def _run(argv):
     if args.command == "time-to-target":
         if args.target is not None:
             for path in cfg.instances:
-                inst, _ = load_instance(path)
-                cfg.target_costs[inst.name] = args.target
+                cfg.target_costs[parse_instance(path).name] = args.target
         _write_rows(cfg.out_dir, "time_to_target.csv",
                     runtime_to_target(cfg))
         return 0
@@ -250,8 +256,7 @@ def _run(argv):
         base = random_classic_instance(args.vertices, args.edges,
                                        args.capacity, args.seed) if gen \
             else parse_classic_dat(args.input)
-        policy = IntervalPolicy("random" if args.policy == "default"
-                                else args.policy)
+        policy = "random" if args.policy == "default" else args.policy
         inst = generate_td_parameters(base, args.itype, args.slope, policy,
                                       args.seed)
         write_instance(inst, args.out)
@@ -262,8 +267,7 @@ def _run(argv):
 
     if args.command == "oracle":
         inst, sp = load_instance(args.instance)
-        budget = OracleBudget(max_tasks=args.max_tasks)
-        tc, sol = exact_solve(inst, sp, budget)
+        tc, sol = exact_solve(inst, sp, args.max_tasks)
         print(json.dumps({
             "tc": tc,
             "plan": [[f"{aid}{'-' if f else '+'}" for aid, f in r.task_seq]

@@ -22,7 +22,9 @@ minimum, and the second pass prices that time, adding the terms in
 paper's search (golden section search for slopes of at most 1,
 negatively correlated search for steeper ones, and 0 on flat-then-
 increasing instances); only the departure ablation runs it, to measure
-it against the exact optimum on the same plans.
+it against the exact optimum on the same plans.  Its NCS runs
+``NCS_POP`` search processes for ``NCS_BUDGET`` evaluations per route,
+from a step size of PT / 10.
 """
 
 from __future__ import annotations
@@ -36,23 +38,13 @@ from .evaluation import HorizonError, Route, Solution, get_context
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# NCS: iterations between step-size updates, and the weight of spread
-# against cost when an offspring that does not improve may replace its parent
+# NCS: search processes, evaluations of f per search, iterations between
+# step-size updates, and the weight of spread against cost when an
+# offspring that does not improve may replace its parent
+NCS_POP = 10
+NCS_BUDGET = 2000
 NCS_EPOCH = 10
 NCS_DIVERSITY_TRADEOFF = 1.0
-
-
-@dataclass
-class NcsParams:
-    pop_n: int = 10
-    sigma0: float = 1.0
-    budget: int = 2000
-
-    def __post_init__(self):
-        if self.pop_n < 2:
-            raise ValueError("pop_n must be >= 2")
-        if self.budget < self.pop_n:
-            raise ValueError("budget must be >= pop_n")
 
 
 @dataclass
@@ -103,7 +95,7 @@ def _scan(ctx, codes):
     if codes:
         dc += spc[prev][ctx.depot]
         t += spt[prev][ctx.depot]
-    if t > ctx.horizon + 1e-12:
+    if t > ctx.horizon_limit:
         raise HorizonError("route exceeds the planning horizon at every "
                            "departure time")
     return slope, events, dc, max(0.0, ctx.horizon - t)
@@ -155,16 +147,13 @@ def breakpoint_sweep(ctx, codes):
 
 
 class RouteCost:
-    """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi].
+    """Pure evaluator t -> C(route, t), with its feasible domain [lo, hi],
+    on the instance's compiled context ``ctx``."""
 
-    ``ctx`` is the instance's compiled context when the caller already
-    holds it.
-    """
-
-    def __init__(self, inst, sp, route: Route, ctx=None):
-        self.ctx = ctx if ctx is not None else get_context(inst, sp)
-        self.codes = self.ctx.encode_route(route)
-        _, _, self.dc, self.hi = _scan(self.ctx, self.codes)
+    def __init__(self, ctx, route: Route):
+        self.ctx = ctx
+        self.codes = ctx.encode_route(route)
+        _, _, self.dc, self.hi = _scan(ctx, self.codes)
         self.lo = 0.0
 
     def __call__(self, t: float) -> float:
@@ -172,9 +161,10 @@ class RouteCost:
 
 
 def route_cost_of_t(inst, sp, route: Route) -> RouteCost:
-    """``RouteCost(inst, sp, route)``, under the name that the benchmark's
-    own tests (perfbench/tests) import from ``carptdsc``."""
-    return RouteCost(inst, sp, route)
+    """``RouteCost`` of ``route`` on the context of ``(inst, sp)``, under
+    the name that the benchmark's own tests (perfbench/tests) import from
+    ``carptdsc``."""
+    return RouteCost(get_context(inst, sp), route)
 
 
 def gss(f, lo: float, hi: float, tol: float) -> float:
@@ -208,31 +198,33 @@ def _bhattacharyya(m1, s1, m2, s2):
             + 0.25 * (m1 - m2) ** 2 / (v1 + v2))
 
 
-def ncs(f, lo: float, hi: float, params: NcsParams,
+def ncs(f, lo: float, hi: float, sigma0: float,
         rng: random.Random) -> float:
     """Negatively correlated search over [lo, hi]; returns the best time.
 
-    One search process is seeded at ``lo`` so the result never costs more
-    than f(lo).  Offspring that do not beat their parent may still replace
-    it when they keep the population spread out (large Bhattacharyya
-    distance to the other processes relative to their cost).
+    ``NCS_POP`` search processes start with step size ``sigma0`` and
+    together evaluate f ``NCS_BUDGET`` times.  One of them is seeded at
+    ``lo`` so the result never costs more than f(lo).  Offspring that do
+    not beat their parent may still replace it when they keep the
+    population spread out (large Bhattacharyya distance to the other
+    processes relative to their cost).
     """
     span = max(hi - lo, 1e-12)
-    n = params.pop_n
+    n = NCS_POP
     xs = [lo] + [rng.uniform(lo, hi) for _ in range(n - 1)]
     fs = [f(x) for x in xs]
-    sigmas = [params.sigma0] * n
+    sigmas = [sigma0] * n
     succ = [0] * n
     trials = [0] * n
     best_x = min(zip(fs, xs))[1]
     best_f = min(fs)
     evals = 0
     it = 0
-    while evals < params.budget:
+    while evals < NCS_BUDGET:
         it += 1
         lam_t = NCS_DIVERSITY_TRADEOFF * rng.normalvariate(1.0, 0.1)
         for i in range(n):
-            if evals >= params.budget:
+            if evals >= NCS_BUDGET:
                 break
             x = min(hi, max(lo, xs[i] + rng.gauss(0.0, sigmas[i])))
             fx = f(x)
@@ -289,14 +281,11 @@ def stage2(inst, sp, s_bf: Solution,
 
 
 def paper_stage2(inst, sp, s_bf: Solution,
-                 rng: Optional[random.Random] = None) -> DepartureResult:
+                 rng: random.Random) -> DepartureResult:
     """Departure times of s_bf by the paper's GSS/NCS search: GSS to a
-    tolerance of PT * 1e-6, NCS with its default parameters and a
-    starting step of PT / 10.  Raises HorizonError as ``stage2`` does."""
-    if rng is None:
-        rng = random.Random(0)
+    tolerance of PT * 1e-6, NCS with a starting step of PT / 10, drawing
+    from ``rng``.  Raises HorizonError as ``stage2`` does."""
     pt = inst.planning_horizon
-    ncs_params = NcsParams(sigma0=pt / 10.0)
 
     def search(f):
         if inst.instance_type == "2LP":
@@ -308,14 +297,14 @@ def paper_stage2(inst, sp, s_bf: Solution,
             # guard: the paper treats the landscape as only "similar"
             # unimodal
             return 0.0 if f(0.0) <= f(t) else t
-        return ncs(f, f.lo, f.hi, ncs_params, rng)
+        return ncs(f, f.lo, f.hi, pt / 10.0, rng)
 
     ctx = get_context(inst, sp)
     times = []
     costs = []
     for k, route in enumerate(s_bf.routes):
         try:
-            f = RouteCost(inst, sp, route, ctx)
+            f = RouteCost(ctx, route)
         except HorizonError as exc:
             raise HorizonError(f"route {k}: {exc}") from None
         t = search(f)

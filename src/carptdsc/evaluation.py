@@ -84,6 +84,9 @@ class EvalContext:
         self.depot = inst.depot
         self.capacity = inst.capacity
         self.horizon = inst.planning_horizon
+        # the latest end time a route may have: the horizon, with room for
+        # the rounding of a simulated clock
+        self.horizon_limit = self.horizon + 1e-12
         self.global_slope_abs = inst.global_slope_abs
         self.n_tasks = len(inst.tasks)
 
@@ -218,7 +221,7 @@ class EvalContext:
         sc, dc, load, begins, _, end = self.sim(codes, t0)
         horizon_ok = (
             t0 >= 0.0
-            and end <= self.horizon + 1e-12
+            and end <= self.horizon_limit
             and all(0.0 <= b <= self.horizon for b in begins)
         )
         return RouteEvaluation(

@@ -87,7 +87,9 @@ class ExperimentReport:
             "wdl": list(self.wdl) if self.wdl else None,
         }, indent=2, sort_keys=True)
 
-    def write(self, out_dir, fmt="csv", prefix="report"):
+    def write(self, out_dir, fmt, prefix):
+        """Write the report into ``out_dir`` as ``prefix.json``, or as
+        ``prefix_rows.csv`` and ``prefix_runs.csv`` when ``fmt`` is csv."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
@@ -108,14 +110,14 @@ def _write_csv(path, dicts):
         w.writerows(dicts)
 
 
-def dump_solution(sol, times=None):
-    """One route per line: `t_k : arc+, arc-, ...` (sign is orientation)."""
+def dump_solution(sol, times):
+    """One route per line: `t_k : arc+, arc-, ...` (sign is orientation),
+    with route k departing at ``times[k]``."""
     lines = []
     for k, route in enumerate(sol.routes):
-        t = times[k] if times is not None else route.departure_time
         tasks = ", ".join(f"{aid}{'-' if flipped else '+'}"
                           for aid, flipped in route.task_seq)
-        lines.append(f"{t:g} : {tasks}")
+        lines.append(f"{times[k]:g} : {tasks}")
     return "\n".join(lines) + "\n"
 
 

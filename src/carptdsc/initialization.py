@@ -3,8 +3,8 @@
 The knowledge-guided builder grows each route greedily from the depot,
 scoring every admissible unserved task by travel distance to its tail
 plus the slope-weighted time gap it would incur at the tentative service
-beginning time.  The baseline builder drops the time-gap term and scores
-by travel distance alone.  Ties are broken uniformly at random.
+beginning time.  The baseline builder is the same builder at slope 0: it
+scores by travel distance alone.  Ties are broken uniformly at random.
 
 Plans are built encoded: a tuple of routes, each a tuple of oriented task
 codes (``2 * task index + flipped``, see ``EvalContext``).
@@ -36,7 +36,7 @@ _CLOSE = -1  # trie edge of a step that closes the route
 _MAX_RETRIES = 50  # rebuilds of a plan that repeats an earlier one
 
 
-def _greedy_builder(ctx, slope_abs, use_gap):
+def _greedy_builder(ctx, slope_abs):
     """A function ``build(rng)`` returning one greedy plan, encoded.
 
     Its builds share a trie of picks.  A node is ``[ties, children]``:
@@ -48,6 +48,7 @@ def _greedy_builder(ctx, slope_abs, use_gap):
     otail, ohead = ctx.otail, ctx.ohead
     dem, dur, bt, et = ctx.demand, ctx.dur, ctx.bt, ctx.et
     depot, Q, PT = ctx.depot, ctx.capacity, ctx.horizon
+    limit = ctx.horizon_limit
     n = ctx.n_tasks
     for ti in range(n):
         if dem[ti] > Q:
@@ -71,17 +72,16 @@ def _greedy_builder(ctx, slope_abs, use_gap):
             d = dur[ti]
             for oc, tail, back in orients[ti]:
                 t_begin = cur_end + row_t[tail]
-                if t_begin + d + back > PT + 1e-12:
+                if t_begin + d + back > limit:
                     continue
                 score = row_c[tail]
-                if use_gap:
-                    b = bt[ti]
-                    if t_begin < b:
-                        score += (b - t_begin) * slope_abs
-                    else:
-                        e = et[ti]
-                        score += (t_begin - e if t_begin > e else 0.0) \
-                            * slope_abs
+                b = bt[ti]
+                if t_begin < b:
+                    score += (b - t_begin) * slope_abs
+                else:
+                    e = et[ti]
+                    score += (t_begin - e if t_begin > e else 0.0) \
+                        * slope_abs
                 if best_score is None or score < best_score:
                     best_score = score
                     ties = [oc]
@@ -145,23 +145,21 @@ def _decoded(ctx, plan) -> Solution:
 def kgis_individual(inst, sp, slope_abs, rng: random.Random) -> Solution:
     """One greedy individual mixing travel distance and weighted time gap."""
     ctx = get_context(inst, sp)
-    return _decoded(ctx, _greedy_builder(ctx, slope_abs, True)(rng))
+    return _decoded(ctx, _greedy_builder(ctx, slope_abs)(rng))
 
 
 def baseline_individual(inst, sp, rng: random.Random) -> Solution:
     """Knowledge-free variant: nearest-task-by-travel-distance construction."""
     ctx = get_context(inst, sp)
-    return _decoded(ctx, _greedy_builder(ctx, 0.0, False)(rng))
+    return _decoded(ctx, _greedy_builder(ctx, 0.0)(rng))
 
 
 def kgis_population(ctx, psize: int, mode: str, rng: random.Random):
     """``psize`` encoded plans built by the ``mode`` builder (KGIS or
     BASELINE), pairwise distinct when ``_MAX_RETRIES`` rebuilds allow.
     Returns (plans, duplicate_warnings)."""
-    if mode == BASELINE:
-        build = _greedy_builder(ctx, 0.0, False)
-    else:
-        build = _greedy_builder(ctx, ctx.global_slope_abs, True)
+    build = _greedy_builder(
+        ctx, 0.0 if mode == BASELINE else ctx.global_slope_abs)
     pop = []
     seen = set()
     warnings = 0

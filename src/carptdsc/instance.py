@@ -179,6 +179,14 @@ class Instance:
                     raise bad(a, "inverse pairing not symmetric")
                 if (inv.tail, inv.head) != (a.head, a.tail):
                     raise bad(a, "inverse endpoints mismatch")
+        # no route visits a vertex that no arc touches, and the distance
+        # tables grow with the square of the count
+        used = 1 + max([self.depot] + [v for a in self.arcs
+                                       for v in (a.tail, a.head)])
+        if n > used:
+            raise InstanceError(f"{n} vertices, but the arcs and the depot "
+                                f"name only {used} (0..{used - 1})",
+                                field="n_vertices")
         other = {"2LP": THREE_SEGMENT, "3LP": TWO_SEGMENT}.get(
             self.instance_type)
         if any(self.arcs[t].cost_fn.kind == other for t in self.tasks):
@@ -274,7 +282,8 @@ def all_pairs_shortest_paths(inst: Instance) -> ShortestPathMatrix:
 
 _HEADER_KEYS = ("NAME", "VERTICES", "CAPACITY", "HORIZON", "TYPE", "SLOPE")
 # the header line behind each InstanceError field a parsed file can break
-_FIELD_HEADER = {"capacity": "CAPACITY", "planning_horizon": "HORIZON",
+_FIELD_HEADER = {"n_vertices": "VERTICES",
+                 "capacity": "CAPACITY", "planning_horizon": "HORIZON",
                  "global_slope_abs": "SLOPE", "slope_abs": "SLOPE",
                  "instance_type": "TYPE"}
 
@@ -457,23 +466,11 @@ START_FRAC = (0.0, 0.7)
 WIDTH_FRAC = (0.05, 0.2)
 
 
-@dataclass(frozen=True)
-class IntervalPolicy:
-    """How the optimal service interval of each task is drawn.
-
-    ``random`` draws it at ``WIDTH_FRAC`` and ``START_FRAC``;
-    ``flat-everywhere`` degenerates every function to its flat segment
-    (bt = 0, et = PT), which makes the problem a classic CARP.
-    """
-
-    name: str = "random"
-
-    def __post_init__(self):
-        if self.name not in ("random", "flat-everywhere"):
-            raise InstanceError(f"unknown interval policy {self.name!r}")
-
-
-FLAT_EVERYWHERE = IntervalPolicy(name="flat-everywhere")
+# how the optimal service interval of each task is drawn: "random" draws it
+# at WIDTH_FRAC and START_FRAC; "flat-everywhere" degenerates every
+# function to its flat segment (bt = 0, et = PT), which makes the problem
+# a classic CARP
+FLAT_EVERYWHERE = "flat-everywhere"
 
 
 @_names_file
@@ -536,16 +533,17 @@ def parse_classic_dat(path) -> ClassicInstance:
 
 
 def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
-                           interval_policy: IntervalPolicy = IntervalPolicy(),
+                           interval_policy: str = "random",
                            seed: int = 0) -> Instance:
     """Attach time-dependent service costs to a classic CARP base instance.
 
     Each undirected edge becomes a pair of opposite arcs; required edges
     become tasks servable in either orientation.  min_sc of a task equals
-    its classic serving cost, so a flat-everywhere policy reduces the
-    instance exactly to the classic problem.  The horizon and intervals
-    follow HORIZON_FACTOR, WIDTH_FRAC and START_FRAC.  Deterministic in
-    ``seed``.
+    its classic serving cost, so the ``FLAT_EVERYWHERE`` interval policy
+    reduces the instance exactly to the classic problem; the other policy,
+    ``"random"``, draws the intervals.  An unknown policy raises
+    InstanceError.  The horizon and intervals follow HORIZON_FACTOR,
+    WIDTH_FRAC and START_FRAC.  Deterministic in ``seed``.
     The instance is named ``{type}-k{slope}[-{policy}]-{base name}``, the
     policy named only when it is not the default one.
     """
@@ -553,6 +551,8 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
         raise InstanceError("slope_abs must be nonnegative")
     if itype not in ("2LP", "3LP"):
         raise InstanceError(f"instance type must be 2LP or 3LP, got {itype!r}")
+    if interval_policy not in ("random", FLAT_EVERYWHERE):
+        raise InstanceError(f"unknown interval policy {interval_policy!r}")
     rng = random.Random(seed)
     kind = TWO_SEGMENT if itype == "2LP" else THREE_SEGMENT
 
@@ -589,8 +589,8 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
                         inverse_id=fwd_id))
 
     label = f"{itype.lower()}-k{slope_abs:g}"
-    if interval_policy.name != "random":
-        label += f"-{interval_policy.name}"
+    if interval_policy != "random":
+        label += f"-{interval_policy}"
     inst = Instance(
         name=f"{label}-{base.name}",
         n_vertices=base.n_vertices,
@@ -608,7 +608,7 @@ def generate_td_parameters(base: ClassicInstance, itype: str, slope_abs: float,
 def _draw_interval(rng, kind, pt, policy):
     # endpoints are rounded to integers so that service-cost arithmetic
     # stays exact in floating point on integral-cost base instances
-    if policy.name == "flat-everywhere":
+    if policy == FLAT_EVERYWHERE:
         return 0.0, pt
     width = max(1.0, round(rng.uniform(*WIDTH_FRAC) * pt))
     if kind == TWO_SEGMENT:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
@@ -81,8 +81,6 @@ _BLOCK_LEN = {SINGLE_INSERTION: 1, DOUBLE_INSERTION: 2}
 
 NEW_ROUTE = None  # destination marker for insertion into a fresh route
 
-_EPS = 0.0  # deltas are exact on integral-cost instances; strict < 0 applies
-_H_EPS = 1e-12  # horizon comparisons
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,6 @@ class SearchCounters:
     criterion2_evaluations: int = 0
     full_route_evaluations: int = 0
     sc_evaluations: int = 0
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def check_lam(lam: float) -> None:
@@ -411,7 +406,7 @@ def _full_move_delta(ctx, plan, move: Move,
     for ri in involved_routes(plan.routes, move):
         t0 = plan.t0s[ri] if ri < len(plan.t0s) else 0.0
         sc, dc, load, _, _, end = ctx.sim(new[ri], t0)
-        if load > ctx.capacity or end > ctx.horizon + _H_EPS:
+        if load > ctx.capacity or end > ctx.horizon_limit:
             feasible = False
         old_sc, old_dc = plan.sims[ri][:2] if ri < len(plan.routes) \
             else (0.0, 0.0)
@@ -757,7 +752,7 @@ class _Entries:
 # ---------------------------------------------------------------------------
 
 def _traditional_sweep(ctx, state, kind, lam, counters):
-    best = -_EPS
+    best = 0.0
     best_move = None
     plan = _plan(ctx, state.routes, state.t0_a.tolist())
     for move in _enum(ctx, plan.routes, kind):
@@ -845,7 +840,7 @@ def _kg_pass(ctx, state, lam, counters, memo=None):
     got = ent.settle(counts, [np.concatenate(x) for x in zip(*found)],
                      ent.among(kept), [lay for p in parts for lay in p.layout],
                      counters)
-    return [(-_EPS, None) if got_q is None else
+    return [(0.0, None) if got_q is None else
             (got_q[0], parts[q // 2].move(q, got_q[1]))
             for q, got_q in enumerate(got)]
 
@@ -872,7 +867,7 @@ def _ins_screen(ctx, state, lam, counts, dirty, alone, slot, width):
     sptT, spc_a = ctx.sptT, ctx.spc_a
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
-    Q, PT = ctx.capacity, ctx.horizon
+    Q, limit = ctx.capacity, ctx.horizon_limit
     off = state.slot_off
     nroutes = len(state.routes)
     fresh = int(off[nroutes])  # the fresh-route slot, the last one
@@ -913,7 +908,7 @@ def _ins_screen(ctx, state, lam, counts, dirty, alone, slot, width):
     arrive = p_end + sptT[nv, ph]
     dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
     src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
-        <= PT + _H_EPS
+        <= limit
     shift_a = (i + kb,
                np.where(src_ok & (dirty.any() | dirty[b_ra]), rest, 0), dA)
     # prefix end at the positions after a block of a route whose own
@@ -1062,10 +1057,10 @@ def _ins_screen(ctx, state, lam, counts, dirty, alone, slot, width):
         counts[2] += np.bincount(bq * ne + diag[b_ra], n_a, nk * ne)
         counts[2] += np.bincount(e, KR[R] + n_b, nk * ne)
         d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
-        c_cross = ~(endB > PT + _H_EPS) & (d_cross < -_EPS)
+        c_cross = ~(endB > limit) & (d_cross < 0.0)
         counts[2] += np.bincount(e_in, la, nk * ne)
         d_in = cost - state.cost_a[ra]
-        c_in = ~((load > Q) | (end > PT + _H_EPS)) & (d_in < -_EPS)
+        c_in = ~((load > Q) | (end > limit)) & (d_in < 0.0)
         row = np.concatenate([R[c_cross], IR[c_in]])
         key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
             [S[c_cross], off[ra[c_in]] + PB[c_in]])
@@ -1104,7 +1099,7 @@ def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
     sptT, spc_a, sptX = ctx.sptT, ctx.spc_a, ctx.sptX
     minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
-    Q, PT = ctx.capacity, ctx.horizon
+    Q, limit = ctx.capacity, ctx.horizon_limit
     off = state.slot_off
     nroutes, n = len(state.routes), len(state.code_a)
     nc, ne = nroutes + 1, nroutes * (nroutes + 1)
@@ -1217,7 +1212,7 @@ def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
     arrive = t_b_at_a + dur_a[tbi] + sptT[NXT[i], ohead_a[nb]]
     dA = arrive - NBEG[i]
     endA = np.where(REST[i] > 0, REND[i] + dA, arrive)
-    okA = ~(endA > PT + _H_EPS)
+    okA = ~(endA > limit)
     # route of spot j, evaluated where route i stays within the horizon:
     # task a replaces its task
     ddcB = spc_a[PH[j], otail_a[na]] + spc_a[ohead_a[na], NXT[j]] - LINKS[j]
@@ -1234,12 +1229,12 @@ def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
         ok = np.empty(len(I), dtype=bool)
         counts[2] += np.bincount(e[s], la, ne)
         delta[s] = cost - state.cost_a[r]
-        ok[s] = ~((load > Q) | (end > PT + _H_EPS))
+        ok[s] = ~((load > Q) | (end > limit))
         counts[2] += np.bincount(e[c], n_a + 2 * okA + n_b, ne)
         delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
                     + (sc_a_new - SC[j]))
-        ok[c] = okA & ~(endB > PT + _H_EPS)
-        ok &= delta < -_EPS
+        ok[c] = okA & ~(endB > limit)
+        ok &= delta < 0.0
         return e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]
 
     def move(q, key):

@@ -32,7 +32,7 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .evaluation import CoverageError, get_context
@@ -117,7 +117,7 @@ class Individual:
     violation: float
 
 
-def evaluate_plan(ctx, plan, routes=None) -> Individual:
+def evaluate_plan(ctx, plan, routes) -> Individual:
     """``plan`` priced with every route departing at 0.
 
     Sums as ``evaluate_solution`` does: route costs (service plus
@@ -135,8 +135,6 @@ def evaluate_plan(ctx, plan, routes=None) -> Individual:
                          for ti in set(range(ctx.n_tasks)) - set(served))
         raise CoverageError(f"tasks served more than once: {twice}; "
                             f"tasks not served: {missing}")
-    if routes is None:
-        routes = {}
     tc = 0.0
     violation = 0.0
     for route in plan:
@@ -228,7 +226,7 @@ def _cheapest_spot(ctx, routes, loads, states, ti):
     otail, ohead = ctx.otail, ctx.ohead
     minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
     depot = ctx.depot
-    limit = ctx.horizon + 1e-12
+    limit = ctx.horizon_limit
     ocs = (2 * ti, 2 * ti + 1) if ctx.flip_ok[ti] else (2 * ti,)
     best = None
     for r, route in enumerate(routes):
@@ -368,7 +366,7 @@ def kgma_run(inst, sp, params: MemeticParams, stop: StopRule):
             "mean_tc": sum(tcs) / len(tcs),
             "feasible_count": sum(1 for ind in pop if ind.violation == 0.0),
         }
-        row.update(counters.as_dict())
+        row.update(asdict(counters))
         row["memo_reused"] = memo.reused
         row["memo_computed"] = memo.computed
         trace.append(row)

@@ -1,11 +1,12 @@
 """Merge-Split large-step operator.
 
-Pools the tasks of a few randomly chosen routes, reorders the pool by
-path scanning under the five classic tie-breaking rules (evaluated on
-travel cost only), then re-partitions the resulting giant tour optimally
-with a shortest-path split dynamic program evaluated at departure time 0.
-The best of the five re-plans replaces the chosen routes, guarded so the
-result is never worse than the input.  Plans come and go encoded, as
+Pools the tasks of two randomly chosen routes (``MERGED_ROUTES``),
+reorders the pool by path scanning under the five classic tie-breaking
+rules (evaluated on travel cost only), then re-partitions the resulting
+giant tour optimally with a shortest-path split dynamic program evaluated
+at departure time 0.  The best of the five re-plans replaces the two
+routes, guarded so the result is never worse than the input; a plan of
+one route is left as it is.  Plans come and go encoded, as
 tuples of routes of oriented task codes.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import random
 
+
+MERGED_ROUTES = 2  # routes whose tasks one merge-split re-plans
 
 # tie-breaking rules for path scanning
 _RULES = (1, 2, 3, 4, 5)
@@ -94,7 +97,7 @@ def split_giant_tour(ctx, order):
     otail, ohead = ctx.otail, ctx.ohead
     minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
     depot = ctx.depot
-    limit = ctx.horizon + 1e-12
+    limit = ctx.horizon_limit
     m = len(order)
     INF = float("inf")
     best = [INF] * (m + 1)
@@ -141,13 +144,13 @@ def split_giant_tour(ctx, order):
     return [order[i:j] for i, j in cuts], best[m]
 
 
-def merge_split(ctx, plan, rng: random.Random, p: int = 2):
-    """Re-plan the tasks of ``p`` routes of an encoded stage-1 plan (every
-    route departing at 0), drawn with ``rng``; returns the better plan,
-    encoded."""
-    if p > len(plan) or p < 1:
+def merge_split(ctx, plan, rng: random.Random):
+    """Re-plan the tasks of ``MERGED_ROUTES`` routes of an encoded stage-1
+    plan (every route departing at 0), drawn with ``rng``; returns the
+    better plan, encoded.  A plan of fewer routes is returned as it is."""
+    if len(plan) < MERGED_ROUTES:
         return plan
-    chosen = sorted(rng.sample(range(len(plan)), p))
+    chosen = sorted(rng.sample(range(len(plan)), MERGED_ROUTES))
     pool = [c >> 1 for ri in chosen for c in plan[ri]]
     if not pool:
         return plan

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evaluation import Route, Solution
@@ -23,11 +21,6 @@ from .instance import (
     eval_service_cost,
 )
 from .localsearch import apply_move, enumerate_moves
-
-
-@dataclass
-class OracleBudget:
-    max_tasks: int = 7
 
 
 # route sequences exact_solve enumerates at most (see _sequence_count): at
@@ -110,8 +103,11 @@ def route_optimum(inst: Instance, sp, task_seq):
     offset, so the route cost is piecewise linear in t; the minimum lies
     at t=0, at the latest feasible t, or where some task's begin time
     meets an end point of its flat interval.  Every candidate is
-    simulated.  Returns (inf, 0.0) when the route overruns the horizon
-    even at t=0.
+    simulated.  Simulated costs carry rounding, so the two ends of a
+    plateau of least cost may differ in the last bits: the result is the
+    earliest candidate whose cost lies within a relative 1e-12 of the
+    least, with that candidate's cost.  Returns (inf, 0.0) when the route
+    overruns the horizon even at t=0.
     """
     _, end0, begins0 = simulate_route(inst, sp, task_seq, 0.0)
     hi = inst.planning_horizon - end0
@@ -123,12 +119,11 @@ def route_optimum(inst: Instance, sp, task_seq):
         for knot in (fn.bt - b0, fn.et - b0):
             if 0.0 < knot < hi:
                 cand.add(knot)
-    best_c, best_t = math.inf, 0.0
-    for t in sorted(cand):
-        c = simulate_route(inst, sp, task_seq, t)[0]
-        if c < best_c:
-            best_c, best_t = c, t
-    return best_c, best_t
+    priced = [(t, simulate_route(inst, sp, task_seq, t)[0])
+              for t in sorted(cand)]
+    least = min(c for _, c in priced)
+    return next((c, t) for t, c in priced
+                if c <= least + 1e-12 * abs(least))
 
 
 def _sequence_count(inst: Instance):
@@ -148,19 +143,19 @@ def _sequence_count(inst: Instance):
     return count
 
 
-def exact_solve(inst: Instance, sp=None, budget: OracleBudget = OracleBudget()):
+def exact_solve(inst: Instance, sp=None, max_tasks: int = 7):
     """Global optimum by brute force.
 
     Returns (tc, Solution with optimized departure times).  Enumerates
     every partition of the task set into routes, every route ordering and
     orientation, and optimizes each route's departure time.
-    Refuses with OracleRefusal when the task count exceeds ``budget`` or
-    the number of route sequences exceeds ``MAX_SEQUENCES``.
+    Refuses with OracleRefusal when the task count exceeds ``max_tasks``
+    or the number of route sequences exceeds ``MAX_SEQUENCES``.
     """
     n = len(inst.tasks)
-    if n > budget.max_tasks:
+    if n > max_tasks:
         raise OracleRefusal(
-            f"{n} tasks exceed the enumeration budget of {budget.max_tasks}")
+            f"{n} tasks exceed the enumeration budget of {max_tasks}")
     count = _sequence_count(inst)
     if count > MAX_SEQUENCES:
         raise OracleRefusal(

@@ -40,7 +40,6 @@ from carptdsc import (
     kg_operator,
     kgma_run,
     ncs,
-    NcsParams,
     parse_classic_dat,
     parse_instance,
     pdr,
@@ -54,7 +53,7 @@ from carptdsc import (
 from carptdsc.evaluation import get_context
 from carptdsc.initialization import kgis_population
 from carptdsc.localsearch import c1_gap_sums
-from carptdsc.oracle import OracleBudget, classic_optimum, grid_scan
+from carptdsc.oracle import classic_optimum, grid_scan
 from carptdsc.stats import BETTER, WORSE
 
 from util import (
@@ -166,7 +165,7 @@ class TestMoveCorpus:
 class TestOracleEquivalence:
     def test_pipeline_matches_exact_oracle(self, micro3lp):
         inst, sp = micro3lp
-        exact_tc, _ = exact_solve(inst, sp, OracleBudget())
+        exact_tc, _ = exact_solve(inst, sp)
         hits = 0
         for seed in range(5):
             sol, _ = kgma_run(inst, sp, MemeticParams(seed=seed),
@@ -267,8 +266,7 @@ class TestDepartureSearch:
 
         hits = 0
         for seed in range(20):
-            t = ncs(bimodal, 0.0, 10.0, NcsParams(sigma0=1.0, budget=500),
-                    random.Random(seed))
+            t = ncs(bimodal, 0.0, 10.0, 1.0, random.Random(seed))
             if abs(t - 8.0) <= 0.5:
                 hits += 1
         assert hits >= 18

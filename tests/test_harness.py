@@ -387,6 +387,20 @@ osnum = 8
         assert values["dnf"] == "True"
         assert values["generations"] == "1"
 
+    def test_time_to_target_flag_computes_shortest_paths_once(
+            self, tmp_path, capsys, monkeypatch):
+        import carptdsc.harness as harness
+        calls = []
+        real = harness.all_pairs_shortest_paths
+        monkeypatch.setattr(harness, "all_pairs_shortest_paths",
+                            lambda inst: calls.append(inst.name)
+                            or real(inst))
+        rc = cli_main(["time-to-target", MICRO_A, MICRO_K05C, "--target",
+                       "1e9", "--reps", "1", "--generations", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == ["micro-A", "micro3lp_k05_c"]
+
     def test_time_to_target_flag(self, tmp_path, capsys):
         rc = cli_main(["time-to-target", MICRO_A, "--target", "1e9",
                        "--reps", "1", "--generations", "2",

@@ -431,6 +431,43 @@ END
             f"{os.path.join(tmp, 'cycle.dat')}: line 12: arc 4: travel_time")
         assert lines[1].startswith("arc 4: travel_cost")
 
+    def test_vertex_count_far_above_the_arcs_rejected_within_memory(self):
+        # micro_a names vertices 0..4; with VERTICES 99999 its distance
+        # tables would take 74.5 GiB each.  Run in a child process with a
+        # memory cap, so that a missing check fails the test instead of
+        # exhausting the machine
+        child = textwrap.dedent("""\
+            import resource, sys
+            from carptdsc import (ParseError, all_pairs_shortest_paths,
+                                  parse_instance)
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            text = open(sys.argv[1]).read()
+            assert text.count("VERTICES 5\\n") == 1
+            open(sys.argv[2], "w").write(
+                text.replace("VERTICES 5\\n", "VERTICES 99999\\n"))
+            try:
+                all_pairs_shortest_paths(parse_instance(sys.argv[2]))
+            except ParseError as exc:
+                print(exc)
+            """)
+        path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+        data = SRC.parent / "data" / "micro_a.dat"
+        with tempfile.TemporaryDirectory() as tmp:
+            wide = os.path.join(tmp, "wide.dat")
+            out = subprocess.run(
+                [sys.executable, "-c", child, str(data), wide],
+                capture_output=True, text=True, timeout=10,
+                env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"{wide}: line 2: 99999 vertices")
+
+    def test_one_vertex_no_arc_touches_rejected(self, micro_a):
+        inst, _ = micro_a
+        with pytest.raises(InstanceError) as err:
+            replace(inst, n_vertices=inst.n_vertices + 1).validate()
+        assert err.value.field == "n_vertices"
+
 
 def _reference_rows(n, arcs, weight):
     """Distance rows by Dijkstra from every vertex, settling the nearest

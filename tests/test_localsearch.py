@@ -712,7 +712,7 @@ class TestWarmSweeps:
                     if move is not None:
                         plan = tuple(tuple(r) for r in moved_route_codes(
                             ctx, plan, move) if r)
-                    plan = merge_split(ctx, plan, rng, 2)
+                    plan = merge_split(ctx, plan, rng)
                     self._sweep(ctx, plan, memo, lam)
                 self._sweep(ctx, plan[::-1], memo, lam)
                 flipped += len(plan) >= 2
@@ -792,13 +792,15 @@ class TestKgslss:
 
 
 class TestMergeSplit:
-    def test_p_larger_than_route_count_is_noop(self, micro_a):
+    def test_one_route_plan_is_noop(self, micro_a):
         inst, sp = micro_a
         ctx = get_context(inst, sp)
-        plan = encode_plan(
-            ctx, random_feasible_solution(inst, sp, random.Random(1)))
-        out = merge_split(ctx, plan, random.Random(0), len(plan) + 1)
-        assert out == plan
+        # micro-A's tasks fill one vehicle exactly
+        plan = (tuple(2 * ti for ti in range(ctx.n_tasks)),)
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert merge_split(ctx, plan, rng) == plan
+        assert rng.getstate() == state
 
     def test_never_worse(self, micro_b):
         inst, sp = micro_b
@@ -807,7 +809,7 @@ class TestMergeSplit:
             rng = random.Random(seed)
             sol = random_feasible_solution(inst, sp, rng)
             out = decode_plan(ctx, merge_split(
-                ctx, encode_plan(ctx, sol), rng, min(2, len(sol.routes))))
+                ctx, encode_plan(ctx, sol), rng))
             assert evaluate_solution(inst, sp, out).tc <= \
                 evaluate_solution(inst, sp, sol).tc + 1e-9
             assert is_feasible(inst, sp, out)[0]
@@ -815,11 +817,13 @@ class TestMergeSplit:
     def test_full_replan_beats_bad_plan(self, micro_a):
         inst, sp = micro_a
         rng = random.Random(11)
-        # deliberately fragmented plan: one task per route
+        # deliberately bad plan of two routes, so that merge-split pools
+        # every task: the first task alone, the others in reverse order
         ctx = get_context(inst, sp)
-        sol = Solution(tuple(Route(((t, False),)) for t in inst.tasks))
-        out = decode_plan(ctx, merge_split(
-            ctx, encode_plan(ctx, sol), rng, len(sol.routes)))
+        first, *rest = inst.tasks
+        sol = Solution((Route(((first, False),)),
+                        Route(tuple((t, False) for t in reversed(rest)))))
+        out = decode_plan(ctx, merge_split(ctx, encode_plan(ctx, sol), rng))
         greedy = kgis_individual(inst, sp, inst.global_slope_abs,
                                  random.Random(7))
         assert evaluate_solution(inst, sp, out).tc <= \

@@ -25,7 +25,7 @@ from carptdsc import (
 from carptdsc import memetic
 from carptdsc.evaluation import CoverageError, get_context
 from carptdsc.memetic import _cheapest_spot, _repair
-from carptdsc.oracle import OracleBudget, simulate_route
+from carptdsc.oracle import simulate_route
 
 from util import (
     decode_plan,
@@ -83,7 +83,7 @@ class TestCrossover:
 
 def _ind(inst, sp, sol):
     ctx = get_context(inst, sp)
-    return evaluate_plan(ctx, encode_plan(ctx, sol))
+    return evaluate_plan(ctx, encode_plan(ctx, sol), {})
 
 
 class TestEvaluatePlan:
@@ -100,12 +100,12 @@ class TestEvaluatePlan:
             child = sbx_crossover(ctx, *rng.sample(plans, 2), rng)
             plans.append(child)
         for plan in plans + plans[::-1]:
-            cold = evaluate_plan(ctx, plan)
+            cold = evaluate_plan(ctx, plan, {})
             warm = evaluate_plan(ctx, plan, table)
             assert (repr(warm.tc), repr(warm.violation)) == \
                 (repr(cold.tc), repr(cold.violation))
             assert warm.plan == cold.plan
-        assert any(evaluate_plan(ctx, p).violation > 0 for p in plans)
+        assert any(evaluate_plan(ctx, p, {}).violation > 0 for p in plans)
         assert len(table) < sum(len(p) for p in plans)
 
     def test_coverage_checked_when_every_route_is_known(self, micro_b):
@@ -293,7 +293,7 @@ class TestKgmaRun:
 
     def test_reaches_exact_optimum(self, micro_k05_c):
         inst, sp = micro_k05_c
-        exact_tc, _ = exact_solve(inst, sp, OracleBudget())
+        exact_tc, _ = exact_solve(inst, sp)
         hits = 0
         for seed in range(3):
             s1, _ = kgma_run(inst, sp, MemeticParams(seed=seed),

@@ -25,11 +25,11 @@ from carptdsc import (
     is_feasible,
     parse_instance,
 )
-from carptdsc.evaluation import EvalContext
+from carptdsc.departure import breakpoint_sweep
+from carptdsc.evaluation import EvalContext, get_context
 from carptdsc.instance import random_classic_instance
 from carptdsc.oracle import (
     CLASSIC_MAX_TASKS,
-    OracleBudget,
     OracleRefusal,
     classic_evaluate,
     classic_optimum,
@@ -39,7 +39,13 @@ from carptdsc.oracle import (
     simulate_route,
 )
 
-from util import make_random_instance, random_feasible_solution, sample_moves
+from util import (
+    _load,
+    fractional,
+    make_random_instance,
+    random_feasible_solution,
+    sample_moves,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,7 +94,7 @@ class TestExactSolve:
     def test_refusal_over_budget(self, gdb1_flat):
         inst, sp = gdb1_flat
         with pytest.raises(OracleRefusal):
-            exact_solve(inst, sp, OracleBudget(max_tasks=7))
+            exact_solve(inst, sp, max_tasks=7)
 
     def test_sequence_budget_refuses_within_time_bound(self):
         # 7 tasks, every task set within capacity: 1,063,622 route
@@ -125,7 +131,7 @@ class TestExactSolve:
         with pytest.raises(OracleRefusal, match="1063622"):
             exact_solve(inst)
         small = replace(inst, capacity=10)
-        tc, _ = exact_solve(small, budget=OracleBudget())
+        tc, _ = exact_solve(small)
         assert math.isfinite(tc)
 
     def test_reported_plan_matches_reported_cost(self, micro3lp):
@@ -280,6 +286,21 @@ class TestRouteOptimum:
         inst, sp = micro_a
         seq = tuple((t, False) for t in inst.tasks) * 40
         assert route_optimum(inst, sp, seq) == (math.inf, 0.0)
+
+    def test_leftmost_end_of_a_plateau_whose_ends_differ_in_the_last_bit(
+            self):
+        # this route's least cost is flat from t = 40.33... to 46.33...;
+        # the later end's simulated cost is one bit lower
+        inst = fractional(_load("micro_oneway")[0])
+        sp = all_pairs_shortest_paths(inst)
+        route = random_feasible_solution(inst, sp, random.Random(1)).routes[0]
+        left, right = (simulate_route(inst, sp, route.task_seq, t)[0]
+                       for t in (40.33333333333333, 46.333333333333336))
+        assert right < left == pytest.approx(right, rel=1e-15)
+        cost, t = route_optimum(inst, sp, route.task_seq)
+        assert (cost, t) == (left, 40.33333333333333)
+        ctx = get_context(inst, sp)
+        assert (t, cost) == breakpoint_sweep(ctx, ctx.encode_route(route))
 
 
 class TestGridScan:
