@@ -37,7 +37,6 @@ from .evaluation import (
 from .initialization import (
     BASELINE,
     KGIS,
-    baseline_individual,
     kgis_individual,
     kgis_population,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .harness import (
@@ -36,47 +36,49 @@ from .instance import (
     random_classic_instance,
     write_instance,
 )
-from .localsearch import SWEEPS
-from .memetic import MemeticParams
 from .oracle import OracleRefusal, exact_solve
 
 
-def _add_common(p, generations=50):
-    """The run flags; the solver's are declared by ``MemeticParams``."""
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--generations", type=int, default=generations)
-    p.add_argument("--lambda", dest="lam", type=float,
-                   default=MemeticParams.lam)
-    p.add_argument("--init", choices=(KGIS, BASELINE),
-                   default=MemeticParams.init_mode)
-    p.add_argument("--operators", choices=tuple(SWEEPS),
-                   default=MemeticParams.operator_mode)
-    p.add_argument("--out", default="out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# the run flags: (flag, the ExperimentConfig field it sets, its type)
+_RUN_FLAGS = (
+    ("--seed", "base_seed", int), ("--reps", "repetitions", int),
+    ("--generations", "generations", int), ("--lambda", "lam", float),
+    ("--init", "init_mode", str), ("--operators", "operator_mode", str),
+    ("--out", "out_dir", str), ("--format", "fmt", str))
 
 
-def _cfg_from_args(args, instances):
-    """The run's config: the --config file's, else the flags'; a config
-    file without ``out_dir`` writes to --out."""
+def _add_run_flags(p, unread=()):
+    """The run flags but the ``unread`` ones; a flag not given is absent
+    from the parsed arguments, as ExperimentConfig holds the defaults."""
+    for flag, key, kind in _RUN_FLAGS:
+        if flag not in unread:
+            p.add_argument(flag, dest=key, type=kind,
+                           default=argparse.SUPPRESS)
+
+
+def _cfg_from_args(args):
+    """The --config file's config, else the defaults, with every config
+    field given on the command line replaced and checked again."""
     if getattr(args, "config", None):
         cfg = parse_config(args.config)
-        if instances:
-            cfg.instances = list(instances)
-        cfg.out_dir = cfg.out_dir or args.out
-        return cfg
-    return ExperimentConfig(
-        instances=list(instances), init_mode=args.init,
-        operator_mode=args.operators, lam=args.lam,
-        repetitions=args.reps, generations=args.generations,
-        base_seed=args.seed, out_dir=args.out, fmt=args.format)
+    elif args.command == "time-to-target":
+        cfg = ExperimentConfig(generations=600)  # the cap on each run
+    else:
+        cfg = ExperimentConfig()
+    keys = {f.name for f in fields(ExperimentConfig)}
+    return replace(cfg, **{k: v for k, v in vars(args).items() if k in keys})
 
 
-def _write_rows(out_dir, name, rows):
-    """Write ``rows`` to ``out_dir/name`` as CSV and print each."""
-    out = Path(out_dir)
+def _write_rows(cfg, name, rows):
+    """Write ``rows`` into ``cfg.out_dir`` as ``name.csv`` or, when
+    ``cfg.fmt`` is json, ``name.json``, and print each."""
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / name, rows)
+    if cfg.fmt == "json":
+        (out / f"{name}.json").write_text(
+            json.dumps(rows, indent=2, sort_keys=True))
+    else:
+        _write_csv(out / f"{name}.csv", rows)
     for row in rows:
         print(row)
 
@@ -126,13 +128,16 @@ def _add_td(p, itype):
     p.add_argument("--out", required=True)
 
 
-# the subcommands that run over an instance set, or a --config file's
+# the subcommands that run over an instance set, or a --config file's,
+# with the run flags each does not read
 _SET_COMMANDS = {
-    "bench": "repeated runs over an instance set",
-    "ablate-init": "knowledge-guided vs baseline initialization",
-    "ablate-operators": "operator timing and evaluation-count ratios",
-    "ablate-departure": "exact departure times vs the paper's GSS/NCS",
-    "time-to-target": "wall-clock until a target cost is reached",
+    "bench": ("repeated runs over an instance set", ()),
+    "ablate-init": ("knowledge-guided vs baseline initialization",
+                    ("--init",)),
+    "ablate-operators": ("operator timing and evaluation-count ratios, "
+                         "one run per arm", ("--operators", "--reps")),
+    "ablate-departure": ("exact departure times vs the paper's GSS/NCS", ()),
+    "time-to-target": ("wall-clock until a target cost is reached", ()),
 }
 
 
@@ -146,28 +151,25 @@ def main(argv=None):
         return 2
 
 
-def _run(argv):
+def _parser():
     ap = argparse.ArgumentParser(prog="carptdsc")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the two-stage solver once")
     p.add_argument("instance")
     p.add_argument("--dump-solution", action="store_true")
-    _add_common(p)
+    _add_run_flags(p, unread=("--reps", "--format"))
 
-    for command, help_text in _SET_COMMANDS.items():
+    for command, (help_text, unread) in _SET_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("instances", nargs="*")
+        p.add_argument("instances", nargs="*", default=argparse.SUPPRESS)
         p.add_argument("--config")
         if command == "time-to-target":
             p.add_argument("--target", type=float,
                            help="target cost applied to every instance; "
                                 "compared with the stage-1 cost (every route "
                                 "departing at 0), not the final cost")
-            # here --generations caps each run
-            _add_common(p, generations=600)
-        else:
-            _add_common(p)
+        _add_run_flags(p, unread)
 
     p = sub.add_parser("gen", help="generate a random instance, or with "
                        "--suite the seeded experiment suite")
@@ -189,28 +191,30 @@ def _run(argv):
     p = sub.add_parser("oracle", help="exact brute-force optimum (micro only)")
     p.add_argument("instance")
     p.add_argument("--max-tasks", type=int, default=7)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def _run(argv):
+    args = _parser().parse_args(argv)
+    if args.command == "solve" or args.command in _SET_COMMANDS:
+        cfg = _cfg_from_args(args)
 
     if args.command == "solve":
         inst, sp = load_instance(args.instance)
-        cfg = _cfg_from_args(args, [args.instance])
-        r = solve_once(inst, sp, cfg, args.seed)
+        r = solve_once(inst, sp, cfg, cfg.base_seed)
         print(f"instance {inst.name}: cost {r['cost']:g} "
               f"(stage 1: {r['stage1_cost']:g}) in {r['time']:.2f}s, "
               f"{r['generations']} generations")
         if args.dump_solution:
             sys.stdout.write(dump_solution(r["solution"],
                                            r["departure_times"]))
-        out = Path(args.out)
+        out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{inst.name}_seed{args.seed}_counters.json").write_text(
+        (out / f"{inst.name}_seed{cfg.base_seed}_counters.json").write_text(
             json.dumps(r["counters"], indent=2, sort_keys=True))
-        _write_csv(out / f"{inst.name}_seed{args.seed}_trace.csv", r["trace"])
+        _write_csv(out / f"{inst.name}_seed{cfg.base_seed}_trace.csv",
+                   r["trace"])
         return 0
-
-    if args.command in _SET_COMMANDS:
-        cfg = _cfg_from_args(args, args.instances)
 
     if args.command == "bench":
         report = run_experiment(cfg)
@@ -220,30 +224,26 @@ def _run(argv):
         return 0
 
     if args.command == "ablate-init":
-        cfg.init_mode = KGIS
         rep_a, rep_b = compare_experiments(
-            cfg, replace(cfg, init_mode=BASELINE))
+            replace(cfg, init_mode=KGIS), replace(cfg, init_mode=BASELINE))
         rep_a.write(cfg.out_dir, cfg.fmt, prefix="init_kgis")
         rep_b.write(cfg.out_dir, cfg.fmt, prefix="init_baseline")
         print(f"w-d-l (kgis vs baseline): {rep_a.wdl}")
         return 0
 
     if args.command == "ablate-operators":
-        _write_rows(cfg.out_dir, "operator_ablation.csv",
-                    ablation_timing(cfg))
+        _write_rows(cfg, "operator_ablation", ablation_timing(cfg))
         return 0
 
     if args.command == "ablate-departure":
-        _write_rows(cfg.out_dir, "departure_ablation.csv",
-                    ablation_departure(cfg))
+        _write_rows(cfg, "departure_ablation", ablation_departure(cfg))
         return 0
 
     if args.command == "time-to-target":
         if args.target is not None:
             for path in cfg.instances:
                 cfg.target_costs[parse_instance(path).name] = args.target
-        _write_rows(cfg.out_dir, "time_to_target.csv",
-                    runtime_to_target(cfg))
+        _write_rows(cfg, "time_to_target", runtime_to_target(cfg))
         return 0
 
     if args.command == "gen" and args.suite:

@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Optional
 
 from .departure import paper_stage2, stage2
-from .instance import Instance, all_pairs_shortest_paths, parse_instance
+from .instance import (Instance, InstanceError, ParseError,
+                       all_pairs_shortest_paths, parse_instance)
 from .localsearch import SearchCounters
 from .memetic import MemeticParams, StopRule, kgma_run
 from .stats import pdr, rank_sum_test, wdl
@@ -54,7 +55,7 @@ class ExperimentConfig:
     target_costs: dict = field(default_factory=dict)  # instance name -> cost
     references: dict = field(default_factory=dict)  # instance name -> cost
     base_seed: int = 0
-    out_dir: Optional[str] = None
+    out_dir: str = "out"
     fmt: str = "csv"
 
     def __post_init__(self):
@@ -169,7 +170,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for path in cfg.instances:
         try:
             inst, sp = load_instance(path)
-        except Exception as exc:  # noqa: BLE001  (per-instance error row)
+        except (ParseError, InstanceError, OSError) as exc:
             rows.append({"instance": str(path), "error": str(exc)})
             continue
         costs = []

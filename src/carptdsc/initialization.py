@@ -148,12 +148,6 @@ def kgis_individual(inst, sp, slope_abs, rng: random.Random) -> Solution:
     return _decoded(ctx, _greedy_builder(ctx, slope_abs)(rng))
 
 
-def baseline_individual(inst, sp, rng: random.Random) -> Solution:
-    """Knowledge-free variant: nearest-task-by-travel-distance construction."""
-    ctx = get_context(inst, sp)
-    return _decoded(ctx, _greedy_builder(ctx, 0.0)(rng))
-
-
 def kgis_population(ctx, psize: int, mode: str, rng: random.Random):
     """``psize`` encoded plans built by the ``mode`` builder (KGIS or
     BASELINE), pairwise distinct when ``_MAX_RETRIES`` rebuilds allow.

@@ -36,13 +36,19 @@ class ParseError(ValueError):
 
 
 def _names_file(parse):
-    """``parse(path)``, whose ParseError names the file ``path``."""
+    """``parse(path)``, whose ParseError names the file ``path``; a file
+    that is not UTF-8 text fails with a ParseError naming its line."""
     @functools.wraps(parse)
     def parse_file(path):
         try:
             return parse(path)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line_no, path) from None
+        except UnicodeDecodeError as exc:
+            # the parsers decode the whole file at once: exc.object is it
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"not UTF-8 text: {exc.reason}", line_no,
+                             path) from None
     return parse_file
 
 
@@ -295,32 +301,31 @@ def parse_instance(path) -> Instance:
     arc_rows = []
     in_arcs = False
     ended = False
-    with path.open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    for line_no, raw in enumerate(path.read_text("utf-8").split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ended:
+            raise ParseError("content after END", line_no)
+        toks = line.split()
+        if not in_arcs:
+            key = toks[0].upper()
+            if key == "ARCS":
+                missing = [k for k in _HEADER_KEYS if k not in header]
+                if missing:
+                    raise ParseError(f"missing header fields {missing}", line_no)
+                in_arcs = True
                 continue
-            if ended:
-                raise ParseError("content after END", line_no)
-            toks = line.split()
-            if not in_arcs:
-                key = toks[0].upper()
-                if key == "ARCS":
-                    missing = [k for k in _HEADER_KEYS if k not in header]
-                    if missing:
-                        raise ParseError(f"missing header fields {missing}", line_no)
-                    in_arcs = True
-                    continue
-                if key not in _HEADER_KEYS:
-                    raise ParseError(f"unknown header field {toks[0]!r}", line_no)
-                if len(toks) < 2:
-                    raise ParseError(f"header field {key} has no value", line_no)
-                header[key] = (toks[1], line_no)
-                continue
-            if toks[0].upper() == "END":
-                ended = True
-                continue
-            arc_rows.append((line_no, toks))
+            if key not in _HEADER_KEYS:
+                raise ParseError(f"unknown header field {toks[0]!r}", line_no)
+            if len(toks) < 2:
+                raise ParseError(f"header field {key} has no value", line_no)
+            header[key] = (toks[1], line_no)
+            continue
+        if toks[0].upper() == "END":
+            ended = True
+            continue
+        arc_rows.append((line_no, toks))
     if not ended:
         raise ParseError("missing END marker")
 
@@ -483,7 +488,7 @@ def parse_classic_dat(path) -> ClassicInstance:
     depot = 1
     edges = []
     in_edges = False
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text("utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

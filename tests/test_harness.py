@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -18,6 +19,7 @@ from carptdsc import (
     run_experiment,
     runtime_to_target,
 )
+from carptdsc import cli
 from carptdsc.cli import main as cli_main
 from carptdsc.harness import load_instance, solve_once
 
@@ -191,6 +193,16 @@ class TestRunExperiment:
         assert "error" in rep.rows[0]
         assert rep.runs == []
 
+    def test_defect_while_loading_propagates(self, monkeypatch):
+        import carptdsc.harness as harness
+
+        def defect(path):
+            raise RuntimeError("defect")
+
+        monkeypatch.setattr(harness, "load_instance", defect)
+        with pytest.raises(RuntimeError, match="defect"):
+            run_experiment(tiny_cfg())
+
     def test_write_csv_and_json(self, tmp_path):
         rep = run_experiment(tiny_cfg())
         rep.write(tmp_path, "csv", prefix="x")
@@ -224,7 +236,7 @@ class TestDrivers:
 
 class TestCli:
     def test_solve_writes_artifacts(self, tmp_path, capsys):
-        rc = cli_main(["solve", MICRO_A, "--generations", "2", "--reps", "1",
+        rc = cli_main(["solve", MICRO_A, "--generations", "2",
                        "--out", str(tmp_path), "--dump-solution"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -254,7 +266,8 @@ class TestCli:
                        "--out", str(tmp_path)])
         assert rc == 0
 
-    def test_bench_with_config_file(self, tmp_path, capsys):
+    @pytest.fixture
+    def bench_cfg(self, tmp_path):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(f"""\
 instances = {MICRO_A}
@@ -262,11 +275,84 @@ repetitions = 2
 generations = 2
 psize = 4
 osnum = 8
+out_dir = {tmp_path / "file_out"}
 """)
-        rc = cli_main(["bench", "--config", str(cfg),
+        return str(cfg)
+
+    def test_bench_with_config_file(self, tmp_path, capsys, bench_cfg):
+        rc = cli_main(["bench", "--config", bench_cfg])
+        assert rc == 0
+        runs = (tmp_path / "file_out" / "bench_runs.csv").read_text()
+        assert len(runs.strip().split("\n")) == 1 + 2
+
+    def test_reps_flag_replaces_config_file_value(self, tmp_path, capsys,
+                                                  bench_cfg):
+        rc = cli_main(["bench", "--config", bench_cfg, "--reps", "1"])
+        assert rc == 0
+        runs = (tmp_path / "file_out" / "bench_runs.csv").read_text()
+        assert len(runs.strip().split("\n")) == 1 + 1
+
+    def test_format_flag_replaces_config_file_value(self, tmp_path, capsys,
+                                                    bench_cfg):
+        rc = cli_main(["bench", "--config", bench_cfg, "--format", "json"])
+        assert rc == 0
+        data = json.loads((tmp_path / "file_out" / "bench.json").read_text())
+        assert len(data["runs"]) == 2
+        assert not (tmp_path / "file_out" / "bench_runs.csv").exists()
+
+    def test_out_flag_replaces_config_file_out_dir(self, tmp_path, capsys,
+                                                   bench_cfg):
+        rc = cli_main(["bench", "--config", bench_cfg,
                        "--out", str(tmp_path / "o")])
         assert rc == 0
         assert (tmp_path / "o" / "bench_rows.csv").exists()
+        assert not (tmp_path / "file_out").exists()
+
+    def test_bad_flag_value_over_config_file_names_its_key(
+            self, tmp_path, capsys, bench_cfg):
+        rc = cli_main(["bench", "--config", bench_cfg, "--operators", "x"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "carptdsc: error: unknown operator mode 'x'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", MICRO_A, "--reps", "1"],
+        ["solve", MICRO_A, "--format", "json"],
+        ["ablate-init", MICRO_A, "--init", "baseline"],
+        ["ablate-operators", MICRO_A, "--operators", "traditional"],
+        ["ablate-operators", MICRO_A, "--reps", "3"],
+    ])
+    def test_flag_its_command_does_not_read_is_rejected(self, tmp_path,
+                                                        capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--generations", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_options_of_each_command(self):
+        run = ["--seed", "--generations", "--lambda", "--init", "--operators",
+               "--out"]
+        td = ["--type", "--slope", "--policy", "--seed", "--out"]
+        expected = {
+            "solve": run + ["--dump-solution"],
+            "bench": run + ["--config", "--reps", "--format"],
+            "ablate-init": [o for o in run if o != "--init"]
+            + ["--config", "--reps", "--format"],
+            "ablate-operators": [o for o in run if o != "--operators"]
+            + ["--config", "--format"],
+            "ablate-departure": run + ["--config", "--reps", "--format"],
+            "time-to-target": run + ["--config", "--reps", "--format",
+                                     "--target"],
+            "gen": td + ["--suite", "--seeds", "--vertices", "--edges",
+                         "--capacity"],
+            "convert": td,
+            "oracle": ["--max-tasks"],
+        }
+        sub, = (a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        options = {command: {s for a in p._actions for s in a.option_strings}
+                   - {"-h", "--help"} for command, p in sub.choices.items()}
+        assert options == {c: set(o) for c, o in expected.items()}
 
     def test_gen_then_parse(self, tmp_path):
         out = tmp_path / "g.dat"
@@ -311,18 +397,22 @@ osnum = 8
         ("instance", "line 3: capacity"),
         ("config", "bench.cfg:2: unknown key 'repetitons'"),
         ("missing", "absent.dat"),
+        ("binary", "bad.bin: line 3: not UTF-8 text"),
     ])
     def test_bad_input_is_one_line_error(self, tmp_path, capsys, case,
                                          named):
         bad = tmp_path / "bad.dat"
         bad.write_text(open(MICRO_A).read().replace("CAPACITY 12",
                                                     "CAPACITY nan"))
+        (tmp_path / "bad.bin").write_bytes(open(MICRO_A, "rb").read()
+                                           .replace(b"12", b"12\xff", 1))
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(f"instances = {MICRO_A}\nrepetitons = 2\n")
         argv = {
             "instance": ["solve", str(bad), "--generations", "2"],
             "config": ["bench", "--config", str(cfg)],
             "missing": ["solve", str(tmp_path / "absent.dat")],
+            "binary": ["solve", str(tmp_path / "bad.bin")],
         }[case]
         rc = cli_main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 2
@@ -375,6 +465,16 @@ osnum = 8
             assert float(values["paper_cost"]) >= \
                 float(values["exact_cost"]) * (1 - 1e-12)
             assert float(values["paper_excess"]) >= -1e-12
+
+    def test_ablate_departure_format_flag_writes_json(self, tmp_path,
+                                                      capsys):
+        rc = cli_main(["ablate-departure", MICRO_K05C, "--generations", "1",
+                       "--reps", "1", "--format", "json",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        rows = json.loads((tmp_path / "departure_ablation.json").read_text())
+        assert [row["instance"] for row in rows] == ["micro3lp_k05_c"]
+        assert not (tmp_path / "departure_ablation.csv").exists()
 
     def test_time_to_target_caps_runs_at_generations(self, tmp_path, capsys):
         rc = cli_main(["time-to-target", MICRO_A, "--target", "0",

@@ -15,7 +15,6 @@ from carptdsc import (
     InstanceError,
     KGIS,
     all_pairs_shortest_paths,
-    baseline_individual,
     check_coverage,
     evaluate_solution,
     generate_td_parameters,
@@ -117,13 +116,6 @@ class TestIndividuals:
         assert len(sol.routes) == 1
         assert len(sol.routes[0].task_seq) == 1
 
-    def test_zero_slope_equals_baseline(self, micro_b):
-        inst, sp = micro_b
-        for seed in range(10):
-            a = kgis_individual(inst, sp, 0.0, random.Random(seed))
-            b = baseline_individual(inst, sp, random.Random(seed))
-            assert a == b
-
     def test_determinism(self, micro_a):
         inst, sp = micro_a
         assert kgis_individual(inst, sp, 1.0, random.Random(5)) == \
@@ -134,8 +126,8 @@ class TestIndividuals:
         inst, sp = gdb1_flat
         for seed in range(5):
             rng = random.Random(seed)
-            sol = (kgis_individual(inst, sp, inst.global_slope_abs, rng)
-                   if mode == KGIS else baseline_individual(inst, sp, rng))
+            slope = inst.global_slope_abs if mode == KGIS else 0.0
+            sol = kgis_individual(inst, sp, slope, rng)
             check_coverage(inst, sol)
             ok, diag = is_feasible(inst, sp, sol)
             assert ok, diag
@@ -146,7 +138,7 @@ class TestIndividuals:
         inst, sp = micro_b
         sol = kgis_individual(inst, sp, 1.0, random.Random(seed))
         greedy_steps_are_optimal(inst, sp, sol, 1.0, True)
-        sol = baseline_individual(inst, sp, random.Random(seed))
+        sol = kgis_individual(inst, sp, 0.0, random.Random(seed))
         greedy_steps_are_optimal(inst, sp, sol, 0.0, False)
 
     def test_oversized_demand_rejected(self, one_task, tmp_path):
@@ -219,7 +211,7 @@ class TestKnowledgeDirection:
         for seed in range(100):
             kg = kgis_individual(inst, sp, inst.global_slope_abs,
                                  random.Random(seed))
-            base = baseline_individual(inst, sp, random.Random(seed))
+            base = kgis_individual(inst, sp, 0.0, random.Random(seed))
             if evaluate_solution(inst, sp, kg).tc <= \
                     evaluate_solution(inst, sp, base).tc + 1e-9:
                 wins += 1
