@@ -228,7 +228,11 @@ def _run(argv):
             replace(cfg, init_mode=KGIS), replace(cfg, init_mode=BASELINE))
         rep_a.write(cfg.out_dir, cfg.fmt, prefix="init_kgis")
         rep_b.write(cfg.out_dir, cfg.fmt, prefix="init_baseline")
-        print(f"w-d-l (kgis vs baseline): {rep_a.wdl}")
+        if rep_a.wdl is None:
+            print("w-d-l (kgis vs baseline): nothing compared; a verdict "
+                  "needs at least 2 runs per arm (--reps 2 or more)")
+        else:
+            print(f"w-d-l (kgis vs baseline): {rep_a.wdl}")
         return 0
 
     if args.command == "ablate-operators":

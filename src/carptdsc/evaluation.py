@@ -134,7 +134,8 @@ class EvalContext:
         self.ohead_a = np.array(self.ohead, dtype=np.intp)
         self.flip_a = np.array(self.flip_ok, dtype=bool)
 
-    # the swap sweep's tables, built on first use: stage 2 never reads them
+    # the local search's stacked tables, built on first use: stage 2 never
+    # reads them
 
     @cached_property
     def ftail_a(self):
@@ -144,6 +145,13 @@ class EvalContext:
         n = self.n_tasks
         return np.where(np.column_stack((np.ones(n, bool), self.flip_a)),
                         self.otail_a.reshape(n, 2), len(self.sptT))
+
+    @cached_property
+    def task_f(self):
+        """The rows bt, et, slope, dur, minsc and demand of the per-task
+        tables, for gathering them in one call."""
+        return np.array([self.bt_a, self.et_a, self.slope_a, self.dur_a,
+                         self.minsc_a, self.dem_a])
 
     @cached_property
     def sptX(self):

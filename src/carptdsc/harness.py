@@ -198,7 +198,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
                         alpha: float = 0.05):
-    """Run two variants and attach a per-instance w-d-l verdict to A."""
+    """Run two variants and attach a per-instance w-d-l verdict to A.
+
+    Only instances with at least 2 runs per arm are compared; when there
+    is none, A's ``wdl`` stays None."""
     rep_a = run_experiment(cfg_a)
     rep_b = run_experiment(cfg_b)
     pairs = []
@@ -209,7 +212,8 @@ def compare_experiments(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         if len(a) >= 2 and len(b) >= 2:
             row["verdict"] = rank_sum_test(a, b, alpha)
             pairs.append((a, b))
-    rep_a.wdl = wdl(pairs, alpha)
+    if pairs:
+        rep_a.wdl = wdl(pairs, alpha)
     return rep_a, rep_b
 
 

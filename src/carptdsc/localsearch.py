@@ -26,6 +26,19 @@ order, so they prune the same moves and give bit for bit the same deltas.
 Each kind's move is the one of least delta, ties going to the
 first-enumerated move, as in a one-at-a-time scan.
 
+A pass costs a floor plus the work on its changed routes.  The floor is
+what a plan the memo already holds costs: ``SolState`` (one simulation
+per route, two list conversions and the gathers of its per-slot and
+per-spot tables, which both screens read), the rows of the insertion
+screen, the memo match and ``_Entries.settle`` taking every entry from the
+memo.  Every later stage runs only on input it has: a pass with no
+changed route screens nothing, the intra-route screen and candidates need
+a route whose own entries are computed, ``_shift_sums`` a survivor
+between two routes, ``_sim_batch`` a survivor within one route, and
+``settle`` sorts only computed moves.  The work on changed routes grows
+with the screened cells and survivors, in array operations whose number
+does not depend on the plan's size.
+
 Passes are incremental.  A kind's moves fall into entries: the moves of
 one route's tasks into another route (its slots for an insertion, its
 tasks for a swap), into the route itself, or into a fresh route.  Stage-1
@@ -61,6 +74,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
@@ -124,80 +138,106 @@ def _check_kind(kind: str) -> None:
 
 
 class SolState:
-    """Encoded routes and the numpy tables of the knowledge-guided sweeps.
+    """Encoded routes and the numpy tables of the knowledge-guided pass.
 
-    The per-move reference reads none of them.  There
-    is one insertion slot for every position of every route (before its
-    first task, between tasks, after its last task), then one fresh-route
-    slot; route r's slots start at ``slot_off[r]`` and the fresh-route slot
-    is ``slot_off[-1]``.  Per slot: ``slot_end_a``/``slot_head_a`` the
+    The per-move reference reads none of them.  There is one insertion
+    slot for every position of every route (before its first task,
+    between tasks, after its last task), then one fresh-route slot; route
+    r's slots start at ``slot_off[r]``, the fresh-route slot is
+    ``slot_off[-1]`` and ``nslot_a`` holds each route's slot count, then
+    1 for the fresh route.  Per slot: ``slot_end_a``/``slot_head_a`` the
     end-of-service time and head vertex of the prefix before it,
     ``slot_load_a`` its route's load, ``slot_route_a`` its route (the
     route count for the fresh slot), ``slot_rest_a`` the number of tasks
     from it to the route's end, ``slot_next_a`` the tail vertex of the task
     at it (the depot at a route's end), ``slot_begin_a`` that task's begin
     time and ``slot_rend_a`` the route's end time (0.0 where undefined).
-    Per task, route after route: ``code_a``, ``route_a``, ``begin_a`` and
-    ``gap_a``; the task at slot s is task ``s - slot_route_a[s]``.  Per
-    route: ``t0_a`` its departure and ``cost_a`` its service plus deadhead
-    cost.
+    Per route: ``t0_a`` its departure and ``cost_a`` its service plus
+    deadhead cost.
+
+    Per task (a spot), route after route: ``code_a``, ``route_a``,
+    ``slot_a`` (its slot), ``begin_a`` and ``gap_a``; ``pe_a``/``ph_a``,
+    ``nxt_a``, ``rest_a``, ``nbeg_a`` and ``rend_a`` are the prefix end
+    and head of its slot, and the next vertex, the tasks left, the next
+    task's begin time (0.0 after the last task) and the route's end after
+    it; ``ti_a`` its task index, ``tail_a``/``head_a`` the tail and head of
+    its orientation, ``flip_a`` whether the task may flip, ``bt_a``/
+    ``et_a``, ``dem_a``, ``minsc_a``, ``slope_a`` and ``dur_a`` the task's
+    tables of ``EvalContext`` and ``sc_a`` its service cost.  Every list
+    becomes an array in one of two conversions, floats and integers.
     """
 
-    __slots__ = ("routes", "slot_off", "slot_end_a", "slot_head_a",
-                 "slot_load_a", "slot_route_a", "slot_rest_a", "slot_next_a",
-                 "slot_begin_a", "slot_rend_a", "code_a", "route_a",
-                 "begin_a", "gap_a", "t0_a", "cost_a")
+    __slots__ = ("routes", "slot_off", "nslot_a", "slot_end_a",
+                 "slot_load_a", "slot_begin_a", "slot_rend_a", "slot_head_a",
+                 "slot_route_a", "slot_rest_a", "slot_next_a", "t0_a",
+                 "cost_a", "gap_a", "code_a", "route_a", "slot_a",
+                 "begin_a", "pe_a", "ph_a", "nxt_a", "rest_a", "nbeg_a",
+                 "rend_a", "ti_a", "tail_a", "head_a", "flip_a", "bt_a",
+                 "et_a", "dem_a", "minsc_a", "slope_a", "dur_a", "sc_a",
+                 "spot_f", "shift_f")
 
     def __init__(self, ctx: EvalContext, routes, t0s):
         self.routes = routes
-        dur, otail, ohead, depot = ctx.dur, ctx.otail, ctx.ohead, ctx.depot
-        off, s_end, s_head, s_load = [], [], [], []
-        s_route, s_rest, s_next, s_begin, s_rend = [], [], [], [], []
-        all_begins, all_gaps, costs = [], [], []
-        for r, (codes, t0) in enumerate(zip(routes, t0s)):
-            sc, dc, load, begins, gaps, end = ctx.sim(codes, t0)
-            all_begins += begins
-            all_gaps += gaps
-            costs.append(sc + dc)
-            n = len(codes)
-            off.append(len(s_end))
-            s_end.append(t0)
-            s_end += [b + dur[c >> 1] for c, b in zip(codes, begins)]
-            s_head.append(depot)
-            s_head += [ohead[c] for c in codes]
-            s_load += [load] * (n + 1)
-            s_route += [r] * (n + 1)
-            s_rest += range(n, -1, -1)
-            s_next += [otail[c] for c in codes]
-            s_next.append(depot)
-            s_begin += begins
-            s_begin.append(0.0)
-            s_rend += [end] * (n + 1)
-        off.append(len(s_end))
-        s_end.append(0.0)
-        s_head.append(depot)
-        s_load.append(0.0)
-        s_route.append(len(routes))
-        s_rest.append(0)
-        s_next.append(depot)
-        s_begin.append(0.0)
-        s_rend.append(0.0)
-        self.slot_off = np.array(off, dtype=np.intp)
-        self.slot_end_a = np.array(s_end, dtype=float)
-        self.slot_head_a = np.array(s_head, dtype=np.intp)
-        self.slot_load_a = np.array(s_load, dtype=float)
-        self.slot_route_a = np.array(s_route, dtype=np.intp)
-        self.slot_rest_a = np.array(s_rest, dtype=np.intp)
-        self.slot_next_a = np.array(s_next, dtype=np.intp)
-        self.slot_begin_a = np.array(s_begin, dtype=float)
-        self.slot_rend_a = np.array(s_rend, dtype=float)
-        self.code_a = np.array([c for codes in routes for c in codes],
-                               dtype=np.intp)
-        self.route_a = np.repeat(np.arange(len(routes)), np.diff(off) - 1)
-        self.begin_a = np.array(all_begins, dtype=float)
-        self.gap_a = np.array(all_gaps, dtype=float)
-        self.t0_a = np.array(t0s, dtype=float)
-        self.cost_a = np.array(costs, dtype=float)
+        nr = len(routes)
+        codes, begins, gaps, lens = [], [], [], []
+        # per route, then 0.0 for the fresh route: departure, load, end
+        # time and cost
+        t0_l, load_l, end_l, cost_l = [], [], [], []
+        for route, t0 in zip(routes, t0s):
+            sc, dc, load, b, g, end = ctx.sim(route, t0)
+            codes += route
+            begins += b
+            gaps += g
+            lens.append(len(route))
+            t0_l.append(t0)
+            load_l.append(load)
+            end_l.append(end)
+            cost_l.append(sc + dc)
+        nt = len(codes)
+        f = np.array(begins + gaps + t0_l + [0.0] + load_l + [0.0] + end_l
+                     + [0.0] + cost_l + [0.0], dtype=float)
+        t0x, load, end, cost = f[2 * nt:].reshape(4, nr + 1)
+        self.t0_a, self.cost_a = t0x[:nr], cost[:nr]
+        i = np.array(codes + lens + [0], dtype=np.intp)
+        self.code_a = code = i[:nt]
+        self.nslot_a = nslot = i[nt:] + 1
+        self.slot_off = off = nslot.cumsum() - nslot
+        ns = nt + nr + 1
+        self.slot_route_a = sroute = np.arange(nr + 1).repeat(nslot)
+        self.route_a = route = np.arange(nr).repeat(nslot[:-1] - 1)
+        self.slot_a = slot = np.arange(nt) + route
+        after = slot + 1
+        self.slot_rest_a = (off + nslot - 1)[sroute] - np.arange(ns)
+        self.ti_a = ti = code >> 1
+        self.tail_a = ctx.otail_a[code]
+        self.head_a = ctx.ohead_a[code]
+        self.flip_a = ctx.flip_a[ti]
+        # the per-spot floats, rows of one table so that a batch can gather
+        # several of them in one call
+        self.spot_f = sf = np.empty((12, nt))
+        sf[4:6] = f[:2 * nt].reshape(2, nt)
+        ctx.task_f.take(ti, axis=1, out=sf[6:])
+        (self.pe_a, self.nbeg_a, self.rend_a, self.sc_a, self.begin_a,
+         self.gap_a, self.bt_a, self.et_a, self.slope_a, self.dur_a,
+         self.minsc_a, self.dem_a) = sf
+        self.shift_f = sf[4:9]  # begin, gap, bt, et and slope
+        self.slot_head_a = np.full(ns, ctx.depot)
+        self.slot_head_a[after] = self.head_a
+        self.slot_next_a = np.full(ns, ctx.depot)
+        self.slot_next_a[slot] = self.tail_a
+        self.slot_end_a = t0x[sroute]
+        self.slot_end_a[after] = self.begin_a + self.dur_a
+        self.slot_begin_a = np.zeros(ns)
+        self.slot_begin_a[slot] = self.begin_a
+        self.slot_load_a = load[sroute]
+        self.slot_rend_a = end[sroute]
+        self.slot_end_a.take(slot, out=self.pe_a)
+        self.slot_begin_a.take(after, out=self.nbeg_a)
+        end.take(route, out=self.rend_a)
+        np.add(self.minsc_a, self.gap_a * self.slope_a, out=self.sc_a)
+        self.ph_a = self.slot_head_a[slot]
+        self.nxt_a = self.slot_next_a[after]
+        self.rest_a = self.slot_rest_a[after]
 
     @classmethod
     def from_solution(cls, ctx: EvalContext, sol: Solution) -> "SolState":
@@ -511,70 +551,118 @@ def _row_sums(first, w):
     return out.T
 
 
-def _shift_sums(ctx, state, start, rest, dt):
-    """Service-cost changes when the begin times of the ``rest[i]`` tasks
-    from position ``start[i]`` of ``state.code_a`` (one route's suffix)
-    shift by ``dt[i]``, and the number of tasks each evaluates.  Each
-    change is the sum, left to right from 0.0, of (gap after - gap before)
-    * slope over those tasks, one row of a matrix padded with 0.0.  A
-    shift of 0.0 evaluates no task, and its change is 0.0."""
+def _splits(arrays, sets):
+    """``arrays`` cut into consecutive pieces as long as the arrays of
+    each set of ``sets``: one tuple of pieces per set."""
+    out, a = [], 0
+    for s in sets:
+        b = a + len(s[-1])
+        out.append(tuple(x[a:b] for x in arrays))
+        a = b
+    return out
+
+
+def _shift_sums(state, sets):
+    """Per set (start, rest, dt) of ``sets``: the service-cost changes when
+    the begin times of the ``rest[i]`` tasks from position ``start[i]`` of
+    ``state.code_a`` (one route's suffix) shift by ``dt[i]``, and the
+    number of tasks each evaluates.  Each change is the sum, left to right
+    from 0.0, of (gap after - gap before) * slope over those tasks, one
+    row of a matrix padded with 0.0.  A shift of 0.0 evaluates no task,
+    and its change is 0.0.  All sets are summed in one batch."""
+    start, rest, dt = (np.concatenate(x) for x in zip(*sets))
     rest = np.where(dt != 0.0, rest, 0)
     s = np.zeros(len(dt))
     on = rest.nonzero()[0]  # the rows that evaluate a task
-    n = rest[on]
-    # the terms of the evaluated tasks only, row after row: cell c is
-    # column col[c] of row row[c]
-    row = np.repeat(np.arange(len(on)), n)
-    col = np.arange(len(row)) - (np.cumsum(n) - n)[row]
-    pos = start[on][row] + col
-    ti = state.code_a[pos] >> 1
-    g = _gaps(state.begin_a[pos] + dt[on][row], ctx.bt_a[ti], ctx.et_a[ti])
-    w = np.zeros((n.max(initial=0), len(on)))  # transposed, padded with 0.0
-    w[col, row] = (g - state.gap_a[pos]) * ctx.slope_a[ti]
-    s[on] = _row_sums(0.0, w.T)[:, -1]
-    return s, rest
+    if len(on):
+        n = rest[on]
+        # the terms of the evaluated tasks only, row after row: cell c is
+        # column col[c] of row row[c]
+        row = np.repeat(np.arange(len(on)), n)
+        col = np.arange(len(row)) - (np.cumsum(n) - n)[row]
+        pos = start[on][row] + col
+        begin, gap, bt, et, slope = state.shift_f.take(pos, axis=1)
+        g = _gaps(begin + dt[on][row], bt, et)
+        w = np.zeros((n.max(), len(on)))  # transposed, padded with 0.0
+        w[col, row] = (g - gap) * slope
+        s[on] = _row_sums(0.0, w.T)[:, -1]
+    return _splits((s, rest), sets)
 
 
-def _sim_batch(ctx, cand, lens, t0):
-    """EvalContext.sim of every row of the code matrix ``cand``, whose row
-    i holds a route of lens[i] >= 1 codes (padded with any valid code)
-    departing at t0[i]: the arrays (service + deadhead cost, load, end
-    time).  Padding adds 0.0 to every sum, which changes none."""
-    n = len(cand)
-    live = np.arange(cand.shape[1]) < lens[:, None]
-    ti = cand >> 1
-    tail = ctx.otail_a[cand]
-    prev = np.empty_like(cand)
-    prev[:, 0] = ctx.depot
-    prev[:, 1:] = ctx.ohead_a[cand[:, :-1]]
-    last = ctx.ohead_a[cand[np.arange(n), lens - 1]]
-    # the clock alternates travel to a task and its service
-    steps = np.empty((n, 2 * cand.shape[1]))
-    steps[:, 0::2] = np.where(live, ctx.sptT[tail, prev], 0.0)
-    steps[:, 1::2] = np.where(live, ctx.dur_a[ti], 0.0)
-    clock = _row_sums(t0, steps)
-    g = _gaps(clock[:, 1::2], ctx.bt_a[ti], ctx.et_a[ti])
-    sc = _row_sums(0.0, np.where(live, ctx.minsc_a[ti] + g * ctx.slope_a[ti],
-                                 0.0))[:, -1]
-    dc = _row_sums(0.0, np.where(live, ctx.spc_a[prev, tail], 0.0))[:, -1]
+def _sim_batch(ctx, state, sets):
+    """EvalContext.sim of every column of the code matrices ``cand`` of
+    the sets (cand, lens, route) of ``sets``, whose column i holds a route
+    of lens[i] >= 1 codes (padded with any valid code) departing as route
+    route[i] of ``state``: per set the arrays (service + deadhead cost,
+    load, end time).  The terms of the padding are 0.0, and adding 0.0 to
+    a sum changes no bit.  All sets, whose matrices have as many rows,
+    are simulated in one batch; a route's codes run down a column, so
+    that each step of a running sum reads a row."""
+    n = sum(len(s[1]) for s in sets)
+    if not n:
+        return _splits((np.empty(0),) * 3, sets)
+    code = np.concatenate([s[0] for s in sets], axis=1)
+    lens, route = (np.concatenate(x) for x in zip(*(s[1:] for s in sets)))
+    width = len(code)
+    live = np.arange(width)[:, None] < lens
+    bt, et, slope, dur, minsc, dem = ctx.task_f.take(code >> 1, axis=1)
+    tail = ctx.otail_a[code]
+    prev = np.empty_like(code)
+    prev[0] = ctx.depot
+    prev[1:] = ctx.ohead_a[code[:-1]]
+    last = ctx.ohead_a[code[lens - 1, np.arange(n)]]
+    # the clock alternates travel to a task and its service; past a
+    # route's end it runs on through the padding, unread
+    steps = np.empty((2 * width, n))
+    steps[0::2] = ctx.sptT[tail, prev]
+    steps[1::2] = dur
+    clock = _row_sums(state.t0_a[route], steps.T).T
+    g = _gaps(clock[1::2], bt, et)
+    # the service cost, deadhead and load terms, summed in one batch
+    terms = np.empty((width, 3, n))
+    terms[:, 0] = minsc + g * slope
+    terms[:, 1] = ctx.spc_a[prev, tail]
+    terms[:, 2] = dem
+    sc, dc, load = _row_sums(0.0, np.where(live[:, None], terms, 0.0).reshape(
+        width, 3 * n).T)[:, -1].reshape(3, n)
     dc = dc + ctx.spc_a[last, ctx.depot]
-    load = _row_sums(0.0, np.where(live, ctx.dem_a[ti], 0.0))[:, -1]
-    end = clock[:, -1] + ctx.sptT[ctx.depot, last]
-    return sc + dc, load, end
+    end = clock[2 * lens, np.arange(n)] + ctx.sptT[ctx.depot, last]
+    return _splits((sc + dc, load, end), sets)
 
 
-def _group_sums(mask, starts):
-    """Per row of the boolean matrix ``mask``, the number of its True
-    cells in each run of columns that starts at a column of ``starts``."""
-    return np.add.reduceat(mask.view(np.uint8), starts, axis=1,
-                           dtype=np.intp)
+@lru_cache(maxsize=None)
+def _block_moves(width):
+    """Where the block of k tasks at position pa of a route lands when it
+    moves to position pb of the route without it: position c of the moved
+    route holds the route's task at position ``[c, ((k - 1) * width + pa)
+    * width + pb]``, or the block's first or last task where that is width
+    or width + 1.  A read-only (width, 2 * width ** 2) array."""
+    c = np.arange(width)
+    pa, pb = c[:, None, None], c[:, None]
+    move = np.empty((2, width, width, width), dtype=np.intp)
+    for k in (1, 2):
+        m = np.where(c < pb, c, c - k)  # position without the block
+        move[k - 1] = np.where((c >= pb) & (c < pb + k), width + c - pb,
+                               np.where(m < pa, m, m + k))
+    move = move.reshape(-1, width).T.copy()
+    move.flags.writeable = False
+    return move
+
+
+def _block_sums(cells, rows, cols):
+    """The sum of the cells of the integer matrix ``cells`` in each block
+    of the runs of rows that start at a row of ``rows`` by the runs of
+    columns that start at a column of ``cols``."""
+    return np.add.reduceat(np.add.reduceat(cells, rows, axis=0,
+                                           dtype=np.intp), cols, axis=1)
 
 
 def _in_order(old):
-    """Mask of a largest set of routes known to the memo (``old`` >= 0)
-    whose indices in the memo's plan rise with their position here."""
+    """The routes, in ascending order, of a largest set of routes known to
+    the memo (``old[r]`` >= 0) whose indices in the memo's plan rise with
+    their position here."""
     tails, ends, back = [], [], [-1] * len(old)  # patience sorting
-    for r, o in enumerate(old.tolist()):
+    for r, o in enumerate(old):
         if o < 0:
             continue
         k = bisect_left(tails, o)
@@ -585,12 +673,12 @@ def _in_order(old):
         else:
             tails[k] = o
             ends[k] = r
-    keep = np.zeros(len(old), dtype=bool)
+    keep = []
     r = ends[-1] if ends else -1
     while r >= 0:
-        keep[r] = True
+        keep.append(r)
         r = back[r]
-    return keep
+    return keep[::-1]
 
 
 class SweepMemo:
@@ -601,8 +689,8 @@ class SweepMemo:
     route b (a's own positions for b = a, the fresh route for b = number
     of routes).  Per entry the memo keeps the work counts (moves
     enumerated, pruned by criterion 1, service-cost evaluations) and the
-    least feasible negative delta with its enumeration key relative to the
-    entry's first move: ``last`` every entry of the last plan swept,
+    least feasible negative delta with the position (x, y) of its move
+    inside the entry: ``last`` every entry of the last plan swept,
     matched by route content, and the run table ``own`` the own entries,
     (a, a) and (a, fresh route), of every route swept in the run, keyed by
     its codes, one row per route.  Whoever owns the memo empties ``own``
@@ -614,9 +702,10 @@ class SweepMemo:
     0."""
 
     def __init__(self):
-        # (route -> index, (counts, delta, key, key widths, columns))
+        # (route -> index, (table, columns)), the table as _Entries.settle
+        # leaves it
         self.last = ({}, None)
-        # route -> counts, deltas and keys of its own entries
+        # route -> the table's columns of its own entries
         self.own = {}
         self.reused = 0
         self.computed = 0
@@ -625,68 +714,66 @@ class SweepMemo:
 class _Entries:
     """The entries of one pass on ``routes``: per kind of MOVE_KINDS a
     table of ``ncols`` columns, kind after kind.  ``own_at[a]`` lists
-    route a's own entries of every kind.  ``old`` holds each route's index
-    in the memo's last plan (-1 for a route that plan did not have) and
-    ``pnc`` the column count of that plan's tables."""
+    route a's own entries of every kind.
+
+    The pass takes every entry among the routes ``kept``, a largest set of
+    the memo's last plan's routes that keeps its order; the other routes
+    are ``dirty``.  Of these, the run table knows the own entries of the
+    routes ``found``, with their rows ``got``, and not those of the routes
+    ``alone``.  ``old`` holds each route's index in the memo's last plan
+    (-1 for a route that plan did not have) and ``pnc`` the column count
+    of that plan's tables."""
 
     def __init__(self, memo, routes, ncols, own_at):
         self.memo, self.ncols = memo, ncols
         self.own_at = own_at
-        self.keys = [tuple(r) for r in routes]
-        self.table = memo.own
+        self.keys = keys = [tuple(r) for r in routes]
+        self.table = table = memo.own
         index, self.prev = memo.last
-        self.old = np.array([index.get(r, -1) for r in self.keys],
-                            dtype=np.intp)
-        self.pnc = 0 if self.prev is None else self.prev[4]
+        self.pnc = 0 if self.prev is None else self.prev[1]
+        self.old = [index.get(r, -1) for r in keys]
+        self.kept = _in_order(self.old)
+        self.dirty = np.ones(len(keys), dtype=bool)
+        self.dirty[self.kept] = False
+        self.found, self.got, self.alone = [], [], []
+        for r in self.dirty.nonzero()[0].tolist():
+            row = table.get(keys[r])
+            if row is None:
+                self.alone.append(r)
+            else:
+                self.found.append(r)
+                self.got.append(row)
 
-    def look_up(self, rows):
-        """Look the routes ``rows``, whose own entries are not taken with
-        the memo's plan, up in the run table; returns the mask of the
-        routes whose own entries are known."""
-        got = [self.table.get(self.keys[r]) for r in rows.tolist()]
-        hit = np.array([g is not None for g in got], dtype=bool)
-        self.found, self.alone = rows[hit], rows[~hit]
-        self.got = [g for g in got if g is not None]
-        known = np.ones(len(self.keys), dtype=bool)
-        known[self.alone] = False
-        return known
-
-    def among(self, rows):
+    def among(self):
         """(entries, the memo's entries) of every (a, b) of two routes a, b
-        of ``rows`` and of every (a, fresh route), in every kind's
+        of ``kept`` and of every (a, fresh route), in every kind's
         table."""
-        if not len(rows):
-            return rows, rows
-        old = self.old[rows]
-        cols = np.append(rows, self.ncols - 1)
-        old_cols = np.append(old, self.pnc - 1)
-        r = (rows[:, None] * self.ncols + cols).ravel()
-        g = (old[:, None] * self.pnc + old_cols).ravel()
+        rows = self.kept
+        if not rows:
+            return np.empty(0, np.intp), np.empty(0, np.intp)
+        at = np.array([rows + [self.ncols - 1],
+                       [self.old[r] for r in rows] + [self.pnc - 1]])
+        r = (at[0, :-1, None] * self.ncols + at[0]).ravel()
+        g = (at[1, :-1, None] * self.pnc + at[1]).ravel()
         q = np.arange(len(MOVE_KINDS))[:, None]  # kind
         return ((r + q * len(self.keys) * self.ncols).ravel(),
-                (g + q * (len(self.prev[1]) // len(MOVE_KINDS))).ravel())
+                (g + q * (self.prev[0].shape[1] // len(MOVE_KINDS))).ravel())
 
-    def settle(self, counts, cand, reuse, layout, counters):
-        """The tables of this pass: the entries ``reuse[0]`` from the
-        memo's entries ``reuse[1]``, the own entries of the routes found in
-        the run table from there, the others from ``counts`` (per entry,
+    def settle(self, tab, cand, base, wid, counters):
+        """The table ``tab`` of this pass, a (6, entries) array: per entry
         the moves enumerated, pruned by criterion 1 and the service-cost
-        evaluations, a (3, entries) array) and ``cand`` (entry, delta, key
-        of every computed feasible move with a negative delta).  Stores
-        them in the memo and the run table, and adds each kind's counts to
-        its ``SearchCounters`` in ``counters``.  A move's key is its
-        enumeration order among its kind's, ``(poff[a] + x) * width +
-        soff[b] + y`` for the move (x, y) of entry (a, b), with the kind's
-        (poff, soff, width) of ``layout``; the tables keep x * width + y
-        and the width, or x and y.  Returns per kind (delta, key) of the
+        evaluations, the least feasible negative delta (inf for none) and
+        the position (x, y) of its move.  The entries among the routes
+        ``kept`` come from the memo's entries, the own entries of the
+        routes ``found`` from the run table, and the others keep the
+        counts they hold and take their moves from ``cand`` (entry, delta,
+        key of every computed feasible move with a negative delta).
+        Stores the table in the memo and the run table, and adds each
+        kind's counts to its ``SearchCounters`` in ``counters``.  A move's
+        key is its enumeration order among its kind's, ``base[e] + x *
+        wid[e] + y`` for the move at (x, y) of entry e, ``base`` holding
+        each entry's first key.  Returns per kind (delta, key) of the
         least delta and key, or None."""
-        nr = len(self.keys)
-        base = np.concatenate([(poff[:nr, None] * width
-                                + soff[:self.ncols]).ravel()
-                               for poff, soff, width in layout])  # first key
-        wid = np.repeat([w for _, _, w in layout], nr * self.ncols)
-        best = np.full(len(base), np.inf)
-        rel = np.zeros(len(base), dtype=np.intp)
         e, delta, key = cand
         if len(e):
             at = np.lexsort((key, delta, e))
@@ -695,47 +782,36 @@ class _Entries:
             head[0] = True
             np.not_equal(e[1:], e[:-1], out=head[1:])
             e, at = e[head], at[head]
-            best[e] = delta[at]
-            rel[e] = key[at] - base[e]
-        r, g = reuse
+            tab[3, e] = delta[at]
+            tab[4:, e] = np.divmod(key[at] - base[e], wid[e])
+        r, g = self.among()
         if len(r):
-            pcnt, pbest, prel, pwid = self.prev[:4]
-            counts[:, r] = pcnt[:, g]
-            best[r] = pbest[g]
-            x, y = np.divmod(prel[g], pwid[g])
-            rel[r] = x * wid[r] + y
-        # a run-table row: per own entry the three counts, then per own
-        # entry the delta, x and y
+            tab[:, r] = self.prev[0].take(g, axis=1)
+        # a run-table row: per own entry each row of the table, row after
+        # row
         k = self.own_at.shape[1]
         if self.got:
-            at = self.own_at[self.found]
-            got = np.array(self.got)
-            counts[:, at] = got[:, :3 * k].reshape(len(at), 3, k) \
-                .transpose(1, 0, 2)
-            best[at] = got[:, 3 * k:4 * k]
-            rel[at] = got[:, 4 * k:5 * k] * wid[at] + got[:, 5 * k:]
-        if len(self.alone):
-            at = self.own_at[self.alone]
-            rows = np.concatenate(
-                (counts[:, at].transpose(1, 0, 2).reshape(len(at), 3 * k),
-                 best[at], *np.divmod(rel[at], wid[at])), axis=1)
-            for r, row in zip(self.alone.tolist(), rows):
+            tab[:, self.own_at[self.found]] = np.array(self.got).reshape(
+                len(self.got), 6, k).transpose(1, 0, 2)
+        if self.alone:
+            rows = tab[:, self.own_at[self.alone]].transpose(1, 0, 2) \
+                .reshape(len(self.alone), 6 * k)
+            for r, row in zip(self.alone, rows):
                 self.table[self.keys[r]] = row
-        self.memo.last = (dict(zip(self.keys, range(nr))),
-                          (counts, best, rel, wid, self.ncols))
+        self.memo.last = (dict(zip(self.keys, range(len(self.keys)))),
+                          (tab, self.ncols))
 
-        per_kind = counts.reshape(3, len(MOVE_KINDS), -1).sum(axis=2)
+        per_kind = tab[:3].reshape(3, len(MOVE_KINDS), -1).sum(axis=2)
         for c, (moves, pruned, sc) in zip(counters, per_kind.T.tolist()):
             c.moves_enumerated += int(moves)
             c.pruned_by_criterion1 += int(pruned)
             c.criterion2_evaluations += int(moves - pruned)
             c.sc_evaluations += int(sc)
-        best = best.reshape(len(MOVE_KINDS), -1)
+        best = tab[3].reshape(len(MOVE_KINDS), -1)
         least = best.min(axis=1, initial=np.inf)
-        top = np.iinfo(np.intp).max
-        key = np.where(best == least[:, None], (base + rel).reshape(
-            best.shape), top).min(axis=1, initial=top)
-        return [None if d == np.inf else (d, k)
+        key = np.where(best == least[:, None], (base + tab[4] * wid + tab[5])
+                       .reshape(best.shape), np.inf).min(axis=1, initial=np.inf)
+        return [None if d == np.inf else (d, int(k))
                 for d, k in zip(least.tolist(), key.tolist())]
 
 
@@ -773,16 +849,14 @@ def _traditional_sweeps(ctx, state, lam, counters, memo=None):
 
 class _Screened(NamedTuple):
     """A screen's survivors: two argument sets of _shift_sums, its
-    candidate routes (codes, lengths, route) for _sim_batch, its kinds'
-    key layouts (``_Entries.settle``), ``finish``, which maps the results
-    of both to (entry, delta, key) of each feasible survivor with a
-    negative delta, and ``move``, which maps a kind and a key to a Move."""
+    candidate routes (a code matrix of one route per column, their
+    lengths and routes) for _sim_batch and
+    ``finish``, which maps the results of both to (entry, delta, key) of
+    each feasible survivor with a negative delta."""
 
     shifts: list
     sim: tuple
-    layout: list
     finish: object
-    move: object
 
 
 def _kg_pass(ctx, state, lam, counters, memo=None):
@@ -795,459 +869,510 @@ def _kg_pass(ctx, state, lam, counters, memo=None):
     keeps its order, with their fresh-route entries, and the other (dirty)
     routes' own entries from the run table where it has them.  The screens
     prune the other entries' moves, and one phase gives every survivor its
-    exact delta."""
+    exact delta; a pass with no dirty route computes nothing."""
     if memo is None:
         memo = SweepMemo()
     nroutes = len(state.routes)
     nc, ne = nroutes + 1, nroutes * (nroutes + 1)
-    diag = np.arange(nroutes) * (nc + 1)  # entry (a, a)
-    fresh = diag + nroutes - np.arange(nroutes)  # entry (a, fresh route)
-    # the own entries of both insertion kinds, then the swap's (a, a)
-    ent = _Entries(memo, state.routes, nc, np.column_stack(
-        (diag, fresh, diag + ne, fresh + ne, diag + 2 * ne)))
-    dirty = ~_in_order(ent.old)
-    alone = ~ent.look_up(dirty.nonzero()[0])  # own entries computed
-    kept = (~dirty).nonzero()[0]
+    # per route, the own entries (a, a) and (a, fresh route) of both
+    # insertion kinds, then the swap's (a, a)
+    ent = _Entries(memo, state.routes, nc, np.arange(nroutes)[:, None]
+                   * [nc + 1, nc, nc + 1, nc, nc + 1]
+                   + [0, nroutes, ne, ne + nroutes, 2 * ne])
+    kept = len(ent.kept)
     # route pairs taken, ordered for the insertion kinds, and own entries
-    pairs, own = len(kept) * (len(kept) - 1), nroutes - int(alone.sum())
+    pairs, own = kept * (kept - 1), nroutes - len(ent.alone)
     reused = 2 * (pairs + own) + pairs // 2 + own
     memo.reused += reused
     memo.computed += 2 * nroutes ** 2 + nroutes * nc // 2 - reused
-    counts = np.zeros((3, len(MOVE_KINDS) * ne))
-    slot = np.arange(len(state.code_a)) + state.route_a  # per task
-    # the longest route that an intra-route survivor can come from
-    width = int(np.diff(state.slot_off)[alone].max(initial=2)) - 1
-    parts = (_ins_screen(ctx, state, lam, counts[:, :2 * ne], dirty, alone,
-                         slot, width),
-             _sw_screen(ctx, state, lam, counts[:, 2 * ne:], dirty, alone,
-                        slot, width))
-
-    # the exact deltas of every survivor, each part's rows in turn
-    shifts = [s for p in parts for s in p.shifts]
-    dsc, n_sc = _shift_sums(ctx, state,
-                            *(np.concatenate(x) for x in zip(*shifts)))
-    cut = np.cumsum([0] + [len(s[2]) for s in shifts])
-    cand, lens, route = (np.concatenate(x)
-                         for x in zip(*(p.sim for p in parts)))
-    sims = _sim_batch(ctx, cand, lens, state.t0_a[route])
-    rows, found = np.cumsum([0] + [len(p.sim[1]) for p in parts]), []
-    for k, (q0, p) in enumerate(zip((0, 2), parts)):  # each part's 1st kind
-        a, b, c = cut[2 * k:2 * k + 3]
-        e, delta, key = p.finish(
-            [(dsc[a:b], n_sc[a:b]), (dsc[b:c], n_sc[b:c])],
-            [x[rows[k]:rows[k + 1]] for x in sims])
-        found.append((e + q0 * ne, delta, key))
-    got = ent.settle(counts, [np.concatenate(x) for x in zip(*found)],
-                     ent.among(kept), [lay for p in parts for lay in p.layout],
-                     counters)
+    tab = np.zeros((6, len(MOVE_KINDS) * ne))  # as _Entries.settle fills it
+    tab[3] = np.inf
+    counts = tab[:3]
+    rows = _ins_rows(state)
+    cand = (np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))
+    if len(ent.kept) < nroutes:
+        alone = np.zeros(nroutes, dtype=bool)
+        alone[ent.alone] = True
+        # the longest route that an intra-route survivor can come from
+        width = int(state.nslot_a[ent.alone].max(initial=2)) - 1
+        parts = (_ins_screen(ctx, state, lam, counts[:, :2 * ne], ent.dirty,
+                             alone, width, rows),
+                 _sw_screen(ctx, state, lam, counts[:, 2 * ne:], ent.dirty,
+                            alone, width))
+        # the exact deltas of every survivor, each part's in turn
+        shifts = _shift_sums(state, parts[0].shifts + parts[1].shifts)
+        sims = _sim_batch(ctx, state, [p.sim for p in parts])
+        found = [p.finish(shifts[2 * k:2 * k + 2], sims[k])
+                 for k, p in enumerate(parts)]
+        found[1] = (found[1][0] + 2 * ne,) + found[1][1:]
+        cand = [np.concatenate(x) for x in zip(*found)]
+    # each entry's first key: insertions by (row, slot), swaps by (spot,
+    # spot, orientations)
+    first = state.slot_off - np.arange(nc)  # each route's first spot
+    widths = np.array([len(state.slot_end_a)] * 2 + [4 * len(state.code_a)])
+    base = (np.concatenate((rows.poff, first[None, :-1]))[:, :, None]
+            * widths[:, None, None]
+            + np.array([state.slot_off, state.slot_off, 4 * first])[:, None]
+            ).ravel()
+    got = ent.settle(tab, cand, base, np.repeat(widths, ne), counters)
     return [(0.0, None) if got_q is None else
-            (got_q[0], parts[q // 2].move(q, got_q[1]))
+            (got_q[0], _ins_move(state, rows, q, got_q[1]) if q < 2
+             else _sw_move(state, got_q[1]))
             for q, got_q in enumerate(got)]
 
 
 SWEEPS = {"kg": _kg_pass, "traditional": _traditional_sweeps}
 
 
-def _ins_screen(ctx, state, lam, counts, dirty, alone, slot, width):
-    """Criterion 1 on the insertions of every block of k consecutive tasks
-    (k = 1 for SI, 2 for DI) that a pass computes: those of the ``dirty``
-    routes, those into them, and those within the routes ``alone``.
+class _InsRows(NamedTuple):
+    """The rows of the insertion screen: one per orientation of every
+    block of k consecutive tasks (k = 1 for SI, 2 for DI), kind after
+    kind, each kind's by route, the first task's flip outer.  Per block:
+    ``i`` its first task's spot, ``pair`` whether it has two tasks.  Per
+    row: ``B`` its block, ``flip1``/``flipl`` the flips of its first and
+    last task, ``RA``/``PA`` its route and position.  ``R0`` holds each
+    kind's first row and the row count, ``poff`` (kind, route) the rows
+    of a kind before the route's first."""
 
-    One row per block orientation, the kinds' rows one kind after the
-    other, each kind's by route.  Entry (a, b) of a kind holds the moves
-    of a's rows into route b: its slots for b != a, the positions of a
-    without the block for b = a, the fresh route for b = the route count.
-    Criterion 1 screens the (row, slot) cells between two routes in two
-    rectangles and every (row, position) within one route at once.  The
-    kinds share every array operation: a term of a block's second task is
-    0.0 for a block of one task, and adding 0.0 to a nonnegative sum
-    changes no bit.  A move's key is (its row among its kind's, slot),
-    with intra-route position pb at slot ``slot_off[ra] + pb`` of the
-    block's own route, whose slots no cross-route move uses."""
+    i: np.ndarray
+    pair: np.ndarray
+    B: np.ndarray
+    flip1: np.ndarray
+    flipl: np.ndarray
+    RA: np.ndarray
+    PA: np.ndarray
+    R0: tuple
+    poff: np.ndarray
+
+
+def _ins_rows(state):
+    nt, nroutes = len(state.code_a), len(state.routes)
+    i = np.concatenate((np.arange(nt), state.rest_a.nonzero()[0]))
+    pair = np.arange(len(i)) >= nt
+    F = np.arange(4)
+    flip1 = np.where(pair[:, None], F >> 1, F)
+    flipl = F & 1
+    opt = (((flip1 == 0) | state.flip_a[i][:, None])
+           & ((flipl == 0) | state.flip_a[i + pair][:, None])
+           & (pair[:, None] | (F < 2)))
+    B, F = opt.nonzero()
+    flip1, flipl = flip1[B, F], flipl[F]
+    RA = state.route_a[i[B]]
+    PA = state.slot_a[i[B]] - state.slot_off[RA]
+    R0 = (0, int(B.searchsorted(nt)), len(B))
+    cnt = np.bincount(pair[B] * nroutes + RA, None, 2 * nroutes).reshape(
+        2, nroutes)
+    return _InsRows(i, pair, B, flip1, flipl, RA, PA, R0,
+                    cnt.cumsum(axis=1) - cnt)
+
+
+def _ins_move(state, rows, q, key):
+    """The insertion of kind MOVE_KINDS[q] with enumeration key ``key``:
+    (its row among its kind's, slot)."""
+    off = state.slot_off
+    r, sl = divmod(key, len(state.slot_end_a))
+    r += rows.R0[q]
+    rb = int(state.slot_route_a[sl])
+    dst = (NEW_ROUTE, 0) if rb == len(state.routes) else \
+        (rb, int(sl - off[rb]))
+    k = q + 1
+    flips = (bool(rows.flip1[r]), bool(rows.flipl[r]))[:k]
+    return Move(MOVE_KINDS[q], _ins_src(int(rows.RA[r]), int(rows.PA[r]), k),
+                dst, flips)
+
+
+def _sw_move(state, key):
+    """The swap with enumeration key ``key``: (spot, later spot,
+    orientation of the first's task, orientation of the second's)."""
+    i, f = divmod(key, 4 * len(state.code_a))
+    j, f = divmod(f, 4)
+    ra, rb = int(state.route_a[i]), int(state.route_a[j])
+    off = state.slot_off
+    return Move(SWAP, (ra, int(state.slot_a[i] - off[ra])),
+                (rb, int(state.slot_a[j] - off[rb])),
+                (bool(f >> 1), bool(f & 1)))
+
+
+def _ins_screen(ctx, state, lam, counts, dirty, alone, width, rows):
+    """Criterion 1 on the insertions of every block (``rows``) that a pass
+    computes: those of the ``dirty`` routes, those into them, and those
+    within the routes ``alone``.
+
+    Entry (a, b) of a kind holds the moves of a's rows into route b: its
+    slots for b != a, the positions of a without the block for b = a, the
+    fresh route for b = the route count.  Criterion 1 screens the (row,
+    slot) cells between two routes in two rectangles and every (row,
+    position) within one route at once.  The kinds share every array
+    operation: a term of a block's second task is 0.0 for a block of one
+    task, and adding 0.0 to a nonnegative sum changes no bit.  A move's
+    key is (its row among its kind's, slot), with intra-route position pb
+    at slot ``slot_off[ra] + pb`` of the block's own route, whose slots no
+    cross-route move uses."""
     sptT, spc_a = ctx.sptT, ctx.spc_a
-    minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
     otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
     Q, limit = ctx.capacity, ctx.horizon_limit
-    off = state.slot_off
+    off, nslots = state.slot_off, state.nslot_a
     nroutes = len(state.routes)
-    fresh = int(off[nroutes])  # the fresh-route slot, the last one
-    nslots = np.append(np.diff(off), 1)  # per route, the fresh route last
+    nall = len(state.slot_end_a)  # slots, the fresh-route slot last
     lens = nslots[:-1] - 1  # route lengths
-    CODE, ROUTE, GAP, SLOT = state.code_a, state.route_a, state.gap_a, slot
     s_end, s_head = state.slot_end_a, state.slot_head_a
     nk, ne = 2, nroutes * (nroutes + 1)
     diag = np.arange(nroutes) * (nroutes + 2)  # entry (a, a)
+    i, pair, B, flip1, flipl, RA, PA, R0, _ = rows
 
-    # blocks: the k tasks from every position with k tasks left in its
-    # route, kind after kind, by their first task's index i in code_a
-    ks = [_block_len(kind) for kind in MOVE_KINDS[:nk]]
-    i = [(state.slot_rest_a[SLOT] >= k).nonzero()[0] for k in ks]
-    kb = np.repeat(ks, [len(x) for x in i])  # block length
-    bq = np.repeat(np.arange(nk), [len(x) for x in i])  # kind
-    i = np.concatenate(i)
-    pair = kb == 2
-    b_ra = ROUTE[i]
-    s0 = SLOT[i]
-    b_pa = s0 - off[b_ra]
+    # per block, the source route without the block, where an entry of
+    # its route is computed
+    kb = pair + 1  # block length
+    b_ra = state.route_a[i]
     i2 = i + pair  # the block's last task
-    c1, cl = CODE[i], CODE[i2]  # first and last task of the block
-    t1i, tli = c1 >> 1, cl >> 1
-    p_end, ph = s_end[s0], s_head[s0]
-    after = s0 + kb  # the slot after the block
-    nv, rest = state.slot_next_a[after], state.slot_rest_a[after]
-    # the source route without the block, where an entry of its route is
-    # computed
-    ddcA = spc_a[ph, nv] - spc_a[ph, otail_a[c1]]
-    sc_old = minsc_a[t1i] + GAP[i] * slope_a[t1i]
-    ddcA = ddcA - np.where(pair, spc_a[ohead_a[c1], otail_a[cl]], 0.0)
-    sc_old = sc_old + np.where(pair, minsc_a[tli], 0.0) \
-        + np.where(pair, GAP[i2] * slope_a[tli], 0.0)
-    g_before = GAP[i] + np.where(pair, GAP[i2], 0.0)
-    b_dem = ctx.dem_a[t1i] + np.where(pair, ctx.dem_a[tli], 0.0)
-    ddcA = ddcA - spc_a[ohead_a[cl], nv]
+    p_end, ph = state.pe_a[i], state.ph_a[i]
+    nv, rest = state.nxt_a[i2], state.rest_a[i2]
+    ddcA = spc_a[ph, nv] - spc_a[ph, state.tail_a[i]]
+    sc_old = state.sc_a[i]
+    ddcA = ddcA - np.where(pair, spc_a[state.head_a[i], state.tail_a[i2]],
+                           0.0)
+    sc_old = sc_old + np.where(pair, state.minsc_a[i2], 0.0) \
+        + np.where(pair, state.gap_a[i2] * state.slope_a[i2], 0.0)
+    g_before = state.gap_a[i] + np.where(pair, state.gap_a[i2], 0.0)
+    b_dem = state.dem_a[i] + np.where(pair, state.dem_a[i2], 0.0)
+    ddcA = ddcA - spc_a[state.head_a[i2], nv]
     arrive = p_end + sptT[nv, ph]
-    dA = np.where(rest > 0, arrive - state.slot_begin_a[after], 0.0)
-    src_ok = np.where(rest > 0, state.slot_rend_a[s0] + dA, arrive) \
-        <= limit
-    shift_a = (i + kb,
-               np.where(src_ok & (dirty.any() | dirty[b_ra]), rest, 0), dA)
-    # prefix end at the positions after a block of a route whose own
-    # entries are computed, in the route without it: RM[bn[b], j] at
-    # position pa + j, each step travel plus service
-    bn = alone[b_ra].nonzero()[0]
-    rn = rest[bn]
-    cols = np.arange(rn.max(initial=0))
-    live = cols < rn[:, None]
-    q = np.where(live, (i[bn] + kb[bn])[:, None] + cols, 0)
-    into = np.where(cols == 0, ph[bn][:, None], s_head[SLOT[q]])
-    step = sptT[otail_a[CODE[q]], into] + ctx.dur_a[CODE[q] >> 1]
-    RM = _row_sums(p_end[bn], np.where(live, step, 0.0))
-    rm_at = np.zeros(len(i), dtype=np.intp)
-    rm_at[bn] = np.arange(len(bn))
+    dA = np.where(rest > 0, arrive - state.nbeg_a[i2], 0.0)
+    src_ok = np.where(rest > 0, state.rend_a[i] + dA, arrive) <= limit
+    src_rest = np.where(src_ok, rest, 0)
+    # the tasks each block's source suffix evaluates, for the entry of its
+    # route
+    n_a = np.where(dA != 0.0, src_rest, 0)
 
-    # rows: every orientation of every block, the first task's flip outer
-    F = np.arange(4)
-    flip1 = np.where(pair[:, None], F >> 1, F)  # of the first task
-    flipl = F & 1  # of the last task
-    opt = (((flip1 == 0) | ctx.flip_a[t1i][:, None])
-           & ((flipl == 0) | ctx.flip_a[tli][:, None])
-           & (pair[:, None] | (F < 2)))
-    B, F = np.nonzero(opt)
-    flip1, flipl = flip1[B, F], flipl[F]
-    ident = (flip1 == (c1[B] & 1)) & (flipl == (cl[B] & 1))
-    RA, PA, KR, RQ, RP = b_ra[B], b_pa[B], kb[B], bq[B], pair[B]
-    R0 = np.searchsorted(RQ, np.arange(nk + 1))  # each kind's first row
-    N1, NL = 2 * t1i[B] + flip1, 2 * tli[B] + flipl
-    T1, TL = N1 >> 1, NL >> 1
+    # per row: the flipped block's tasks and criterion 1's bound
+    RP, KR = pair[B], kb[B]
+    T1, TL = state.ti_a[i[B]], state.ti_a[i2[B]]
+    N1, NL = 2 * T1 + flip1, 2 * TL + flipl
+    ident = (N1 == state.code_a[i[B]]) & (NL == state.code_a[i2[B]])
     NT, NH = otail_a[N1], ohead_a[NL]
     THR = (lam * g_before)[B]
     # time from the first task's begin to the last's; 0.0 for one task
     HOP = np.where(RP, ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]], 0.0)
     pairs_from = R0[1]  # the first pair row
 
+    # per row, the tables bt, et, slope, dur, minsc and demand of its
+    # first task, then of its last, the time from the first's begin to the
+    # last's and the deadhead inside the block (0.0 for one task)
+    row_f = np.vstack((ctx.task_f.take(T1, axis=1),
+                       ctx.task_f.take(TL, axis=1), HOP, np.where(
+                           RP, spc_a[ohead_a[N1], otail_a[NL]], 0.0)))
+    BT1, ET1, BTL, ETL = row_f[[0, 1, 6, 7]]
+
     def c1_gaps(T, rows):
         """Gap sum of the blocks of the sorted ``rows`` when they begin at
         times T, which it overwrites.  Criterion 1 keeps a move where it is
         at most THR: a difference of two floats is positive exactly when
         the first is greater."""
-        G = _gaps(T, bt_a[T1[rows]], et_a[T1[rows]])
-        p = np.searchsorted(rows.ravel(), pairs_from)
+        G = _gaps(T, BT1[rows], ET1[rows])
+        p = rows.ravel().searchsorted(pairs_from)
         rows, T = rows[p:], T[p:]
         T += HOP[rows]
-        G[p:] += _gaps(T, bt_a[TL[rows]], et_a[TL[rows]])
+        G[p:] += _gaps(T, BTL[rows], ETL[rows])
         return G
 
     # criterion 1 on every (row, slot) of the two rectangles of computed
     # moves between two routes: rows of dirty routes by every slot, rows of
-    # the other routes by the slots of dirty routes.  T is the block's begin
-    # time.  The fresh route is no move for a whole route in its own
-    # orientation
+    # the other routes by the slots of dirty routes.  The block begins at
+    # U[v, slot] when its first task leaves from vertex v.  The fresh route
+    # is no move for a whole route in its own orientation
+    U = sptT[:, s_head]
+    U += s_end
     whole = (lens[RA] == KR) & ident
-    moves = np.bincount(RQ * nroutes + RA, None, nk * nroutes)[:, None] \
-        * nslots
-    moves[:, nroutes] -= np.bincount((RQ * nroutes + RA)[whole], None,
-                                     nk * nroutes)
-    moves = moves.reshape(nk, nroutes, nroutes + 1)
-    moves[:, np.arange(nroutes), np.arange(nroutes)] = 0  # counted below
+    qa = RP * nroutes + RA  # kind and route of each row
+    runs = np.concatenate(([True], qa[1:] != qa[:-1]))  # each's first row
+    e0 = RP * ne + RA * (nroutes + 1)  # each row's entry (ra, 0)
+    moves = np.bincount(qa, None, nk * nroutes)[:, None] * nslots
+    moves[:, nroutes] -= np.bincount(qa[whole], None, nk * nroutes)
+    moves.reshape(nk, -1)[:, diag] = 0  # counted below
     counts[0] = moves.ravel()
+    # per row, the block's demand and whether its source route stays within
+    # the horizon; per route, its load
+    r_dem, r_ok, load = b_dem[B], src_ok[B], state.slot_load_a[off]
     passed = np.zeros(nk * ne)  # moves that criterion 1 keeps
     R, S = [np.empty(0, np.intp)], [np.empty(0, np.intp)]  # survivors
-    everyone = np.arange(nroutes + 1)
-    for rows, dst in ((dirty, everyone), (~dirty, dirty.nonzero()[0])):
-        rows = rows[RA].nonzero()[0]
-        if not (len(rows) and len(dst)):
+    dst = dirty.nonzero()[0]
+    at = np.cumsum(nslots[dst]) - nslots[dst]  # each dirty route's 1st slot
+    for rs, dst, at, cols in (
+            (dirty, np.arange(nroutes + 1), off, None),
+            (~dirty, dst, at, np.repeat(off[dst] - at, nslots[dst])
+             + np.arange(at[-1] + nslots[dst[-1]]))):
+        rs = rs[RA].nonzero()[0]
+        if not len(rs):
             continue
-        # the slots of the routes dst, each route's first at ``at``
-        at = np.cumsum(nslots[dst]) - nslots[dst]
-        cols = np.repeat(off[dst] - at, nslots[dst]) + np.arange(
-            at[-1] + nslots[dst[-1]])
-        ra = RA[rows]
-        T = sptT[:, s_head[cols]][NT[rows]]
-        T += s_end[cols]
-        keep = c1_gaps(T, rows[:, None]) <= THR[rows][:, None]
-        if cols[-1] == fresh:
-            keep[:, -1] &= ~whole[rows]
-        # per row and route of dst: whether it is the block's own route,
-        # whose slots are no move here, and whether the source route stays
-        # within the horizon and the destination route takes the block's
-        # demand, as an exact delta needs
-        mine = dst == ra[:, None]
+        ra = RA[rs]
+        if cols is None:  # every slot
+            keep = c1_gaps(U[NT[rs]], rs[:, None]) <= THR[rs][:, None]
+            keep[:, -1] &= ~whole[rs]
+            cols = np.arange(nall)
+        else:
+            keep = c1_gaps(U[:, cols][NT[rs]], rs[:, None]) \
+                <= THR[rs][:, None]
+        # per kind and route of the rows (each a run of rows) and route of
+        # dst, the moves kept, but none into the block's own route, whose
+        # slots are no move here
+        first = runs[rs].nonzero()[0]
+        ga = ra[first]
         passed += np.bincount(
-            ((RQ[rows] * ne + ra * (nroutes + 1))[:, None] + dst).ravel(),
-            np.where(mine, 0, _group_sums(keep, at)).ravel(), nk * ne)
-        fits = (state.slot_load_a[off[dst]] + b_dem[B[rows]][:, None] <= Q) \
-            & src_ok[B[rows]][:, None] & ~mine
-        keep &= np.repeat(fits, nslots[dst], axis=1)
-        r, c = np.nonzero(keep)
-        R.append(rows[r])
+            (e0[rs[first]][:, None] + dst).ravel(),
+            np.where(dst == ga[:, None], 0,
+                     _block_sums(keep.view(np.uint8), first, at))
+            .ravel(), nk * ne)
+        # per row and route of dst: whether it is not the block's own
+        # route, the source route stays within the horizon and the
+        # destination route takes the block's demand, as an exact delta
+        # needs
+        fits = (load[dst] + r_dem[rs][:, None] <= Q) & r_ok[rs][:, None] \
+            & (dst != ra[:, None])
+        keep &= fits.repeat(nslots[dst], axis=1)
+        r, c = keep.nonzero()
+        R.append(rs[r])
         S.append(cols[c])
     R, S = np.concatenate(R), np.concatenate(S)
-    e = RQ[R] * ne + RA[R] * (nroutes + 1) + state.slot_route_a[S]
+    e = e0[R] + state.slot_route_a[S]
+
     # ... and on every row of a route whose own entries are computed and
     # position of its route without the block, the identity skipped
-    rows = alone[RA].nonzero()[0]
-    npos = lens[RA[rows]] - KR[rows] + 1
-    IR = np.repeat(rows, npos)
-    PB = np.arange(len(IR)) - np.repeat(np.cumsum(npos) - npos, npos)
-    moved = ~((PB == PA[IR]) & ident[IR])
-    IR, PB = IR[moved], PB[moved]
-    j = PB - PA[IR]
-    at = off[RA[IR]] + PB
-    T = (np.where(j <= 0, s_end[at], RM[rm_at[B[IR]], np.maximum(j, 0)])
-         + sptT[NT[IR], np.where(j <= 0, s_head[at], s_head[at + KR[IR]])])
-    keep = c1_gaps(T, IR) <= THR[IR]
-    e_in = RQ[IR] * ne + diag[RA[IR]]
-    counts[0] += np.bincount(e_in, None, nk * ne)
-    IR, PB, e_in = IR[keep], PB[keep], e_in[keep]
+    IR = PB = e_in = ra = la = np.empty(0, np.intp)
+    cand = np.empty((width, 0), np.intp)
+    if alone.any():
+        # prefix end at the positions after a block of a route whose own
+        # entries are computed, in the route without it: RM[bn[b], j] at
+        # position pa + j, each step travel plus service
+        bn = alone[b_ra].nonzero()[0]
+        rn = rest[bn]
+        cols = np.arange(rn.max(initial=0))
+        live = cols < rn[:, None]
+        q = np.where(live, (i2[bn] + 1)[:, None] + cols, 0)
+        into = np.where(cols == 0, ph[bn][:, None], state.ph_a[q])
+        step = sptT[state.tail_a[q], into] + state.dur_a[q]
+        RM = _row_sums(p_end[bn], np.where(live, step, 0.0))
+        rm_at = np.zeros(len(i), dtype=np.intp)
+        rm_at[bn] = np.arange(len(bn))
+
+        rs = alone[RA].nonzero()[0]
+        npos = lens[RA[rs]] - KR[rs] + 1
+        IR = rs.repeat(npos)
+        PB = np.arange(len(IR)) - (np.cumsum(npos) - npos).repeat(npos)
+        moved = ~((PB == PA[IR]) & ident[IR])
+        IR, PB = IR[moved], PB[moved]
+        j = PB - PA[IR]
+        at = off[RA[IR]] + PB
+        T = (np.where(j <= 0, s_end[at], RM[rm_at[B[IR]], np.maximum(j, 0)])
+             + sptT[NT[IR], np.where(j <= 0, s_head[at],
+                                     s_head[at + KR[IR]])])
+        keep = c1_gaps(T, IR) <= THR[IR]
+        e_in = RP[IR] * ne + diag[RA[IR]]
+        counts[0] += np.bincount(e_in, None, nk * ne)
+        IR, PB, e_in = IR[keep], PB[keep], e_in[keep]
+
+        # the intra-route survivors: the route with the block at position
+        # PB of the route without it; columns past the route's end hold
+        # any code
+        ra = RA[IR]
+        la = lens[ra]
+        at = _block_moves(width).take(
+            ((KR[IR] - 1) * width + PA[IR]) * width + PB, axis=1)
+        cand = np.concatenate((state.code_a, np.zeros(width + 2, np.intp)))[
+            off[ra] - ra + at]  # from the route's first task
+        cand = np.where(at == width, N1[IR], cand)
+        cand = np.where(at == width + 1, NL[IR], cand)
     counts[1] = counts[0] - passed - np.bincount(e_in, None, nk * ne)
 
-    # the cross-route survivors: the destination route with the block
+    # the cross-route survivors: the source route without the block, summed
+    # only for the blocks that a survivor moves, and the destination route
+    # with the block
     BR = B[R]
+    used = np.zeros(len(i), dtype=bool)
+    used[BR] = True
     pph, nxv = s_head[S], state.slot_next_a[S]
-    nt, nh, t1, tl = NT[R], NH[R], T1[R], TL[R]
+    nt, nh = NT[R], NH[R]
+    bt1, et1, slope1, _, minsc1, _, btl, etl, slopel, durl, minscl, _, \
+        hop, inner = row_f.take(R, axis=1)
     tn1 = s_end[S] + sptT[nt, pph]  # begin of the block
-    tnl = tn1 + HOP[R]  # begin of its last task
-    sc_new = minsc_a[t1] + _gaps(tn1, bt_a[t1], et_a[t1]) * slope_a[t1]
-    sc_new = sc_new + np.where(RP[R], minsc_a[tl] + _gaps(
-        tnl, bt_a[tl], et_a[tl]) * slope_a[tl], 0.0)
-    ddcB = spc_a[pph, nt] + np.where(RP[R], spc_a[ohead_a[N1[R]],
-                                                   otail_a[NL[R]]], 0.0)
+    tnl = tn1 + hop  # begin of its last task
+    sc_new = minsc1 + _gaps(tn1, bt1, et1) * slope1
+    sc_new = sc_new + np.where(RP[R], minscl + _gaps(tnl, btl, etl) * slopel,
+                               0.0)
+    ddcB = spc_a[pph, nt] + inner
     ddcB = ddcB + spc_a[nh, nxv] - spc_a[pph, nxv]
-    arrive = tnl + ctx.dur_a[tl] + sptT[nxv, nh]
+    arrive = tnl + durl + sptT[nxv, nh]
     rest = state.slot_rest_a[S]
     dB = arrive - state.slot_begin_a[S]
     endB = np.where(rest > 0, state.slot_rend_a[S] + dB, arrive)
 
-    # the intra-route survivors: the route with the block at position PB
-    # of the route without it
-    ra, la, pb, k = RA[IR], lens[RA[IR]], PB[:, None], KR[IR][:, None]
-    cols = np.arange(width)
-    m = np.where(cols < pb, cols, cols - k)  # position without the block
-    m = np.where(m < PA[IR][:, None], m, m + k)  # position in the route
-    kept = (cols < la[:, None]) & ((cols < pb) | (cols >= pb + k))
-    first = off[ra] - ra  # index of the route's first task in code_a
-    cand = CODE[np.where(kept, first[:, None] + m, 0)]
-    cand = np.where(cols == pb, N1[IR][:, None], cand)
-    cand = np.where((cols == pb + 1) & RP[IR][:, None], NL[IR][:, None],
-                    cand)
-
     def finish(shifts, sim):
-        (dscA, n_a), (dscB, n_b) = shifts
+        (dscA, _), (dscB, n_b) = shifts
         cost, load, end = sim
-        counts[2] += np.bincount(bq * ne + diag[b_ra], n_a, nk * ne)
-        counts[2] += np.bincount(e, KR[R] + n_b, nk * ne)
+        counts[2] += np.bincount(
+            np.concatenate((pair * ne + diag[b_ra], e, e_in)),
+            np.concatenate((n_a, KR[R] + n_b, la)), nk * ne)
         d_cross = ddcA[BR] + ddcB + dscA[BR] + dscB + (sc_new - sc_old[BR])
         c_cross = ~(endB > limit) & (d_cross < 0.0)
-        counts[2] += np.bincount(e_in, la, nk * ne)
         d_in = cost - state.cost_a[ra]
         c_in = ~((load > Q) | (end > limit)) & (d_in < 0.0)
-        row = np.concatenate([R[c_cross], IR[c_in]])
-        key = (row - R0[RQ[row]]) * (fresh + 1) + np.concatenate(
-            [S[c_cross], off[ra[c_in]] + PB[c_in]])
-        return (np.concatenate([e[c_cross], e_in[c_in]]),
-                np.concatenate([d_cross[c_cross], d_in[c_in]]), key)
+        row = np.concatenate((R[c_cross], IR[c_in]))
+        key = (row - RP[row] * pairs_from) * nall + np.concatenate(
+            (S[c_cross], off[ra[c_in]] + PB[c_in]))
+        return (np.concatenate((e[c_cross], e_in[c_in])),
+                np.concatenate((d_cross[c_cross], d_in[c_in])), key)
 
-    def move(q, key):
-        r, sl = divmod(key, fresh + 1)
-        r += int(R0[q])
-        rb = int(state.slot_route_a[sl])
-        dst = (NEW_ROUTE, 0) if rb == nroutes else (rb, int(sl - off[rb]))
-        flips = (bool(flip1[r]), bool(flipl[r]))[:ks[q]]
-        return Move(MOVE_KINDS[q], _ins_src(int(RA[r]), int(PA[r]), ks[q]),
-                    dst, flips)
-
-    return _Screened(
-        [shift_a, (S - state.slot_route_a[S], rest, dB)],
-        (cand, la, ra),
-        [(np.searchsorted(RA[R0[q]:R0[q + 1]], np.arange(nroutes + 1)),
-          off, fresh + 1) for q in range(nk)],
-        finish, move)
+    return _Screened([(i2 + 1, np.where(used, src_rest, 0), dA),
+                      (S - state.slot_route_a[S], rest, dB)],
+                     (cand, la, ra), finish)
 
 
-def _sw_screen(ctx, state, lam, counts, dirty, alone, slot, width):
+def _sw_screen(ctx, state, lam, counts, dirty, alone, width):
     """Criterion 1 on the swaps of every two tasks that a pass computes:
     those with a task of the ``dirty`` routes, and those within the routes
     ``alone``.
 
     Entry (a, b), a <= b, holds the swaps of a task of route a with a later
-    task of route b.  Criterion 1 screens the (spot i, later spot j,
-    orientation of i's task, orientation of j's task) cells in two
-    rectangles, each pair of tasks once.  A move's key is the C order of
-    those four.  A delta between two routes adds the terms of the earlier
-    route first, so the entry of two routes whose order flipped since the
-    memo's plan is computed anew."""
+    task of route b.  Criterion 1 screens the (spot i, spot j of a dirty
+    route, orientation of i's task, orientation of j's task) cells of one
+    rectangle, each pair of tasks once.  A move's key is the C order of
+    those four for i < j.  A delta between two routes adds the terms of
+    the earlier route first, so the entry of two routes whose order
+    flipped since the memo's plan is computed anew."""
     sptT, spc_a, sptX = ctx.sptT, ctx.spc_a, ctx.sptX
-    minsc_a, slope_a, bt_a, et_a = ctx.minsc_a, ctx.slope_a, ctx.bt_a, ctx.et_a
-    otail_a, ohead_a, dur_a = ctx.otail_a, ctx.ohead_a, ctx.dur_a
+    otail_a, ohead_a = ctx.otail_a, ctx.ohead_a
     Q, limit = ctx.capacity, ctx.horizon_limit
-    off = state.slot_off
     nroutes, n = len(state.routes), len(state.code_a)
     nc, ne = nroutes + 1, nroutes * (nroutes + 1)
-    lens = off[1:] - off[:-1] - 1  # route lengths
+    lens = state.nslot_a[:-1] - 1  # route lengths
     ROUTES = np.arange(nroutes)
-    first = off[:-1] - ROUTES  # each route's first spot
-    # per spot (a task position, in code_a order): route, slot, prefix end
-    # and head, the tail of each orientation of its task, interval,
-    # demand, gap, route load
-    ROUTE, SLOT, CODE, GAP = state.route_a, slot, state.code_a, state.gap_a
-    PE, PH = state.slot_end_a[SLOT], state.slot_head_a[SLOT]
-    TI = CODE >> 1
+    first = state.slot_off[:-1] - ROUTES  # each route's first spot
+    # per spot (a task position, in code_a order): route, prefix end and
+    # head, the tail of each orientation of its task, interval, demand,
+    # gap, route load
+    ROUTE, CODE, GAP, TI = state.route_a, state.code_a, state.gap_a, state.ti_a
+    PE, PH = state.pe_a, state.ph_a
     OT = ctx.ftail_a[TI]
-    BT, ET, DEM = bt_a[TI], et_a[TI], ctx.dem_a[TI]
-    rest = state.slot_load_a[SLOT] - DEM  # route load without the spot's task
+    BT, ET, DEM = state.bt_a, state.et_a, state.dem_a
+    # route load without the spot's task
+    rest = state.slot_load_a[state.slot_a] - DEM
     # moves per entry: each pair of orientations of two tasks
-    w = 1 + ctx.flip_a[TI]  # orientations of each task
+    w = 1 + state.flip_a  # orientations of each task
     W = np.bincount(ROUTE, w, nroutes)
     moves = counts[0].reshape(nroutes, nc)
     moves[:, :nroutes] = W[:, None] * W * (ROUTES[:, None] < ROUTES)
     moves[ROUTES, ROUTES] = (W * W - np.bincount(ROUTE, w * w, nroutes)) / 2
-    # criterion 1 on the two rectangles of computed moves, each cell (i, j,
-    # orientation of i's task, orientation of j's task): spots of the
-    # other routes by spots of dirty routes, and spots of dirty routes by
-    # the later spots of dirty routes, those within a route whose own entry
-    # is known left out.  Task a of spot i begins at TA[i, j, fa] at spot
-    # j, task b of spot j at TB[i, j, fb] at spot i.  The criterion is
-    # symmetric in the two tasks, as IEEE addition commutes, so a cell of
-    # the first rectangle with j < i is the swap (j, i) with its
-    # orientations exchanged
-    I, J, fab = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
-        [np.empty(0, np.intp)]
-    passed = np.zeros(ne)  # moves that criterion 1 keeps
+    # criterion 1 on the rectangle of computed moves, each cell
+    # (orientation of i's task, orientation of j's task, spot i, spot j),
+    # the spots the longest axis: every spot by the spots j of dirty
+    # routes, those with i >= j within the dirty routes and those within a
+    # route whose own entry is known left out.  Task a of spot i begins at
+    # TA[fa, i, j] at spot j, task b of spot j at TB[fb, i, j] at spot i,
+    # which is TA[fb, j, i] where i is a spot j too.  The criterion is
+    # symmetric in the two tasks, as IEEE addition commutes, so a cell with
+    # j < i is the swap (j, i) with its orientations exchanged
     cols = (dirty & (lens > 0)).nonzero()[0]
-    for inner, rows in ((False, ~dirty), (True, dirty)):
-        i = rows[ROUTE].nonzero()[0]
-        if not (len(i) and len(cols)):
-            continue
+    passed = np.zeros(ne)  # moves that criterion 1 keeps
+    I = J = fab = np.empty(0, np.intp)
+    if len(cols):
         # the spots of the routes cols, each route's first at ``at``
         at = np.cumsum(lens[cols]) - lens[cols]
         j = np.repeat(first[cols] - at, lens[cols]) + np.arange(
             at[-1] + lens[cols[-1]])
-        TA = np.add(PE[j][None, :, None],
-                    sptX[:, PH[j]][OT[i]].transpose(0, 2, 1), order="C")
-        gA = _gaps(TA, BT[i][:, None, None], ET[i][:, None, None])
-        if inner:  # i and j are the same spots: TB is TA transposed
-            gB = gA.transpose(1, 0, 2)
-        else:
-            TB = np.add(PE[i][:, None, None],
-                        sptX[:, PH[i]][OT[j]].transpose(2, 0, 1), order="C")
-            gB = _gaps(TB, BT[j][None, :, None], ET[j][None, :, None])
-        G = gA[..., None] + gB[:, :, None, :]
+        # the rows: the spots of the other routes, then the spots j
+        i = np.concatenate(((~dirty)[ROUTE].nonzero()[0], j))
+        m = n - len(j)  # the first row of a spot j
+        TA = sptX[:, PH[j]][OT.T[:, i]]
+        TA += PE[j]
+        gA = _gaps(TA, BT[i][:, None], ET[i][:, None])
+        TB = sptX[:, PH[i[:m]]][OT.T[:, j]].transpose(0, 2, 1) \
+            + PE[i[:m]][:, None]
+        # the rows of the spots j: gA transposed
+        gB = np.concatenate((_gaps(TB, BT[j], ET[j]),
+                             gA[:, m:].transpose(0, 2, 1)), axis=1)
+        G = gA[:, None] + gB  # by orientation of i's task, of j's, i, j
         g_before = GAP[i][:, None] + GAP[j]
         # a difference of two floats is positive exactly when the first
         # is greater
-        keep = G <= (lam * g_before)[:, :, None, None]
+        keep = G <= lam * g_before
         ra, rb = ROUTE[i][:, None], ROUTE[j]
-        if inner:
-            keep &= ((j > i[:, None]) & ((rb != ra) | alone[ra]))[
-                :, :, None, None]
+        keep[:, :, m:] &= (j > j[:, None]) & ((rb != ra[m:]) | alone[ra[m:]])
+        # per route of the rows (each a run of rows) and route of cols
+        runs = np.concatenate(([True], ra[1:, 0] != ra[:-1, 0])).nonzero()[0]
+        ga = ra[runs]
         passed += np.bincount(
-            (np.minimum(ra, cols) * nc + np.maximum(ra, cols)).ravel(),
-            _group_sums(keep.reshape(len(i), -1), 4 * at).ravel(), ne)
+            (np.minimum(ga, cols) * nc + np.maximum(ga, cols)).ravel(),
+            _block_sums(keep.sum(axis=(0, 1)), runs, at).ravel(), ne)
         # an exact delta for survivors within one route, or on two routes
         # that both stay within capacity
-        keep &= (((rest[i][:, None] + DEM[j] <= Q)
-                  & (rest[j] + DEM[i][:, None] <= Q))
-                 | (ra == rb))[:, :, None, None]
-        x, f = np.divmod(keep.ravel().nonzero()[0], 4)
-        r, c = np.divmod(x, len(j))
+        keep &= ((rest[i][:, None] + DEM[j] <= Q)
+                 & (rest[j] + DEM[i][:, None] <= Q)) | (ra == rb)
+        fa, fb, r, c = keep.nonzero()
         r, c = i[r], j[c]
         later = r > c
-        I.append(np.where(later, c, r))
-        J.append(np.where(later, r, c))
-        fab.append(np.where(later, (f & 1) * 2 + (f >> 1), f))
-    I, J, fab = np.concatenate(I), np.concatenate(J), np.concatenate(fab)
+        I = np.where(later, c, r)
+        J = np.where(later, r, c)
+        fab = np.where(later, fb * 2 + fa, fa * 2 + fb)
     e = ROUTE[I] * nc + ROUTE[J]
     counts[1] = counts[0] - passed
-    FA, FB = np.divmod(fab, 2)
-    NA = 2 * TI[I] + FA  # task of spot i, placed at spot j
-    NB = 2 * TI[J] + FB  # task of spot j, placed at spot i
+    NA = 2 * TI[I] + (fab >> 1)  # task of spot i, placed at spot j
+    NB = 2 * TI[J] + (fab & 1)  # task of spot j, placed at spot i
     same = ROUTE[I] == ROUTE[J]
 
     # within one route: the route with the two tasks exchanged
-    s = np.flatnonzero(same)
+    s = same.nonzero()[0]
     r = ROUTE[I[s]]
     la = lens[r]
-    cols = np.arange(width)
-    pos = first[r][:, None] + cols
-    cand = CODE[np.where(cols < la[:, None], pos, 0)]
-    cand = np.where(pos == I[s][:, None], NB[s][:, None], cand)
-    cand = np.where(pos == J[s][:, None], NA[s][:, None], cand)
+    pos = first[r] + np.arange(width)[:, None]  # past the route: any code
+    cand = np.concatenate((CODE, np.zeros(width, np.intp)))[pos]
+    cand = np.where(pos == I[s], NB[s], cand)
+    cand = np.where(pos == J[s], NA[s], cand)
 
     # on two routes: per spot, the vertex after it, the tasks after it, the
     # next task's begin, the route's end, the spot's task's service cost
     # and the deadhead cost into and out of it
-    NXT, REST = state.slot_next_a[SLOT + 1], state.slot_rest_a[SLOT + 1]
-    NBEG, REND = state.slot_begin_a[SLOT + 1], state.slot_rend_a[SLOT]
-    SC = minsc_a[TI] + GAP * slope_a[TI]
-    LINKS = spc_a[PH, otail_a[CODE]] + spc_a[ohead_a[CODE], NXT]
-    c = np.flatnonzero(~same)
+    NXT, REST = state.nxt_a, state.rest_a
+    LINKS = spc_a[PH, state.tail_a] + spc_a[state.head_a, NXT]
+    c = (~same).nonzero()[0]
     i, j, na, nb = I[c], J[c], NA[c], NB[c]
-    tai, tbi = TI[i], TI[j]
-    t_b_at_a = PE[i] + sptT[otail_a[nb], PH[i]]
-    t_a_at_b = PE[j] + sptT[otail_a[na], PH[j]]
+    pe_i, nbeg_i, rend_i, sc_i, _, _, bt_i, et_i, slope_i, dur_i, \
+        minsc_i, _ = state.spot_f.take(i, axis=1)
+    pe_j, nbeg_j, rend_j, sc_j, _, _, bt_j, et_j, slope_j, dur_j, \
+        minsc_j, _ = state.spot_f.take(j, axis=1)
+    t_b_at_a = pe_i + sptT[otail_a[nb], PH[i]]
+    t_a_at_b = pe_j + sptT[otail_a[na], PH[j]]
     # route of spot i: task b replaces its task
     ddcA = spc_a[PH[i], otail_a[nb]] + spc_a[ohead_a[nb], NXT[i]] - LINKS[i]
-    sc_b_new = minsc_a[tbi] + _gaps(t_b_at_a, bt_a[tbi], et_a[tbi]) \
-        * slope_a[tbi]
-    arrive = t_b_at_a + dur_a[tbi] + sptT[NXT[i], ohead_a[nb]]
-    dA = arrive - NBEG[i]
-    endA = np.where(REST[i] > 0, REND[i] + dA, arrive)
+    sc_b_new = minsc_j + _gaps(t_b_at_a, bt_j, et_j) * slope_j
+    arrive = t_b_at_a + dur_j + sptT[NXT[i], ohead_a[nb]]
+    dA = arrive - nbeg_i
+    endA = np.where(REST[i] > 0, rend_i + dA, arrive)
     okA = ~(endA > limit)
     # route of spot j, evaluated where route i stays within the horizon:
     # task a replaces its task
     ddcB = spc_a[PH[j], otail_a[na]] + spc_a[ohead_a[na], NXT[j]] - LINKS[j]
-    sc_a_new = minsc_a[tai] + _gaps(t_a_at_b, bt_a[tai], et_a[tai]) \
-        * slope_a[tai]
-    arrive = t_a_at_b + dur_a[tai] + sptT[NXT[j], ohead_a[na]]
-    dB = arrive - NBEG[j]
-    endB = np.where(REST[j] > 0, REND[j] + dB, arrive)
+    sc_a_new = minsc_i + _gaps(t_a_at_b, bt_i, et_i) * slope_i
+    arrive = t_a_at_b + dur_i + sptT[NXT[j], ohead_a[na]]
+    dB = arrive - nbeg_j
+    endB = np.where(REST[j] > 0, rend_j + dB, arrive)
 
     def finish(shifts, sim):
         (dscA, n_a), (dscB, n_b) = shifts
         cost, load, end = sim
         delta = np.empty(len(I))
         ok = np.empty(len(I), dtype=bool)
-        counts[2] += np.bincount(e[s], la, ne)
+        counts[2] += np.bincount(np.concatenate((e[s], e[c])), np.concatenate(
+            (la, n_a + 2 * okA + n_b)), ne)
         delta[s] = cost - state.cost_a[r]
         ok[s] = ~((load > Q) | (end > limit))
-        counts[2] += np.bincount(e[c], n_a + 2 * okA + n_b, ne)
-        delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - SC[i])
-                    + (sc_a_new - SC[j]))
+        delta[c] = (ddcA + ddcB + dscA + dscB + (sc_b_new - sc_i)
+                    + (sc_a_new - sc_j))
         ok[c] = okA & ~(endB > limit)
         ok &= delta < 0.0
         return e[ok], delta[ok], (I[ok] * n + J[ok]) * 4 + fab[ok]
 
-    def move(q, key):
-        i, f = divmod(key, 4 * n)
-        j, f = divmod(f, 4)
-        ra, rb = int(ROUTE[i]), int(ROUTE[j])
-        return Move(SWAP, (ra, int(SLOT[i] - off[ra])),
-                    (rb, int(SLOT[j] - off[rb])), (bool(f >> 1), bool(f & 1)))
-
     return _Screened(
         [(i + 1, REST[i], dA), (j + 1, np.where(okA, REST[j], 0), dB)],
-        (cand, la, r), [(first, 4 * (off - np.arange(nc)), 4 * n)],
-        finish, move)
+        (cand, la, r), finish)
 
 
 # ---------------------------------------------------------------------------

@@ -166,20 +166,37 @@ def sbx_crossover(ctx, p1, p2, rng: random.Random):
     cut1 = rng.randint(0, len(a))
     cut2 = rng.randint(0, len(b))
 
+    # each route's load is summed as its codes are kept, left to right
+    dem = ctx.demand
     in_merged = set()
     dedup = []
+    dedup_load = 0
     for c in a[:cut1] + b[cut2:]:
-        if c >> 1 not in in_merged:
-            in_merged.add(c >> 1)
+        ti = c >> 1
+        if ti not in in_merged:
+            in_merged.add(ti)
             dedup.append(c)
-    routes = [[c for c in route if c >> 1 not in in_merged]
-              for k, route in enumerate(p1) if k != r1]
-    routes.append(dedup)
-    routes = [r for r in routes if r]
+            dedup_load += dem[ti]
+    routes, loads = [], []
+    for k, route in enumerate(p1):
+        if k == r1:
+            continue
+        kept, load = [], 0
+        for c in route:
+            ti = c >> 1
+            if ti not in in_merged:
+                kept.append(c)
+                load += dem[ti]
+        if kept:
+            routes.append(kept)
+            loads.append(load)
+    if dedup:
+        routes.append(dedup)
+        loads.append(dedup_load)
 
     covered = {c >> 1 for route in routes for c in route}
-    _repair(ctx, routes, [ti for ti in range(ctx.n_tasks)
-                          if ti not in covered])
+    _repair(ctx, routes, loads, [ti for ti in range(ctx.n_tasks)
+                                 if ti not in covered])
     return tuple(tuple(r) for r in routes)
 
 
@@ -260,12 +277,12 @@ def _cheapest_spot(ctx, routes, loads, states, ti):
     return best
 
 
-def _repair(ctx, routes, missing):
+def _repair(ctx, routes, loads, missing):
     """Insert the tasks of ``missing``, in order, each at its cheapest spot
     (``_cheapest_spot``); a task with no spot opens a fresh route.
-    ``routes``, a list of lists of codes, is changed in place."""
+    ``routes``, a list of lists of codes, and ``loads``, each route's load
+    summed left to right, are changed in place."""
     dem = ctx.demand
-    loads = [sum(dem[c >> 1] for c in route) for route in routes]
     states = [None] * len(routes)
     for ti in missing:
         spot = _cheapest_spot(ctx, routes, loads, states, ti)
@@ -291,23 +308,30 @@ def stochastic_rank(pop, pf: float, rng: random.Random):
     feasible or with probability pf, and by constraint violation
     otherwise.  Returns a new list.
     """
-    out = list(pop)
-    n = len(out)
+    n = len(pop)
+    tc = [ind.tc for ind in pop]
+    violation = [ind.violation for ind in pop]
+    feasible = [v == 0.0 for v in violation]
+    order = list(range(n))  # the bubble permutes indices into pop
+    draw = rng.random
     for _ in range(n):
         swapped = False
-        for j in range(n - 1):
-            x, y = out[j], out[j + 1]
-            both_feasible = x.violation == 0.0 and y.violation == 0.0
-            if both_feasible or rng.random() < pf:
-                worse = x.tc > y.tc
+        x = order[0]  # the index carried up the pass
+        for j in range(1, n):
+            y = order[j]
+            if feasible[x] and feasible[y] or draw() < pf:
+                worse = tc[x] > tc[y]
             else:
-                worse = x.violation > y.violation
+                worse = violation[x] > violation[y]
             if worse:
-                out[j], out[j + 1] = y, x
+                order[j - 1] = y
+                order[j] = x
                 swapped = True
+            else:
+                x = y
         if not swapped:
             break
-    return out
+    return [pop[k] for k in order]
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,14 @@ def merge_split(ctx, plan, rng: random.Random):
         old_cost += sc + dc
     best_routes = None
     best_cost = old_cost
+    # rules often give the same order, and splitting it again could only
+    # tie, never beat, the best cost so far
+    orders = set()
     for rule in _RULES:
         order = _path_scan_order(ctx, pool, rule)
+        if tuple(order) in orders:
+            continue
+        orders.add(tuple(order))
         segs, cost = split_giant_tour(ctx, order)
         if segs is not None and cost < best_cost:
             best_cost = cost

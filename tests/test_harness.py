@@ -245,6 +245,28 @@ class TestCli:
         assert (tmp_path / "micro-A_seed0_counters.json").exists()
         assert (tmp_path / "micro-A_seed0_trace.csv").exists()
 
+    def test_ablate_init_with_one_rep_says_nothing_was_compared(
+            self, tmp_path, capsys):
+        rc = cli_main(["ablate-init", MICRO_A, "--reps", "1",
+                       "--generations", "1", "--out", str(tmp_path),
+                       "--format", "json"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "nothing compared" in out and "(0, 0, 0)" not in out
+        assert json.loads(
+            (tmp_path / "init_kgis.json").read_text())["wdl"] is None
+
+    def test_ablate_init_with_two_reps_prints_the_verdicts(self, tmp_path,
+                                                           capsys):
+        rc = cli_main(["ablate-init", MICRO_A, "--reps", "2",
+                       "--generations", "1", "--out", str(tmp_path),
+                       "--format", "json"])
+        assert rc == 0
+        w, d, l = json.loads((tmp_path / "init_kgis.json").read_text())["wdl"]
+        assert w + d + l == 1
+        assert f"w-d-l (kgis vs baseline): ({w}, {d}, {l})" in \
+            capsys.readouterr().out
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
     def test_solve_rejects_bad_lambda(self, tmp_path, capsys, lam):
         rc = cli_main(["solve", MICRO_A, "--generations", "1",

@@ -44,7 +44,7 @@ from carptdsc.localsearch import (
     c1_gap_sums,
     moved_route_codes,
 )
-from carptdsc.mergesplit import _path_scan_order
+from carptdsc.mergesplit import MERGED_ROUTES, _RULES, _path_scan_order
 from carptdsc.oracle import exhaustive_neighborhood, simulate_route
 
 from util import (
@@ -743,6 +743,73 @@ class TestWarmSweeps:
         assert met > 0
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_same_plan_swept_twice(self, lam):
+        """The second pass of a plan takes every entry from the memo and
+        computes none: every stage of the pass is empty."""
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            memo = SweepMemo()
+            for plan in starts:
+                self._sweep(ctx, plan, memo, lam)
+                computed, reused = memo.computed, memo.reused
+                self._sweep(ctx, plan, memo, lam)
+                assert memo.computed == computed, name
+                assert memo.reused > reused or not plan, name
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_every_changed_route_in_the_run_table(self, lam):
+        """Plan A, a plan B that shares no route with it, then A again:
+        every route of A differs from the last plan swept, yet the run
+        table knows its own entries, so no route is computed alone."""
+        met = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            a = starts[0]
+            b = next((p for p in _plans(inst, sp, range(2, 12))
+                      if not set(p) & set(a)), None)
+            if b is None:
+                continue
+            memo = SweepMemo()
+            self._sweep(ctx, a, memo, lam)
+            self._sweep(ctx, b, memo, lam)
+            reused = memo.reused
+            self._sweep(ctx, a, memo, lam)
+            # each route's own entries of the three kinds, no route pair
+            assert memo.reused - reused == 3 * len(a), name
+            met += len(a) >= 2
+        assert met > 0
+
+    def test_no_cross_route_survivor(self, monkeypatch):
+        """Passes whose moves between two routes all fail criterion 1 or
+        capacity, found with lam = 0 on the plan as one route, its first
+        route alone and the whole plan: the pass sums no suffix shift, and
+        the warm pass still equals the cold one."""
+        from carptdsc import localsearch
+
+        summed = []  # per _shift_sums call: whether it had a survivor
+        shift_sums = localsearch._shift_sums
+
+        def spy(state, sets):
+            # the sets: the insertion blocks' source suffixes, then the
+            # suffixes of the insertion and swap survivors between routes
+            summed.append(sum(len(s[0]) for s in sets[1:]) > 0)
+            assert summed[-1] or not any(s[1].any() for s in sets)
+            return shift_sums(state, sets)
+
+        monkeypatch.setattr(localsearch, "_shift_sums", spy)
+        found = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            memo = SweepMemo()
+            for plan in starts:
+                # the plan as one route, then its first route alone
+                for p in ((sum(plan, ()),), plan[:1], plan):
+                    del summed[:]
+                    self._sweep(ctx, p, memo, 0.0)
+                    found += bool(summed) and not summed[0]
+        assert found > 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
     def test_crossover_children_over_capacity(self, lam):
         """A run's sequence of crossover children, some of which carry a
         route over capacity, swept one after the other."""
@@ -791,7 +858,56 @@ class TestKgslss:
             best, abs=1e-9)
 
 
+def _merge_split_every_rule(ctx, plan, rng):
+    """Merge-split that splits the order of each of the five rules, equal
+    orders included: the reference for ``merge_split``."""
+    if len(plan) < MERGED_ROUTES:
+        return plan
+    chosen = sorted(rng.sample(range(len(plan)), MERGED_ROUTES))
+    pool = [c >> 1 for ri in chosen for c in plan[ri]]
+    if not pool:
+        return plan
+    old_cost = 0.0
+    for ri in chosen:
+        sc, dc, *_ = ctx.sim(plan[ri], 0.0)
+        old_cost += sc + dc
+    best_routes = None
+    best_cost = old_cost
+    for rule in _RULES:
+        segs, cost = split_giant_tour(ctx, _path_scan_order(ctx, pool, rule))
+        if segs is not None and cost < best_cost:
+            best_cost = cost
+            best_routes = segs
+    if best_routes is None:
+        return plan
+    return tuple(route for ri, route in enumerate(plan)
+                 if ri not in chosen) + tuple(map(tuple, best_routes))
+
+
 class TestMergeSplit:
+    def test_equals_a_split_of_every_rule(self):
+        """The same plan and random state as splitting all five orders,
+        on plans where some rules give the same order and some do not."""
+        repeated = distinct = 0
+        for name, inst, sp, starts in _warm_cases():
+            ctx = get_context(inst, sp)
+            for seed, plan in enumerate(starts + _plans(inst, sp, (5, 6))):
+                for draw in range(4):
+                    got_rng = random.Random(100 * seed + draw)
+                    want_rng = random.Random(100 * seed + draw)
+                    got = merge_split(ctx, plan, got_rng)
+                    assert got == _merge_split_every_rule(ctx, plan, want_rng)
+                    assert got_rng.getstate() == want_rng.getstate()
+                    chosen = sorted(random.Random(100 * seed + draw).sample(
+                        range(len(plan)), MERGED_ROUTES)) \
+                        if len(plan) >= MERGED_ROUTES else []
+                    pool = [c >> 1 for ri in chosen for c in plan[ri]]
+                    orders = {tuple(_path_scan_order(ctx, pool, rule))
+                              for rule in _RULES} if pool else set()
+                    repeated += 0 < len(orders) < len(_RULES)
+                    distinct += len(orders) == len(_RULES)
+        assert repeated > 0 and distinct > 0
+
     def test_one_route_plan_is_noop(self, micro_a):
         inst, sp = micro_a
         ctx = get_context(inst, sp)

@@ -120,7 +120,52 @@ class TestEvaluatePlan:
                 evaluate_plan(ctx, bad, table)
 
 
+def _bubble_rank(pop, pf, rng):
+    """The stochastic-ranking bubble written over the individuals
+    themselves, one comparison at a time: the reference for
+    ``stochastic_rank``'s loop over indices."""
+    out = list(pop)
+    n = len(out)
+    for _ in range(n):
+        swapped = False
+        for j in range(n - 1):
+            x, y = out[j], out[j + 1]
+            both_feasible = x.violation == 0.0 and y.violation == 0.0
+            if both_feasible or rng.random() < pf:
+                worse = x.tc > y.tc
+            else:
+                worse = x.violation > y.violation
+            if worse:
+                out[j], out[j + 1] = y, x
+                swapped = True
+        if not swapped:
+            break
+    return out
+
+
 class TestStochasticRank:
+    @pytest.mark.parametrize("pf", [0.0, 0.45, 1.0])
+    @pytest.mark.parametrize("feasible", ["all", "none", "mixed"])
+    def test_same_order_and_draws_as_the_bubble(self, pf, feasible):
+        """Random populations, costs and violations drawn from few values
+        so that ties are common: the same order as the reference bubble,
+        and the random generator left in the same state."""
+        gen = random.Random(f"{pf}-{feasible}")
+        for trial in range(40):
+            n = gen.choice([0, 1, 2, 3, 8, 70])
+            pop = []
+            for k in range(n):
+                tc = gen.choice([5.0, 7.5, 7.5, 9.0, gen.random()])
+                violation = 0.0 if feasible == "all" or (
+                    feasible == "mixed" and gen.random() < 0.5) else \
+                    gen.choice([0.5, 2.0, 2.0, gen.random() + 0.1])
+                pop.append(memetic.Individual(((k,),), tc, violation))
+            got_rng, want_rng = random.Random(trial), random.Random(trial)
+            got = stochastic_rank(pop, pf, got_rng)
+            want = _bubble_rank(pop, pf, want_rng)
+            assert [id(ind) for ind in got] == [id(ind) for ind in want]
+            assert got_rng.getstate() == want_rng.getstate()
+
     def _population(self, micro_b, n=8, seed=0):
         inst, sp = micro_b
         rng = random.Random(seed)
@@ -372,7 +417,9 @@ class TestRepairReference:
                 start = [tuple(p for p in r.task_seq if p[0] not in lost)
                          for r in sol.routes]
                 start = [list(ctx.encode_route(Route(r))) for r in start if r]
-                _repair(ctx, start, [ctx.arc_task[a] for a in lost])
+                _repair(ctx, start, [sum(ctx.demand[c >> 1] for c in r)
+                                     for r in start],
+                        [ctx.arc_task[a] for a in lost])
                 assert [tuple(r.task_seq) for r in
                         decode_plan(ctx, start).routes] == ref, name
         assert checked >= 300 and fresh > 0
