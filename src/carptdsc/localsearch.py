@@ -890,7 +890,7 @@ def _kg_pass(ctx, state, lam, counters, memo=None):
     counts = tab[:3]
     rows = _ins_rows(state)
     cand = (np.empty(0, np.intp), np.empty(0), np.empty(0, np.intp))
-    if len(ent.kept) < nroutes:
+    if kept < nroutes:
         alone = np.zeros(nroutes, dtype=bool)
         alone[ent.alone] = True
         # the longest route that an intra-route survivor can come from
@@ -946,6 +946,7 @@ class _InsRows(NamedTuple):
 
 
 def _ins_rows(state):
+    """The ``_InsRows`` of the plan of ``state``."""
     nt, nroutes = len(state.code_a), len(state.routes)
     i = np.concatenate((np.arange(nt), state.rest_a.nonzero()[0]))
     pair = np.arange(len(i)) >= nt

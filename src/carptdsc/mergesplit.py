@@ -165,9 +165,10 @@ def merge_split(ctx, plan, rng: random.Random):
     orders = set()
     for rule in _RULES:
         order = _path_scan_order(ctx, pool, rule)
-        if tuple(order) in orders:
+        key = tuple(order)
+        if key in orders:
             continue
-        orders.add(tuple(order))
+        orders.add(key)
         segs, cost = split_giant_tour(ctx, order)
         if segs is not None and cost < best_cost:
             best_cost = cost

@@ -802,7 +802,7 @@ class TestWarmSweeps:
             ctx = get_context(inst, sp)
             memo = SweepMemo()
             for plan in starts:
-                # the plan as one route, then its first route alone
+                # the plan as one route, its first route alone, the plan
                 for p in ((sum(plan, ()),), plan[:1], plan):
                     del summed[:]
                     self._sweep(ctx, p, memo, 0.0)
