@@ -57,14 +57,13 @@ def _add_run_flags(p, unread=()):
 
 
 def _cfg_from_args(args):
-    """The --config file's config, else the defaults, with every config
-    field given on the command line replaced and checked again."""
-    if getattr(args, "config", None):
-        cfg = parse_config(args.config)
-    elif args.command == "time-to-target":
-        cfg = ExperimentConfig(generations=600)  # the cap on each run
-    else:
-        cfg = ExperimentConfig()
+    """The command's defaults, then the --config file's entries, then every
+    config field given on the command line, checked again."""
+    # time-to-target caps each run at 600 generations
+    defaults = {"generations": 600} if args.command == "time-to-target" \
+        else {}
+    cfg = parse_config(args.config, **defaults) \
+        if getattr(args, "config", None) else ExperimentConfig(**defaults)
     keys = {f.name for f in fields(ExperimentConfig)}
     return replace(cfg, **{k: v for k, v in vars(args).items() if k in keys})
 
@@ -245,8 +244,9 @@ def _run(argv):
 
     if args.command == "time-to-target":
         if args.target is not None:
-            for path in cfg.instances:
-                cfg.target_costs[parse_instance(path).name] = args.target
+            cfg = replace(cfg, target_costs=cfg.target_costs | {
+                parse_instance(path).name: args.target
+                for path in cfg.instances})
         _write_rows(cfg, "time_to_target", runtime_to_target(cfg))
         return 0
 

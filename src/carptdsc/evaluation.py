@@ -116,20 +116,21 @@ class EvalContext:
             self.ohead[2 * i] = a.head
             self.otail[2 * i + 1] = a.head
             self.ohead[2 * i + 1] = a.tail
+        # per task, the codes of its orientations
+        self.task_codes = [(2 * i, 2 * i + 1) if ok else (2 * i,)
+                           for i, ok in enumerate(self.flip_ok)]
         # the tuple rows of sp, shared rather than copied: scalar indexing is
         # much faster than numpy here, and every cached context keeps them
         self.spc = sp.sp_cost
         self.spt = sp.sp_time
-        # numpy copies for the local search's vectorised sweeps;
-        # sptT[v] holds the travel times into vertex v
+        # numpy copies for the local search's vectorised sweeps; sptX[v]
+        # holds the travel times into vertex v, and its last row, of
+        # infinite times, serves ``ftail_a``; sptT is the rest of sptX
         self.spc_a = np.array(sp.sp_cost, dtype=float)
-        self.sptT = np.array(sp.sp_time, dtype=float).T.copy()
-        self.bt_a = np.array(self.bt, dtype=float)
-        self.et_a = np.array(self.et, dtype=float)
-        self.minsc_a = np.array(self.minsc, dtype=float)
-        self.slope_a = np.array(self.slope, dtype=float)
-        self.dur_a = np.array(self.dur, dtype=float)
-        self.dem_a = np.array(self.demand, dtype=float)
+        nv = len(sp.sp_time)
+        self.sptX = np.full((nv + 1, nv), np.inf)
+        self.sptX[:nv] = np.array(sp.sp_time, dtype=float).T
+        self.sptT = self.sptX[:nv]
         self.otail_a = np.array(self.otail, dtype=np.intp)
         self.ohead_a = np.array(self.ohead, dtype=np.intp)
         self.flip_a = np.array(self.flip_ok, dtype=bool)
@@ -148,15 +149,10 @@ class EvalContext:
 
     @cached_property
     def task_f(self):
-        """The rows bt, et, slope, dur, minsc and demand of the per-task
-        tables, for gathering them in one call."""
-        return np.array([self.bt_a, self.et_a, self.slope_a, self.dur_a,
-                         self.minsc_a, self.dem_a])
-
-    @cached_property
-    def sptX(self):
-        """``sptT`` with one more row, of infinite travel times."""
-        return np.vstack((self.sptT, np.full(len(self.sptT), np.inf)))
+        """The per-task tables bt, et, slope, dur, minsc and demand as the
+        rows of one array, for gathering them in one call."""
+        return np.array([self.bt, self.et, self.slope, self.dur, self.minsc,
+                         self.demand], dtype=float)
 
     # -- encoding -----------------------------------------------------------
 

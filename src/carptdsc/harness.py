@@ -63,6 +63,15 @@ class ExperimentConfig:
             raise ConfigError("repetitions", "repetitions must be >= 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("fmt", "format must be csv or json")
+        # a reference divides each pdr; a NaN target is never reached
+        for name, cost in self.references.items():
+            if not (math.isfinite(cost) and cost > 0):
+                raise ConfigError("references", f"reference cost of {name} "
+                                  f"must be finite and positive, got {cost}")
+        for name, cost in self.target_costs.items():
+            if not math.isfinite(cost):
+                raise ConfigError("target_costs", f"target cost of {name} "
+                                  f"must be finite, got {cost}")
         # the solver's own rules, one key at a time, so that an error names
         # its key
         checks = [(key, MemeticParams) for key in _SOLVER_KEYS] + [
@@ -160,6 +169,12 @@ def load_instance(path):
     return inst, all_pairs_shortest_paths(inst)
 
 
+def _load_all(cfg):
+    """(inst, sp) of every instance of ``cfg``, all loaded before any
+    solve, so that a bad file fails the command before its work starts."""
+    return [load_instance(path) for path in cfg.instances]
+
+
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
@@ -228,8 +243,7 @@ def ablation_timing(cfg: ExperimentConfig) -> list:
     sweeps from scratch either way.
     """
     rows = []
-    for path in cfg.instances:
-        inst, sp = load_instance(path)
+    for inst, sp in _load_all(cfg):
         kg, tr = (solve_once(inst, sp, replace(cfg, operator_mode=mode),
                              cfg.base_seed) for mode in ("kg", "traditional"))
         kg_evals = kg["counters"]["criterion2_evaluations"]
@@ -258,8 +272,7 @@ def ablation_departure(cfg: ExperimentConfig) -> list:
     paper arm's relative excess over the exact optimum.
     """
     rows = []
-    for path in cfg.instances:
-        inst, sp = load_instance(path)
+    for inst, sp in _load_all(cfg):
         for i in range(cfg.repetitions):
             seed = cfg.base_seed + i
             sol = solve_once(inst, sp, cfg, seed)["solution"]
@@ -289,8 +302,7 @@ def runtime_to_target(cfg: ExperimentConfig):
     with every route departing at 0, costs at most the target.  The final
     cost after departure-time optimization is not compared."""
     rows = []
-    for path in cfg.instances:
-        inst, sp = load_instance(path)
+    for inst, sp in _load_all(cfg):
         target = cfg.target_costs.get(inst.name)
         if target is None:
             rows.append({"instance": inst.name, "error": "no target cost"})
@@ -332,9 +344,10 @@ def _config_value(kind, val):
     return convert[kind](val) if kind in convert else val
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Read ``key = value`` lines into an ExperimentConfig; a bad entry
-    raises ConfigError naming the file and line."""
+def parse_config(path, **defaults) -> ExperimentConfig:
+    """Read ``key = value`` lines into an ExperimentConfig whose entries
+    the file does not set are ``defaults`` or else the class defaults; a
+    bad entry raises ConfigError naming the file and line."""
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     lines = {}
@@ -354,7 +367,7 @@ def parse_config(path) -> ExperimentConfig:
                                    f"{val!r}: {exc}") from None
         lines[key] = line_no
     try:
-        return ExperimentConfig(**values)
+        return ExperimentConfig(**{**defaults, **values})
     except ConfigError as exc:
         raise ConfigError(exc.key,
                           f"{path}:{lines[exc.key]}: {exc}") from None

@@ -57,8 +57,7 @@ def _greedy_builder(ctx, slope_abs):
                 f"capacity {Q}")
     # per task: (code, tail, return leg to the depot) of each orientation
     orients = [tuple((oc, otail[oc], spt[ohead[oc]][depot])
-                     for oc in ((2 * ti, 2 * ti + 1) if ctx.flip_ok[ti]
-                                else (2 * ti,)))
+                     for oc in ctx.task_codes[ti])
                for ti in range(n)]
 
     def scan(unserved, cur_end, cur_v, cap_left, route_open):

@@ -1053,7 +1053,8 @@ def _ins_screen(ctx, state, lam, counts, dirty, alone, width, rows):
     NT, NH = otail_a[N1], ohead_a[NL]
     THR = (lam * g_before)[B]
     # time from the first task's begin to the last's; 0.0 for one task
-    HOP = np.where(RP, ctx.dur_a[T1] + sptT[otail_a[NL], ohead_a[N1]], 0.0)
+    HOP = np.where(RP, ctx.task_f[3, T1] + sptT[otail_a[NL], ohead_a[N1]],
+                   0.0)
     pairs_from = R0[1]  # the first pair row
 
     # per row, the tables bt, et, slope, dur, minsc and demand of its

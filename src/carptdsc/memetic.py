@@ -200,80 +200,68 @@ def sbx_crossover(ctx, p1, p2, rng: random.Random):
     return tuple(tuple(r) for r in routes)
 
 
-def _prefix_states(ctx, route):
-    """``sim``'s running state (clock, vertex, service-cost sum, deadhead
-    sum) before each position of ``route`` departing at 0, and the route's
-    service plus deadhead cost, with ``sim``'s operations in its order."""
-    spc, spt = ctx.spc, ctx.spt
-    otail, ohead = ctx.otail, ctx.ohead
-    minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
-    t = 0.0
-    prev = ctx.depot
-    sc = 0.0
-    dc = 0.0
-    states = [(t, prev, sc, dc)]
-    for c in route:
-        ti = c >> 1
-        tail = otail[c]
-        dc += spc[prev][tail]
-        t += spt[prev][tail]
-        b = bt[ti]
-        e = et[ti]
-        g = b - t if t < b else (t - e if t > e else 0.0)
-        sc += minsc[ti] + g * slope[ti]
-        t += dur[ti]
-        prev = ohead[c]
-        states.append((t, prev, sc, dc))
-    return states, sc + (dc + spc[prev][ctx.depot])
-
-
-def _cheapest_spot(ctx, routes, loads, states, ti):
+def _cheapest_spot(ctx, routes, loads, sims, ti):
     """(delta, route, position, code) of the insertion of task ti of least
     cost increase over the routes with room for it that end within the
     horizon; the first enumerated (route, position, orientation) among
     equals.  None if there is no such insertion.
 
-    ``loads`` holds each route's load; ``states`` each route's
-    ``_prefix_states`` or None, filled in here when needed.  Each
-    candidate continues ``sim`` from the state before its position
-    through the task and the route's suffix, so its cost and end time
-    are bit for bit those of ``sim`` on the candidate route.
+    ``loads`` holds each route's load; ``sims`` each route's
+    ``ctx.sim(route, 0.0)`` or None, filled in here when needed.  Every
+    route departs at 0 and service times are fixed, so an insertion shifts
+    the begins after it, and the route's end, by the one ``dt`` with which
+    it delays the next arrival.  The delta is the link change, the task's
+    own service cost and the suffix's service-cost change under that
+    shift, summed only when ``dt`` is not 0.0.  On integral data these
+    are the floats of a full ``sim`` of the candidate route; otherwise
+    they may round apart from it (``TestRepairFractional``).
     """
     spc, spt = ctx.spc, ctx.spt
     otail, ohead = ctx.otail, ctx.ohead
-    minsc, slope, bt, et, dur = ctx.minsc, ctx.slope, ctx.bt, ctx.et, ctx.dur
+    slope, bt, et, dur = ctx.slope, ctx.bt, ctx.et, ctx.dur
     depot = ctx.depot
     limit = ctx.horizon_limit
-    ocs = (2 * ti, 2 * ti + 1) if ctx.flip_ok[ti] else (2 * ti,)
+    b, e, d, sc0, k0 = bt[ti], et[ti], dur[ti], ctx.minsc[ti], slope[ti]
     best = None
     for r, route in enumerate(routes):
         if loads[r] + ctx.demand[ti] > ctx.capacity:
             continue
-        if states[r] is None:
-            states[r] = _prefix_states(ctx, route)
-        prefix, base = states[r]
-        for pos, (t0, v0, sc0, dc0) in enumerate(prefix):
-            suffix = route[pos:]
-            for oc in ocs:
-                t, prev, sc, dc = t0, v0, sc0, dc0
-                for c in (oc, *suffix):
-                    tj = c >> 1
-                    tail = otail[c]
-                    dc += spc[prev][tail]
-                    t += spt[prev][tail]
-                    b = bt[tj]
-                    e = et[tj]
-                    g = b - t if t < b else (t - e if t > e else 0.0)
-                    sc += minsc[tj] + g * slope[tj]
-                    t += dur[tj]
-                    prev = ohead[c]
-                dc += spc[prev][depot]
-                t += spt[prev][depot]
-                if t > limit:
+        if sims[r] is None:
+            sims[r] = ctx.sim(route, 0.0)
+        _, _, _, begins, gaps, end = sims[r]
+        m = len(route)
+        t = 0.0  # when the vehicle leaves v
+        v = depot
+        for pos in range(m + 1):
+            nxt = otail[route[pos]] if pos < m else depot
+            row_c, row_t = spc[v], spt[v]
+            cut = row_c[nxt]
+            for oc in ctx.task_codes[ti]:
+                tail, head = otail[oc], ohead[oc]
+                tb = t + row_t[tail]
+                arrive = tb + d + spt[head][nxt]
+                dt = arrive - begins[pos] if pos < m else 0.0
+                if (end + dt if pos < m else arrive) > limit:
                     continue
-                delta = (sc + dc) - base
+                g = b - tb if tb < b else (tb - e if tb > e else 0.0)
+                delta = (row_c[tail] + spc[head][nxt] - cut) + (sc0 + g * k0)
+                if dt != 0.0:
+                    shift = 0.0
+                    for k in range(pos, m):
+                        tj = route[k] >> 1
+                        tk = begins[k] + dt
+                        bk = bt[tj]
+                        ek = et[tj]
+                        gk = bk - tk if tk < bk else (tk - ek if tk > ek
+                                                      else 0.0)
+                        shift += (gk - gaps[k]) * slope[tj]
+                    delta += shift
                 if best is None or delta < best[0]:
                     best = (delta, r, pos, oc)
+            if pos < m:
+                c = route[pos]
+                t = begins[pos] + dur[c >> 1]
+                v = ohead[c]
     return best
 
 
@@ -283,18 +271,18 @@ def _repair(ctx, routes, loads, missing):
     ``routes``, a list of lists of codes, and ``loads``, each route's load
     summed left to right, are changed in place."""
     dem = ctx.demand
-    states = [None] * len(routes)
+    sims = [None] * len(routes)
     for ti in missing:
-        spot = _cheapest_spot(ctx, routes, loads, states, ti)
+        spot = _cheapest_spot(ctx, routes, loads, sims, ti)
         if spot is None:
             routes.append([2 * ti])
             loads.append(dem[ti])
-            states.append(None)
+            sims.append(None)
             continue
         _, r, pos, oc = spot
         routes[r].insert(pos, oc)
         loads[r] = sum(dem[c >> 1] for c in routes[r])
-        states[r] = None
+        sims[r] = None
 
 
 # ---------------------------------------------------------------------------

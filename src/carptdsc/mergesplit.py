@@ -41,7 +41,7 @@ def _path_scan_order(ctx, pool, rule):
         for ti in unserved:
             if dem[ti] > cap_left:
                 continue
-            for oc in ((2 * ti, 2 * ti + 1) if ctx.flip_ok[ti] else (2 * ti,)):
+            for oc in ctx.task_codes[ti]:
                 d = spc[cur][otail[oc]]
                 if best_d is None or d < best_d:
                     best_d = d

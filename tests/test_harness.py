@@ -10,8 +10,10 @@ from carptdsc import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    ParseError,
     Route,
     Solution,
+    ablation_departure,
     ablation_timing,
     dump_solution,
     parse_config,
@@ -130,6 +132,23 @@ references = gdb1:316, micro-A:76
         with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:1: "):
             parse_config(p)
 
+    @pytest.mark.parametrize("entry, key", [
+        ("references = micro-A:0", "references"),
+        ("references = micro-A:-76", "references"),
+        ("references = gdb1:316, micro-A:nan", "references"),
+        ("references = micro-A:inf", "references"),
+        ("target_costs = micro-A:nan", "target_costs"),
+        ("target_costs = micro-A:-inf", "target_costs"),
+    ])
+    def test_bad_reference_or_target_names_file_and_line(self, tmp_path,
+                                                          entry, key):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# setup\ngenerations = 2\n{entry}\npsize = 4\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(p))}:3: ") as exc:
+            parse_config(p)
+        assert exc.value.key == key
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
@@ -225,6 +244,22 @@ class TestDrivers:
         rows = runtime_to_target(tiny_cfg())
         assert "error" in rows[0]
 
+    @pytest.mark.parametrize("driver", [
+        ablation_timing, ablation_departure, runtime_to_target])
+    def test_bad_instance_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                 driver):
+        import carptdsc.harness as harness
+        calls = []
+        monkeypatch.setattr(harness, "solve_once",
+                            lambda *a, **k: calls.append(1))
+        bad = tmp_path / "bad.dat"
+        bad.write_text(open(MICRO_A).read().replace("CAPACITY 12",
+                                                    "CAPACITY nan"))
+        with pytest.raises(ParseError, match=re.escape(str(bad))):
+            driver(tiny_cfg(instances=[MICRO_A, str(bad)],
+                            target_costs={"micro-A": 1e9}))
+        assert calls == []
+
     def test_ablation_timing_schema(self):
         rows = ablation_timing(tiny_cfg(repetitions=1, pls=1.0))
         row = rows[0]
@@ -300,6 +335,40 @@ osnum = 8
 out_dir = {tmp_path / "file_out"}
 """)
         return str(cfg)
+
+    def test_bench_with_zero_reference_fails_before_solving(
+            self, tmp_path, capsys, monkeypatch, bench_cfg):
+        import carptdsc.harness as harness
+        monkeypatch.setattr(harness, "solve_once", None)
+        with open(bench_cfg, "a") as fh:
+            fh.write("references = micro-A:0\n")
+        rc = cli_main(["bench", "--config", bench_cfg])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"carptdsc: error: {bench_cfg}:7: reference cost of micro-A")
+        assert not (tmp_path / "file_out").exists()
+
+    @pytest.mark.parametrize("lines, flags, generations", [
+        (None, [], 600),
+        ("repetitions = 1\n", [], 600),
+        ("generations = 7\n", [], 7),
+        ("generations = 7\n", ["--generations", "3"], 3),
+    ])
+    def test_time_to_target_generations_precedence(
+            self, tmp_path, lines, flags, generations):
+        argv = ["time-to-target", MICRO_A] + flags
+        if lines is not None:
+            (tmp_path / "t.cfg").write_text(lines)
+            argv += ["--config", str(tmp_path / "t.cfg")]
+        cfg = cli._cfg_from_args(cli._parser().parse_args(argv))
+        assert cfg.generations == generations
+
+    def test_time_to_target_rejects_nan_target(self, tmp_path, capsys):
+        rc = cli_main(["time-to-target", MICRO_A, "--target", "nan",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "carptdsc: error: target cost " \
+            "of micro-A must be finite, got nan\n"
 
     def test_bench_with_config_file(self, tmp_path, capsys, bench_cfg):
         rc = cli_main(["bench", "--config", bench_cfg])

@@ -30,6 +30,7 @@ from carptdsc.oracle import simulate_route
 from util import (
     decode_plan,
     encode_plan,
+    fractional,
     random_feasible_solution,
     reference_cases,
 )
@@ -423,3 +424,77 @@ class TestRepairReference:
                 assert [tuple(r.task_seq) for r in
                         decode_plan(ctx, start).routes] == ref, name
         assert checked >= 300 and fresh > 0
+
+
+REL = 1e-9  # TestFractionalReference's relative tolerance on fractional data
+
+
+class TestRepairFractional:
+    """Crossover repair on the ``util.fractional`` copies of the reference
+    cases, under a stated tolerance policy.  On non-integral data a
+    spot's delta, priced from the route's ``sim`` and one suffix shift,
+    adds in another order than a full re-simulation of the candidate
+    route, so the two may round apart and exact ties may break the other
+    way.  Tolerances are relative to the candidate route's cost, the
+    scale of the sums that round: each delta lies within REL of the
+    re-simulated one, and the pick's re-simulated delta within REL of the
+    least."""
+
+    def test_spots_within_tolerance_of_full_simulation(self):
+        checked = 0
+        for name, inst, _ in reference_cases():
+            inst = fractional(inst)
+            sp = all_pairs_shortest_paths(inst)
+            ctx = get_context(inst, sp)
+            for plan_seed in range(4):
+                rng = random.Random(plan_seed)
+                sol = random_feasible_solution(inst, sp, rng)
+                lost = rng.sample(list(inst.tasks),
+                                  min(3, len(inst.tasks) - 1))
+                ref = [tuple(p for p in r.task_seq if p[0] not in lost)
+                       for r in sol.routes]
+                ref = [r for r in ref if r]
+                for aid in lost:
+                    ti = ctx.arc_task[aid]
+                    routes = [list(ctx.encode_route(Route(r))) for r in ref]
+                    loads = [sum(ctx.demand[c >> 1] for c in r)
+                             for r in routes]
+                    got = _cheapest_spot(ctx, routes, loads,
+                                         [None] * len(routes), ti)
+                    deltas = _simulated_deltas(inst, sp, ref, aid)
+                    where = (name, plan_seed, aid)
+                    if not deltas:
+                        assert got is None, where
+                        ref.append(((aid, False),))
+                        continue
+                    delta, r, pos, oc = got
+                    ref_delta, cost = deltas[r, pos, bool(oc & 1)]
+                    least = min(d for d, _ in deltas.values())
+                    assert abs(delta - ref_delta) <= REL * cost, where
+                    assert ref_delta <= least + REL * cost, where
+                    ref[r] = ref[r][:pos] + ((aid, bool(oc & 1)),) \
+                        + ref[r][pos:]
+                    checked += 1
+        assert checked >= 300
+
+
+def _simulated_deltas(inst, sp, routes, aid):
+    """{(route, position, flipped): (delta, cost)} of every insertion of task
+    ``aid`` into ``routes`` ((arc id, flipped) tuples) with room for it
+    that ends within the horizon, each re-simulated in full with
+    oracle.simulate_route."""
+    arc = inst.arcs[aid]
+    deltas = {}
+    for r, seq in enumerate(routes):
+        if sum(inst.arcs[a].demand for a, _ in seq) + arc.demand \
+                > inst.capacity:
+            continue
+        base = simulate_route(inst, sp, seq, 0.0)[0]
+        for pos in range(len(seq) + 1):
+            for flipped in ((False, True) if arc.inverse_id is not None
+                            else (False,)):
+                cand = seq[:pos] + ((aid, flipped),) + seq[pos:]
+                cost, end, _ = simulate_route(inst, sp, cand, 0.0)
+                if end <= inst.planning_horizon + 1e-12:
+                    deltas[r, pos, flipped] = (cost - base, cost)
+    return deltas
