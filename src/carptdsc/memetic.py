@@ -11,10 +11,11 @@ oriented task codes (``2 * task index + flipped``, see ``EvalContext``).
 The encoded plan is also an individual's duplicate key.  Initialization,
 crossover, the pipeline and merge-split take and return encoded plans,
 with the compiled context ``ctx`` passed explicitly, and ``kgma_run``
-decodes only the plan it returns.  Crossover repair scores each candidate
-position from ``sim``'s running state at that position of the route, so
-the shared prefix is simulated once per route; the floats are those of a
-full ``sim`` of the candidate route.
+decodes only the plan it returns.  Crossover repair simulates each route
+once and prices an insertion by the step it makes: the changed links, the
+task's own service cost, and the service-cost change of the suffix, whose
+begins all shift by one amount.  On integral data the floats are those of
+a full ``sim`` of the candidate route.
 
 A run computes each route-level result once.  Every route departs at 0,
 so a route's cost and capacity excess depend on its codes only:
@@ -206,8 +207,9 @@ def _cheapest_spot(ctx, routes, loads, sims, ti):
     horizon; the first enumerated (route, position, orientation) among
     equals.  None if there is no such insertion.
 
-    ``loads`` holds each route's load; ``sims`` each route's
-    ``ctx.sim(route, 0.0)`` or None, filled in here when needed.  Every
+    ``loads`` holds each route's load; ``sims`` each route's end and, per
+    position, its begin, gap and task's bt, et and slope, from one
+    ``ctx.sim(route, 0.0)``, or None, filled in here when needed.  Every
     route departs at 0 and service times are fixed, so an insertion shifts
     the begins after it, and the route's end, by the one ``dt`` with which
     it delays the next arrival.  The delta is the link change, the task's
@@ -222,13 +224,18 @@ def _cheapest_spot(ctx, routes, loads, sims, ti):
     depot = ctx.depot
     limit = ctx.horizon_limit
     b, e, d, sc0, k0 = bt[ti], et[ti], dur[ti], ctx.minsc[ti], slope[ti]
+    # per orientation: its code, tail, and the cost and time rows of its head
+    orients = [(oc, otail[oc], spc[ohead[oc]], spt[ohead[oc]])
+               for oc in ctx.task_codes[ti]]
     best = None
     for r, route in enumerate(routes):
         if loads[r] + ctx.demand[ti] > ctx.capacity:
             continue
         if sims[r] is None:
-            sims[r] = ctx.sim(route, 0.0)
-        _, _, _, begins, gaps, end = sims[r]
+            _, _, _, begins, gaps, end = ctx.sim(route, 0.0)
+            sims[r] = end, [(tk, bt[c >> 1], et[c >> 1], gk, slope[c >> 1])
+                            for c, tk, gk in zip(route, begins, gaps)]
+        end, steps = sims[r]
         m = len(route)
         t = 0.0  # when the vehicle leaves v
         v = depot
@@ -236,31 +243,26 @@ def _cheapest_spot(ctx, routes, loads, sims, ti):
             nxt = otail[route[pos]] if pos < m else depot
             row_c, row_t = spc[v], spt[v]
             cut = row_c[nxt]
-            for oc in ctx.task_codes[ti]:
-                tail, head = otail[oc], ohead[oc]
+            for oc, tail, out_c, out_t in orients:
                 tb = t + row_t[tail]
-                arrive = tb + d + spt[head][nxt]
-                dt = arrive - begins[pos] if pos < m else 0.0
+                arrive = tb + d + out_t[nxt]
+                dt = arrive - steps[pos][0] if pos < m else 0.0
                 if (end + dt if pos < m else arrive) > limit:
                     continue
                 g = b - tb if tb < b else (tb - e if tb > e else 0.0)
-                delta = (row_c[tail] + spc[head][nxt] - cut) + (sc0 + g * k0)
+                delta = (row_c[tail] + out_c[nxt] - cut) + (sc0 + g * k0)
                 if dt != 0.0:
                     shift = 0.0
-                    for k in range(pos, m):
-                        tj = route[k] >> 1
-                        tk = begins[k] + dt
-                        bk = bt[tj]
-                        ek = et[tj]
-                        gk = bk - tk if tk < bk else (tk - ek if tk > ek
-                                                      else 0.0)
-                        shift += (gk - gaps[k]) * slope[tj]
+                    for tk, bk, ek, gk, sk in steps[pos:]:
+                        tk += dt
+                        shift += ((bk - tk if tk < bk else (
+                            tk - ek if tk > ek else 0.0)) - gk) * sk
                     delta += shift
                 if best is None or delta < best[0]:
                     best = (delta, r, pos, oc)
             if pos < m:
                 c = route[pos]
-                t = begins[pos] + dur[c >> 1]
+                t = steps[pos][0] + dur[c >> 1]
                 v = ohead[c]
     return best
 
